@@ -429,15 +429,17 @@ def main(argv=None) -> int:
         else:
             raw = dict(DEFAULT_CONFIG)
         cfg = RunConfig.from_json(raw)
+        if args.seed is not None and not 0 <= args.seed < 2 ** 64:
+            raise ValueError("--seed: must be an unsigned 64-bit integer")
+        env = os.environ.get("LCL_JOBS") or "1"
+        if args.jobs is None and not env.strip().isdecimal():
+            raise ValueError(f"LCL_JOBS: must be a nonnegative integer, got {env!r}")
+        jobs = int(env) if args.jobs is None else args.jobs
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = RunConfig(**{**cfg.__dict__, "seed": args.seed})
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("LCL_JOBS", "1") or "1")
-    cfg = RunConfig(**{**cfg.__dict__, "jobs": max(1, jobs)})
+    cfg = RunConfig(**{**cfg.__dict__, "jobs": max(1, jobs),
+                       "seed": cfg.seed if args.seed is None else args.seed})
     outdir = Path(args.output) if args.output else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -19,6 +19,14 @@ Entries are integrated by Gauss-Legendre on the classical support window of
 the Laguerre pair (turning points padded by eight Airy widths), which stays
 accurate at any angular index; plain Gauss-Laguerre of the matching degree
 would overflow beyond |k| ~ 1e3.
+
+For long-range models the diagonal rows k >= max(4q, 32), when there are more
+than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
+entry (k+q+1)^(rho/2) d_k in u = log(k+q+1): node values from the same
+quadrature at continuous alpha, Clenshaw evaluation at every integer k.  Each
+fit is checked against exact entries at the window's 25 second-kind Chebyshev
+points; a relative error above 1e-9 max(1, q/128), the quadrature's own jitter
+between neighbouring k, raises ContractError.
 """
 from __future__ import annotations
 
@@ -27,10 +35,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
-from .errors import CapacityError
+from .errors import CapacityError, ContractError
 from .potentials import PotentialModel
-from .specfun import laguerre_function, laguerre_function_multi, legendre_rule
+from .specfun import _lgamma_arr, laguerre_function, laguerre_function_multi, legendre_rule
 
 __all__ = [
     "LandauConfig",
@@ -50,6 +59,8 @@ DENSE_CAP = 4096
 K_HARD_CAP = 200_000
 _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
+_CHUNK = 128
+_CHEB_NODES = 24
 
 
 def landau_level(B: float, q: int) -> float:
@@ -170,7 +181,7 @@ def _xi_window(n: int, alpha):
     small = (a + 2.0 * n) <= 60.0
     if np.any(small):
         a_s = a[small] if a.ndim else a
-        const = math.lgamma(n + 1.0) + _lgamma(a_s + n + 1.0)
+        const = math.lgamma(n + 1.0) + _lgamma_arr(a_s + n + 1.0)
         h = np.atleast_1d(hi[small] if a.ndim else hi).astype(float)
         for _ in range(16):
             env = (a_s + 2.0 * n) * np.log(h) - h - const
@@ -184,11 +195,6 @@ def _xi_window(n: int, alpha):
         else:
             hi = float(h[0])
     return lo, hi
-
-
-def _lgamma(x):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.vectorize(math.lgamma, otypes=[float])(x)
 
 
 def _band_batch(vfun, B: float, q: int, n1: int, a1: np.ndarray,
@@ -214,9 +220,10 @@ def _mode_map(model: PotentialModel) -> dict:
 
 
 def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
-                     k_hi: int, base: int, chunk: int = 512) -> np.ndarray:
+                     k_hi: int, base: int) -> np.ndarray:
     """Diagonal entries for k in [k_lo, k_hi]; negative indices are batched
-    through the shared multi-degree recurrence."""
+    through the shared multi-degree recurrence, and the far window of a
+    long-range model is a certified Chebyshev fit."""
     v0 = _mode_map(model)[0]
     out = np.empty(k_hi - k_lo + 1)
     if k_lo < 0:
@@ -233,11 +240,40 @@ def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
         out[: len(ks)] = np.einsum("ij,ij,ij,ij->i", ww, vals, psi, psi)
     if k_hi >= 0:
         start = max(k_lo, 0)
-        for k0 in range(start, k_hi + 1, chunk):
-            ks = np.arange(k0, min(k0 + chunk, k_hi + 1), dtype=float)
+        k_split = max(start, 4 * q, 32)
+        if not model.long_range or k_hi - k_split + 1 <= 8 * _CHEB_NODES:
+            k_split = k_hi + 1
+        for k0 in range(start, k_split, _CHUNK):
+            ks = np.arange(k0, min(k0 + _CHUNK, k_split), dtype=float)
             out[k0 - k_lo: k0 - k_lo + len(ks)] = _band_batch(
                 v0, B, q, q, ks, q, ks, base)
+        if k_split <= k_hi:
+            out[k_split - k_lo:] = _chebyshev_tail(v0, B, q, k_split, k_hi,
+                                                   base, model.rho)
     return out
+
+
+def _chebyshev_tail(v0, B: float, q: int, k_a: int, k_b: int, base: int,
+                    rho: float) -> np.ndarray:
+    """Diagonal entries for k in [k_a, k_b] by the certified Chebyshev fit."""
+    def scaled(u):
+        m = np.exp(u)
+        return m ** (0.5 * rho) * _band_batch(v0, B, q, q, m - q - 1.0,
+                                              q, m - q - 1.0, base)
+
+    u_a, u_b = math.log(k_a + q + 1.0), math.log(k_b + q + 1.0)
+    fit = Chebyshev.interpolate(scaled, _CHEB_NODES - 1, domain=[u_a, u_b])
+    u_check = 0.5 * (u_a + u_b) + 0.5 * (u_b - u_a) * chebpts2(_CHEB_NODES + 1)
+    exact = scaled(u_check)
+    err = float(np.max(np.abs(fit(u_check) - exact)
+                       / np.maximum(np.abs(exact), np.finfo(float).tiny)))
+    tol = 1e-9 * max(1.0, q / 128.0)
+    if not err <= tol:
+        raise ContractError(
+            f"radial_diagonal: Chebyshev fit at q={q}, k in [{k_a}, {k_b}] failed "
+            f"its held-out certificate: relative error {err:.3e} > tolerance {tol:.3e}")
+    m = np.arange(k_a, k_b + 1) + q + 1.0
+    return fit(np.log(m)) / m ** (0.5 * rho)
 
 
 def _xi_window_pair(n_arr, a_arr):
@@ -248,8 +284,7 @@ def _xi_window_pair(n_arr, a_arr):
     return los, his
 
 
-def radial_diagonal(model: PotentialModel, cfg: LandauConfig,
-                    chunk: int = 512) -> np.ndarray:
+def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
     """Diagonal entries <V phi_{k,q}, phi_{k,q}> for k = -q .. k_max.
 
     This is the storage-free fast path for radial models (the full block is
@@ -258,7 +293,7 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig,
     if cfg.k_max + cfg.q + 1 > K_HARD_CAP + cfg.q + 1:
         raise CapacityError(f"k_max beyond hard cap {K_HARD_CAP}")
     return _diagonal_window(model, cfg.B, cfg.q, -cfg.q, cfg.k_max,
-                            cfg.quad_order_base, chunk=chunk)
+                            cfg.quad_order_base)
 
 
 def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int,
@@ -327,8 +362,7 @@ class ToeplitzBlock:
             fh.write("\n")
 
 
-def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig,
-                    chunk: int = 512) -> ToeplitzBlock:
+def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
     """Assemble the dense (banded-content) truncated block.
 
     Dense storage is capped at dimension 4096; radial models beyond that
@@ -343,7 +377,7 @@ def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig,
     modes = _mode_map(model)
     offs = sorted({j for j in modes if j > 0})
     A = np.zeros((dim, dim))
-    A[np.arange(dim), np.arange(dim)] = radial_diagonal(model, cfg, chunk=chunk)
+    A[np.arange(dim), np.arange(dim)] = radial_diagonal(model, cfg)
     for j in offs:
         vj = modes[j]
         # rows with k < 0 individually (n varies), k >= 0 in batches
@@ -354,8 +388,8 @@ def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig,
             val = _band_batch(vj, B, q, i1.n, np.array([float(i1.alpha)]),
                               i2.n, np.array([float(i2.alpha)]), cfg.quad_order_base)[0]
             A[k + q, k + j + q] = A[k + j + q, k + q] = val
-        for k0 in range(0, cfg.k_max - j + 1, chunk):
-            ks = np.arange(k0, min(k0 + chunk, cfg.k_max - j + 1), dtype=float)
+        for k0 in range(0, cfg.k_max - j + 1, _CHUNK):
+            ks = np.arange(k0, min(k0 + _CHUNK, cfg.k_max - j + 1), dtype=float)
             vals = _band_batch(vj, B, q, q, ks, q, ks + j, cfg.quad_order_base)
             idx = (ks + q).astype(int)
             A[idx, idx + j] = vals

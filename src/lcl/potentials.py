@@ -171,17 +171,21 @@ class PotentialModel:
     def from_json(obj: dict) -> "PotentialModel":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("model: expected an object with a 'kind' field")
+
+        def opt(key, default):  # an explicit 0 is a value, not a missing field
+            return default if obj.get(key) is None else obj[key]
+
         kind = obj["kind"]
-        kwargs = {"amplitude": obj.get("amplitude") or 1.0}
+        kwargs = {"amplitude": opt("amplitude", 1.0)}
         if kind in ("isotropic-long-range", "anisotropic-long-range"):
             if obj.get("rho") is None:
                 raise ValueError("model.rho: required for long-range kinds")
             kwargs["rho"] = float(obj["rho"])
         if kind == "anisotropic-long-range":
-            kwargs["epsilon"] = float(obj.get("epsilon") or 0.0)
-            kwargs["mode"] = int(obj.get("mode") or 0)
+            kwargs["epsilon"] = float(opt("epsilon", 0.0))
+            kwargs["mode"] = int(opt("mode", 0))
         if kind == "compact-gaussian-bump":
-            kwargs["width"] = float(obj.get("width") or 1.0)
+            kwargs["width"] = float(opt("width", 1.0))
         return PotentialModel(kind, **kwargs)
 
 

@@ -31,6 +31,7 @@ def test_config_validation_field_paths(tmp_path, capsys):
         ({"seed": -3}, "config.seed"),
         ({"rho": 0.7}, "config.rho"),
         ({"model": {"kind": "isotropic-long-range"}}, "config.model"),
+        ({"model": {"kind": "compact-gaussian-bump", "width": 0}}, "config.model"),
     ]
     for overrides, field in bad:
         path = _write_config(tmp_path, **overrides)
@@ -38,6 +39,16 @@ def test_config_validation_field_paths(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert field in err, (overrides, err)
+
+
+def test_bad_flag_values_name_the_flag(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "o")
+    monkeypatch.setenv("LCL_JOBS", "two")
+    assert main(["selfcheck", "--output", out]) == 2
+    assert "LCL_JOBS" in capsys.readouterr().err
+    monkeypatch.delenv("LCL_JOBS")
+    assert main(["selfcheck", "--output", out, "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_spectrum_requires_q_from_list(tmp_path, capsys):

@@ -4,17 +4,32 @@ import math
 import numpy as np
 import pytest
 
-from lcl.errors import CapacityError
-from lcl.landau import (BasisIndex, LandauConfig, eigen_residual_check,
-                        indicator_basis_mass, landau_level, radial_basis,
-                        radial_diagonal, toeplitz_entry, toeplitz_matrix,
-                        truncation_bound)
+from lcl import landau
+from lcl.errors import CapacityError, ContractError
+from lcl.landau import (BasisIndex, LandauConfig, _band_batch,
+                        eigen_residual_check, indicator_basis_mass,
+                        landau_level, radial_basis, radial_diagonal,
+                        toeplitz_entry, toeplitz_matrix, truncation_bound)
+from lcl.measures import TestFunction, convergence_study
 from lcl.potentials import PotentialModel
 from lcl.specfun import gauss_nodes, laguerre_weighted, legendre_rule
 
 ISO = PotentialModel.isotropic(0.5)
 ANISO = PotentialModel.anisotropic(0.5, 0.3, 2)
 BUMP = PotentialModel.gaussian_bump(1.0, 1.0)
+
+
+def _exact_diagonal(model, B, q, ks):
+    """Diagonal entries for k >= 0 by per-row quadrature alone: the oracle
+    for the Chebyshev fit of the far window."""
+    v0 = model.angular_modes()[0].radial
+    ks = np.asarray(ks, dtype=float)
+    return np.concatenate([_band_batch(v0, B, q, q, c, q, c, 80)
+                           for c in np.array_split(ks, -(-len(ks) // 1024))])
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
 def test_landau_level_values():
@@ -169,9 +184,61 @@ def test_truncation_bound_post_hoc_check():
     K = truncation_bound(ISO, B, q, delta)
     lam = landau_level(B, q)
     thr = delta * lam ** (-0.25)
-    cfg = LandauConfig(B=B, q=q, k_max=K + 16)
-    d = radial_diagonal(ISO, cfg)
-    assert np.all(d[(K + q + 1):] < thr)
+    # exact entries, not the Chebyshev fit, so the bound itself is checked
+    d = _exact_diagonal(ISO, B, q, np.arange(K + 1, K + 17))
+    assert np.all(d < thr)
+
+
+def test_chebyshev_diagonal_every_row_q32():
+    # test-01 level q = 32: every fitted row k in [4q, k_max] against the oracle
+    q = 32
+    K = truncation_bound(ISO, 1.0, q, 0.19)
+    d = radial_diagonal(ISO, LandauConfig(B=1.0, q=q, k_max=K))
+    ks = np.arange(4 * q, K + 1)
+    assert _max_rel(d[ks + q], _exact_diagonal(ISO, 1.0, q, ks)) <= 1e-9
+
+
+def test_chebyshev_diagonal_geometric_sample_q128():
+    q = 128
+    K = truncation_bound(ISO, 1.0, q, 0.19)
+    d = radial_diagonal(ISO, LandauConfig(B=1.0, q=q, k_max=K))
+    ks = np.unique(np.rint(np.geomspace(4 * q, K, 64)).astype(int))
+    assert ks[0] == 4 * q and ks[-1] == K
+    assert _max_rel(d[ks + q], _exact_diagonal(ISO, 1.0, q, ks)) <= 1e-9
+
+
+def test_chebyshev_diagonal_keeps_trace_sweep_lhs():
+    # lhs of the per-row quadrature at every k, recorded from the seed commit
+    # in perfbench/reference/radial-sweep.json
+    want = {8: 62.995151460829916, 16: 62.99026795698487,
+            32: 62.98773423147794, 64: 62.98644312390308,
+            128: 62.98579133524444}
+    rows = convergence_study(ISO, 1.0, 0.5, TestFunction(0.5, 0.3),
+                             [8, 16, 32, 64, 128], 0.19)
+    for r in rows:
+        assert abs(r.lhs - want[r.q]) <= 1e-9 * want[r.q], (r.q, r.lhs)
+
+
+def test_chebyshev_certificate_fails_loudly(monkeypatch):
+    monkeypatch.setattr(landau, "_CHEB_NODES", 8)
+    with pytest.raises(ContractError, match=r"q=32\b.*error \d"):
+        radial_diagonal(ISO, LandauConfig(B=1.0, q=32, k_max=26739))
+
+
+def test_chebyshev_diagonal_zero_amplitude():
+    zero = PotentialModel.isotropic(0.5, amplitude=0.0)
+    d = radial_diagonal(zero, LandauConfig(B=1.0, q=8, k_max=4000))
+    assert d.shape == (4009,) and not np.any(d)
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_chebyshev_diagonal_low_levels(q):
+    # the 32-row floor on k_split: with 4q alone the q <= 1 fits start at
+    # k <= 4, where the scaled entry is not yet smooth in log k
+    model = PotentialModel.isotropic(0.9)
+    d = radial_diagonal(model, LandauConfig(B=1.0, q=q, k_max=40_000))
+    ks = np.unique(np.rint(np.geomspace(32, 40_000, 64)).astype(int))
+    assert _max_rel(d[ks + q], _exact_diagonal(model, 1.0, q, ks)) <= 1e-9
 
 
 def test_truncation_bound_monotone_in_delta():

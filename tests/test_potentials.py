@@ -218,7 +218,10 @@ def test_validation_errors():
 
 
 def test_json_round_trip():
-    for model in (ISO, ANISO, BUMP, PotentialModel.isotropic(0.3, amplitude=-1.0)):
+    # an explicit amplitude of 0 must survive the trip, not become 1.0
+    for model in (ISO, ANISO, BUMP, PotentialModel.isotropic(0.3, amplitude=-1.0),
+                  PotentialModel.isotropic(0.5, amplitude=0.0),
+                  PotentialModel.gaussian_bump(0.0, 2.0)):
         blob = json.dumps(model.to_json())
         back = PotentialModel.from_json(json.loads(blob))
         assert back == model
