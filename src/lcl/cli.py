@@ -28,12 +28,12 @@ import numpy as np
 from . import __version__
 from .errors import LclError
 from .landau import (BasisIndex, LandauConfig, eigen_residual_check,
-                     landau_level, radial_diagonal, toeplitz_matrix,
-                     truncation_bound, _row_bound)
+                     landau_level, radial_diagonal, truncation_bound)
 from .eigen import sym_eig
 from .measures import (LimitingMeasure, TestFunction, convergence_study,
-                       rows_to_csv)
-from .potentials import PotentialModel, mean_value_radial_profile, mean_value_transform
+                       level_spectrum, rows_to_csv)
+from .potentials import (PotentialModel, mean_value_radial_profile,
+                         mean_value_transform, _is_number)
 from .specfun import (bessel_j0, gauss_nodes, laguerre, laguerre_bessel_gap,
                       laguerre_weighted)
 from .symbols import hs_distance, hs_distance_fourier, i_rho, scaled_symbol_identity
@@ -65,33 +65,37 @@ class RunConfig:
         except ValueError as exc:
             fail("model", str(exc))
         B = obj.get("B", 1.0)
-        if not isinstance(B, (int, float)) or B <= 0:
+        if not _is_number(B) or B <= 0:
             fail("B", "must be a positive number")
         rho = obj.get("rho", model.rho if model.long_range else None)
-        if rho is None or not 0.0 < float(rho):
+        if not _is_number(rho) or rho <= 0:
             fail("rho", "must be a positive number")
         if model.long_range and abs(float(rho) - model.rho) > 1e-12:
             fail("rho", "must mirror model.rho for long-range models")
         q_list = obj.get("q_list")
         if (not isinstance(q_list, list) or not q_list
-                or any(not isinstance(q, int) or q < 0 for q in q_list)
+                or any(isinstance(q, bool) or not isinstance(q, int) or q < 0
+                       for q in q_list)
                 or any(b <= a for a, b in zip(q_list, q_list[1:]))):
             fail("q_list", "must be a nonempty ascending list of nonnegative integers")
         phi_obj = obj.get("phi") or {}
+        if not isinstance(phi_obj, dict):
+            fail("phi", "expected an object with center and half_width")
+        for key in ("center", "half_width"):
+            if not _is_number(phi_obj.get(key)):
+                fail(f"phi.{key}", "must be a number")
         try:
             phi = TestFunction(center=float(phi_obj["center"]),
                                half_width=float(phi_obj["half_width"]))
-        except KeyError as exc:
-            fail(f"phi.{exc.args[0]}", "missing")
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             fail("phi", str(exc))
         delta = obj.get("delta")
-        if not isinstance(delta, (int, float)) or delta <= 0:
+        if not _is_number(delta) or delta <= 0:
             fail("delta", "must be a positive number")
         if delta >= phi.support_abs_low:
             fail("delta", "must be below |phi.center| - phi.half_width")
         seed = obj.get("seed", 20240801)
-        if not isinstance(seed, int) or seed < 0 or seed >= 2 ** 64:
+        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
             fail("seed", "must be an unsigned 64-bit integer")
         out = obj.get("output_dir", "out")
         if not isinstance(out, str):
@@ -157,37 +161,19 @@ def _cmd_spectrum(cfg: RunConfig, outdir: Path, q: int | None) -> int:
     if q is None or q not in cfg.q_list:
         print("usage error: --q must name an entry of q_list", file=sys.stderr)
         return 2
-    k_max = truncation_bound(cfg.model, cfg.B, q, cfg.delta, rho_scale=cfg.rho)
-    lcfg = LandauConfig(B=cfg.B, q=q, k_max=k_max)
+    values, k_max, tail, residual, summary = level_spectrum(
+        cfg.model, cfg.B, q, cfg.delta, cfg.rho)
     lam = landau_level(cfg.B, q)
-    outputs = []
-    if cfg.model.kind == "anisotropic-long-range":
-        block = toeplitz_matrix(cfg.model, lcfg)
-        spec = sym_eig(block.entries)
-        values = spec.values
-        block.summary_json(outdir / f"block_q{q}.json")
-        outputs.append(f"block_q{q}.json")
-        residual = spec.residual_bound
-        tail = block.truncation_tail_bound
-    else:
-        values = np.sort(radial_diagonal(cfg.model, lcfg))
-        residual = 0.0
-        tail = _row_bound(cfg.model, cfg.B, q, k_max + 1)
-        summary = {"q": q, "B": cfg.B, "k_max": k_max, "dimension": lcfg.dimension,
-                   "bandwidth": 0, "max_diagonal": float(values[-1]),
-                   "min_diagonal": float(values[0]), "trace": float(values.sum()),
-                   "truncation_tail_bound": tail}
-        with open(outdir / f"block_q{q}.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
-        outputs.append(f"block_q{q}.json")
+    with open(outdir / f"block_q{q}.json", "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
     scaled = lam ** (cfg.rho / 2.0) * values
     _csv(outdir / f"spectrum_q{q}.csv", "index,eigenvalue,scaled",
          [(i, float(v), float(s)) for i, (v, s) in enumerate(zip(values, scaled))])
-    outputs.append(f"spectrum_q{q}.csv")
     _write_manifest(outdir, "spectrum", cfg,
                     {"eig_residual_bound": residual, "truncation_tail_bound": tail},
-                    outputs, {"q": q, "lambda_q": lam, "k_max": k_max})
+                    [f"block_q{q}.json", f"spectrum_q{q}.csv"],
+                    {"q": q, "lambda_q": lam, "k_max": k_max})
     return 0
 
 
@@ -431,14 +417,16 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_json(raw)
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ValueError("--seed: must be an unsigned 64-bit integer")
+        if args.jobs is not None and args.jobs < 1:
+            raise ValueError("--jobs: must be a positive integer")
         env = os.environ.get("LCL_JOBS") or "1"
-        if args.jobs is None and not env.strip().isdecimal():
-            raise ValueError(f"LCL_JOBS: must be a nonnegative integer, got {env!r}")
+        if args.jobs is None and not (env.strip().isdecimal() and int(env) >= 1):
+            raise ValueError(f"LCL_JOBS: must be a positive integer, got {env!r}")
         jobs = int(env) if args.jobs is None else args.jobs
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    cfg = RunConfig(**{**cfg.__dict__, "jobs": max(1, jobs),
+    cfg = RunConfig(**{**cfg.__dict__, "jobs": jobs,
                        "seed": cfg.seed if args.seed is None else args.seed})
     outdir = Path(args.output) if args.output else Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
+from .eigen import DENSE_CAP
 from .errors import CapacityError, ContractError
 from .potentials import PotentialModel
 from .specfun import _lgamma_arr, laguerre_function, laguerre_function_multi, legendre_rule
@@ -55,7 +56,6 @@ __all__ = [
     "truncation_bound",
 ]
 
-DENSE_CAP = 4096
 K_HARD_CAP = 200_000
 _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
@@ -343,23 +343,28 @@ class ToeplitzBlock:
                     fh.write(f"{k},{ks[j]},{self.entries[i, j]:.17g}\n")
 
     def summary(self) -> dict:
-        d = self.diagonal
-        return {
-            "q": self.q,
-            "B": self.B,
-            "k_max": self.k_max,
-            "dimension": self.dimension,
-            "bandwidth": self.bandwidth,
-            "max_diagonal": float(np.max(d)),
-            "min_diagonal": float(np.min(d)),
-            "trace": float(np.sum(d)),
-            "truncation_tail_bound": self.truncation_tail_bound,
-        }
+        return _block_summary(self.q, self.B, self.k_max, self.bandwidth,
+                              self.diagonal, self.truncation_tail_bound)
 
     def summary_json(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(self.summary(), fh, indent=2)
             fh.write("\n")
+
+
+def _block_summary(q: int, B: float, k_max: int, bandwidth: int,
+                   diagonal: np.ndarray, tail: float) -> dict:
+    return {
+        "q": q,
+        "B": B,
+        "k_max": k_max,
+        "dimension": k_max + q + 1,
+        "bandwidth": bandwidth,
+        "max_diagonal": float(np.max(diagonal)),
+        "min_diagonal": float(np.min(diagonal)),
+        "trace": float(np.sum(diagonal)),
+        "truncation_tail_bound": tail,
+    }
 
 
 def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:

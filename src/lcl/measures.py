@@ -26,8 +26,9 @@ import numpy as np
 from .eigen import EigenSpectrum, sym_eig
 from .errors import ContractError, MethodError
 from .landau import (LandauConfig, landau_level, radial_diagonal,
-                     toeplitz_matrix, truncation_bound, _row_bound)
-from .potentials import PotentialModel, power_cos_average, _one_sided_mesh
+                     toeplitz_matrix, truncation_bound, _block_summary, _row_bound)
+from .potentials import (PotentialModel, mean_value_mode_profile,
+                         mean_value_radial_profile)
 from .specfun import legendre_rule
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "limiting_density_integral",
     "schatten_norm",
     "ConvergenceRow",
+    "level_spectrum",
     "convergence_study",
     "rows_to_csv",
 ]
@@ -169,18 +171,13 @@ class LimitingMeasure:
     # -- profiles -------------------------------------------------------
     def base_profile(self, r):
         """m0(r): mean-value transform of |x|^-rho (amplitude not applied)."""
-        r = np.asarray(r, dtype=float)
-        return power_cos_average(r * r + 1.0, 2.0 * r, self.rho,
-                                 gap=(r - 1.0) ** 2)
+        return mean_value_radial_profile(self.rho, r)
 
     def mode_profile(self, r):
         """g_m(r): radial profile of the cos(m theta) component (or zeros)."""
-        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        if self.model.kind != "anisotropic-long-range":
-            out = np.zeros_like(r_arr)
-            return out if np.ndim(r) else 0.0
-        out = _mode_transform_profile(self.rho, self.model.mode, r_arr)
-        return out if np.ndim(r) else float(out[0])
+        if self.model.kind == "anisotropic-long-range":
+            return mean_value_mode_profile(self.rho, self.model.mode, r)
+        return np.zeros(np.shape(r)) if np.ndim(r) else 0.0
 
     def tail_transform(self, x1, x2):
         """Mean-value transform of the tail at (x1, x2), via the profiles."""
@@ -376,35 +373,6 @@ class LimitingMeasure:
         raise ValueError(f"unknown method {method!r}")
 
 
-def _mode_transform_profile(rho: float, m: int, r_arr: np.ndarray) -> np.ndarray:
-    """g_m(r) = (1/pi) int_0^pi |x - w|^-rho cos(m arg(x - w)) dt, x = (r, 0)."""
-    out = np.empty_like(r_arr)
-    sing = np.abs(r_arr - 1.0) < 1e-13
-    reg = ~sing
-
-    def integrand(r, t):
-        # px = r - cos t written as (r-1) + 2 sin^2(t/2) and the squared
-        # distance as (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
-        s2 = np.sin(0.5 * t)[None, :] ** 2
-        px = (r[:, None] - 1.0) + 2.0 * s2
-        py = -np.sin(t)[None, :]
-        d2 = (r[:, None] - 1.0) ** 2 + 4.0 * r[:, None] * s2
-        return d2 ** (-rho / 2.0) * np.cos(m * np.arctan2(py, px))
-
-    if np.any(reg):
-        rv = r_arr[reg]
-        delta = float(np.min(np.abs(rv - 1.0) / np.sqrt(np.maximum(rv, 1e-2))))
-        t, wt, _, _ = _one_sided_mesh(min(max(delta, 1e-13), math.pi))
-        out[reg] = integrand(rv, t) @ wt / math.pi
-    for i in np.argwhere(sing).ravel():
-        t, wt, th, wh = _one_sided_mesh(0.0, rho_head=rho)
-        r1 = np.array([r_arr[i]])
-        tot = float(integrand(r1, t)[0] @ wt)
-        tot += float((th ** rho * integrand(r1, th)[0]) @ wh)
-        out[i] = tot / math.pi
-    return out
-
-
 def mu_interval(lim: LimitingMeasure, alpha: float, beta: float,
                 method: str | None = None) -> float:
     return lim.mu_interval(alpha, beta, method)
@@ -441,16 +409,29 @@ class ConvergenceRow:
     relative_gap: float
 
 
-def _study_row(model, B, rho, phi, delta, q, rhs, quad_order_base) -> ConvergenceRow:
-    lam = landau_level(B, q)
+def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
+                   rho: float):
+    """Sorted spectrum of the level-q block truncated where entries drop
+    below `delta` (exponent `rho`).
+
+    Returns (values, k_max, tail bound, eigen residual bound, block summary
+    dict); radial models skip the matrix and have residual 0.
+    """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
-    cfg = LandauConfig(B=B, q=q, k_max=k_max, quad_order_base=quad_order_base)
-    tail = _row_bound(model, B, q, k_max + 1)
+    cfg = LandauConfig(B=B, q=q, k_max=k_max)
     if model.kind == "anisotropic-long-range":
         block = toeplitz_matrix(model, cfg)
-        values = sym_eig(block.entries).values
-    else:
-        values = np.sort(radial_diagonal(model, cfg))
+        spec = sym_eig(block.entries)
+        return (spec.values, k_max, block.truncation_tail_bound,
+                spec.residual_bound, block.summary())
+    values = np.sort(radial_diagonal(model, cfg))
+    tail = _row_bound(model, B, q, k_max + 1)
+    return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
+
+
+def _study_row(model, B, rho, phi, delta, q, rhs) -> ConvergenceRow:
+    lam = landau_level(B, q)
+    values, k_max, tail, _, _ = level_spectrum(model, B, q, delta, rho)
     lhs = trace_functional(values, lam, rho, phi, tail_bound=tail) / lam
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-12)
     return ConvergenceRow(q=q, lambda_q=lam, k_max=k_max, lhs=lhs, rhs=rhs,
@@ -459,8 +440,7 @@ def _study_row(model, B, rho, phi, delta, q, rhs, quad_order_base) -> Convergenc
 
 def convergence_study(model: PotentialModel, B: float, rho: float,
                       phi: TestFunction, q_list, delta: float, *,
-                      jobs: int = 1, quad_order_base: int = 80,
-                      rhs_method: str = "radial") -> list[ConvergenceRow]:
+                      jobs: int = 1, rhs_method: str = "radial") -> list[ConvergenceRow]:
     """One row per level: lhs = lambda_q^-1 tr phi(lambda_q^(rho/2) T_q)
     against the constant limiting-side integral."""
     q_list = list(q_list)
@@ -476,11 +456,10 @@ def convergence_study(model: PotentialModel, B: float, rho: float,
         rhs = 0.0
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_study_row, model, B, rho, phi, delta, q,
-                                   rhs, quad_order_base) for q in q_list]
+            futures = [pool.submit(_study_row, model, B, rho, phi, delta, q, rhs)
+                       for q in q_list]
             return [f.result() for f in futures]
-    return [_study_row(model, B, rho, phi, delta, q, rhs, quad_order_base)
-            for q in q_list]
+    return [_study_row(model, B, rho, phi, delta, q, rhs) for q in q_list]
 
 
 def rows_to_csv(rows, path) -> None:

@@ -13,10 +13,15 @@ harmonic polynomial r^m cos(m th) so V stays smooth at the origin.  The
 difference V - tail decays two orders faster than the tail itself.
 
 The mean-value transform (average over the unit circle centered at x) and
-every other circle average in the package run on one quadrature engine:
-geometric theta-panels clustered at the near-singular angle, with a
-Gauss-Jacobi head panel carrying the t^(-rho) weight when the circle passes
-through the tail's singularity exactly.
+every other circle average of a model or tail run on one angle rule,
+`_angle_rule(delta, rho)`, for (1/pi) int_0^pi f(t) dt where f varies on the
+angular scale delta near t = 0: one 64-point Gauss-Legendre panel for
+delta >= 1, geometric 24-point panels from delta for 0 < delta < 1, and for
+delta == 0 -- the circle passes exactly through the tail's singularity, the
+only singular case -- a Gauss-Jacobi head carrying the t^(-rho) weight.
+Integrands even in t are averaged on the half circle; the others as the
+mean of f(t) and f(-t) about the angle nearest the singularity.  Arbitrary
+callables get an adaptive panel-doubling average instead.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ __all__ = [
     "evaluate_tail",
     "mean_value_transform",
     "mean_value_radial_profile",
+    "mean_value_mode_profile",
     "orbit_average",
 ]
 
@@ -116,17 +122,7 @@ class PotentialModel:
 
     def tail_value(self, x1, x2):
         """Homogeneous tail, singular at the origin."""
-        if not self.long_range:
-            raise ValueError("the Gaussian bump has no homogeneous tail")
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        r2 = x1 * x1 + x2 * x2
-        if np.any(r2 == 0.0):
-            raise ValueError("tail is singular at the origin")
-        out = r2 ** (-self.rho / 2.0)
-        if self.kind == "anisotropic-long-range":
-            out = out * (1.0 + self.epsilon * np.cos(self.mode * np.arctan2(x2, x1)))
-        return self.amplitude * out
+        return TailField(self)(x1, x2)
 
     def tail_field(self) -> "TailField":
         return TailField(self)
@@ -171,8 +167,15 @@ class PotentialModel:
     def from_json(obj: dict) -> "PotentialModel":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise ValueError("model: expected an object with a 'kind' field")
+        # an explicit 0 is a value; only a missing or null field is absent
+        for key in ("rho", "epsilon", "amplitude", "width"):
+            if obj.get(key) is not None and not _is_number(obj[key]):
+                raise ValueError(f"model.{key}: must be a number")
+        mode = obj.get("mode")
+        if mode is not None and (isinstance(mode, bool) or not isinstance(mode, int)):
+            raise ValueError("model.mode: must be an integer")
 
-        def opt(key, default):  # an explicit 0 is a value, not a missing field
+        def opt(key, default):
             return default if obj.get(key) is None else obj[key]
 
         kind = obj["kind"]
@@ -183,10 +186,20 @@ class PotentialModel:
             kwargs["rho"] = float(obj["rho"])
         if kind == "anisotropic-long-range":
             kwargs["epsilon"] = float(opt("epsilon", 0.0))
-            kwargs["mode"] = int(opt("mode", 0))
+            kwargs["mode"] = opt("mode", 0)
         if kind == "compact-gaussian-bump":
             kwargs["width"] = float(opt("width", 1.0))
         return PotentialModel(kind, **kwargs)
+
+
+def _is_number(v) -> bool:
+    """True for a finite int or float that is not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -206,12 +219,24 @@ class TailField:
         return self.model.rho
 
     def __call__(self, x1, x2):
-        if self.b_rescale is None:
-            return self.model.tail_value(x1, x2)
-        s = 1.0 / math.sqrt(self.b_rescale)
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        return self.model.tail_value(-s * x2, -s * x1)
+        return self._at(x1, x2, x1 * x1 + x2 * x2)
+
+    def _at(self, x1, x2, r2):
+        """Values at (x1, x2), given their squared norms r2 (the circle
+        averages pass a cancellation-free form)."""
+        model = self.model
+        if not model.long_range:
+            raise ValueError("the Gaussian bump has no homogeneous tail")
+        if np.any(r2 == 0.0):
+            raise ValueError("tail is singular at the origin")
+        if self.b_rescale is not None:  # tail(-x2/sqrt(B), -x1/sqrt(B))
+            x1, x2, r2 = -x2, -x1, r2 / self.b_rescale
+        out = r2 ** (-model.rho / 2.0)
+        if model.kind == "anisotropic-long-range":
+            out = out * (1.0 + model.epsilon * np.cos(model.mode * np.arctan2(x2, x1)))
+        return model.amplitude * out
 
 
 def evaluate(model: PotentialModel, x) -> float:
@@ -225,7 +250,7 @@ def evaluate_tail(model: PotentialModel, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# angular quadrature engine
+# the angle rule behind every circle average
 # ---------------------------------------------------------------------------
 
 _jacobi_cache: dict = {}
@@ -257,44 +282,37 @@ def _gauss_jacobi01(n: int, rho: float):
     return x, w
 
 
-def _one_sided_mesh(delta: float, tmax: float = math.pi, n_per: int = 24,
-                    rho_head: float | None = None):
-    """Quadrature for int_0^tmax f(t) dt with structure at scale `delta` near 0.
+def _panel_rule(edges: np.ndarray, n: int):
+    """n-point Gauss-Legendre on each panel [edges[i], edges[i+1]]."""
+    x, w = legendre_rule(n)
+    h = 0.5 * np.diff(edges)[:, None]
+    return (h * (x[None, :] + 1.0) + edges[:-1, None]).ravel(), (h * w[None, :]).ravel()
 
-    delta > 0: geometric panels starting at `delta`.  delta == 0 with
-    `rho_head`: the innermost panel carries the t^(-rho) weight by
-    Gauss-Jacobi; callers must then supply f(t) * t^rho on the head nodes.
-    Returns (nodes, weights, head_nodes, head_weights); head arrays are
-    empty when no singular head is needed.
+
+def _angle_rule(delta: float, rho: float):
+    """Nodes t and weights w with f(t) @ w = (1/pi) int_0^pi f(t) dt, for an
+    f that varies on the angular scale `delta` near t = 0.
+
+    delta >= 1: one 64-point Gauss-Legendre panel.  0 < delta < 1: 24-point
+    panels [0, delta], [delta, 2 delta], ... up to pi.  delta == 0 is the one
+    singular case, f ~ t^(-rho) at 0: the panels start at 0.05 and the first,
+    [0, 0.05], is a Gauss-Jacobi head whose weights carry the factor t^rho.
     """
-    xg, wg = legendre_rule(n_per)
-    edges = []
-    if delta <= 0.0:
-        if rho_head is None:
-            raise ValueError("singular mesh requested without a grading exponent")
-        t0 = min(0.05, tmax / 8.0)
-        xh, wh = _gauss_jacobi01(n_per, rho_head)
-        head = (t0 * xh, wh * t0 ** (1.0 - rho_head))
-        lo = t0
-    else:
-        lo = min(delta, tmax)
-        head = (np.empty(0), np.empty(0))
-        edges.append((0.0, lo))
-    t = lo
-    while t < tmax:
-        t2 = min(2.0 * t, tmax)
-        edges.append((t, t2))
-        t = t2
-        if len(edges) > 4096:
-            raise QuadratureError("angular mesh exceeded panel budget")
-    a = np.array([e[0] for e in edges])
-    b = np.array([e[1] for e in edges])
-    nodes = (0.5 * (b - a)[:, None] * (xg[None, :] + 1.0) + a[:, None]).ravel()
-    weights = (0.5 * (b - a)[:, None] * wg[None, :]).ravel()
-    return nodes, weights, head[0], head[1]
+    if delta >= 1.0:
+        t, w = _panel_rule(np.array([0.0, math.pi]), 64)
+        return t, w / math.pi
+    edges = [0.0, delta if delta > 0.0 else 0.05]
+    while edges[-1] < math.pi:
+        edges.append(min(2.0 * edges[-1], math.pi))
+    t, w = _panel_rule(np.array(edges), 24)
+    if delta == 0.0:
+        xh, wh = _gauss_jacobi01(24, rho)
+        t[:24] = edges[1] * xh
+        w[:24] = wh * edges[1] ** (1.0 - rho) * t[:24] ** rho
+    return t, w / math.pi
 
 
-def power_cos_average(a, b, rho: float, n_per: int = 24, *, gap=None):
+def power_cos_average(a, b, rho: float, *, gap=None):
     """(1/pi) int_0^pi (a - b cos t)^(-rho/2) dt, broadcast over a, b >= 0.
 
     This is the circle average of |.|^(-rho)-type kernels; a = b is the
@@ -303,10 +321,8 @@ def power_cos_average(a, b, rho: float, n_per: int = 24, *, gap=None):
     callers that know a - b in a cancellation-free form (for instance
     (r-1)^2 for the radial profile) should pass it as `gap`.
     """
-    a_arr = np.atleast_1d(np.asarray(a, dtype=float))
-    b_arr = np.atleast_1d(np.asarray(b, dtype=float))
-    a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-    out = np.empty(a_arr.shape)
+    a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
+                                       np.atleast_1d(np.asarray(b, dtype=float)))
     if gap is None:
         gap = a_arr - b_arr
     else:
@@ -314,39 +330,17 @@ def power_cos_average(a, b, rho: float, n_per: int = 24, *, gap=None):
     if np.any(gap < -1e-12 * np.abs(a_arr)):
         raise ValueError("power_cos_average requires a >= b")
     gap = np.maximum(gap, 0.0)
+    out = np.empty(a_arr.shape)
     trivial = b_arr <= 1e-300
-    sing = (~trivial) & (gap <= 0.0)
-    regular = ~(trivial | sing)
-    if np.any(trivial):
-        out[trivial] = a_arr[trivial] ** (-rho / 2.0)
-    if np.any(sing):
-        for idx in np.argwhere(sing):
-            out[tuple(idx)] = _pca_single(b_arr[tuple(idx)], rho, n_per)
-    if np.any(regular):
-        gv, bv = gap[regular], b_arr[regular]
-        delta = np.sqrt(2.0 * gv / bv)
-        dmin = float(np.min(delta))
-        if dmin >= 1.0:
-            x, w = legendre_rule(64)
-            t = 0.5 * math.pi * (x + 1.0)
-            wt = 0.5 * math.pi * w
-        else:
-            t, wt, _, _ = _one_sided_mesh(dmin, n_per=n_per)
-        s2 = np.sin(0.5 * t) ** 2
-        vals = (gv[:, None] + 2.0 * bv[:, None] * s2[None, :]) ** (-rho / 2.0)
-        out[regular] = (vals @ wt) / math.pi
+    out[trivial] = a_arr[trivial] ** (-rho / 2.0)
+    for part in (~trivial & (gap == 0.0), ~trivial & (gap != 0.0)):
+        if np.any(part):
+            gv, bv = gap[part][:, None], b_arr[part][:, None]
+            t, w = _angle_rule(float(np.min(np.sqrt(2.0 * gv / bv))), rho)
+            out[part] = (gv + 2.0 * bv * np.sin(0.5 * t) ** 2) ** (-rho / 2.0) @ w
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out.reshape(-1)[0])
     return out
-
-
-def _pca_single(b: float, rho: float, n_per: int = 24) -> float:
-    # a == b: kernel (2 b sin^2(t/2))^(-rho/2); the head factor
-    # t^rho * kernel is smooth
-    t, wt, th, wh = _one_sided_mesh(0.0, n_per=n_per, rho_head=rho)
-    tot = np.dot(wt, (2.0 * b * np.sin(0.5 * t) ** 2) ** (-rho / 2.0))
-    tot += np.dot(wh, th ** rho * (2.0 * b * np.sin(0.5 * th) ** 2) ** (-rho / 2.0))
-    return tot / math.pi
 
 
 def mean_value_radial_profile(rho: float, r):
@@ -364,96 +358,36 @@ def mean_value_radial_profile(rho: float, r):
                              gap=(r_arr - 1.0) ** 2)
 
 
+def mean_value_mode_profile(rho: float, m: int, r):
+    """g_m(r) = (1/pi) int_0^pi |x - w|^-rho cos(m arg(x - w)) dt, x = (r, 0),
+    w = (cos t, sin t): the mean-value transform of |x|^-rho cos(m arg x) is
+    g_m(|x|) cos(m arg x).  Singular only at r = 1."""
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    out = np.empty_like(r_arr)
+    for part in (r_arr == 1.0, r_arr != 1.0):
+        if np.any(part):
+            rv = r_arr[part][:, None]
+            delta = float(np.min(np.abs(rv - 1.0) / np.sqrt(np.maximum(rv, 1e-2))))
+            t, w = _angle_rule(delta, rho)
+            # x - w = ((r-1) + 2 sin^2(t/2), -sin t) and |x - w|^2 =
+            # (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
+            s2 = np.sin(0.5 * t) ** 2
+            d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
+            ang = np.arctan2(-np.sin(t), (rv - 1.0) + 2.0 * s2)
+            out[part] = d2 ** (-rho / 2.0) * np.cos(m * ang) @ w
+    return out if np.ndim(r) else float(out[0])
+
+
 # ---------------------------------------------------------------------------
-# generic circle averages
+# circle averages
 # ---------------------------------------------------------------------------
-
-def _circle_average_points(f_xy, cx: float, cy: float, radius: float,
-                           delta: float, rho_head: float | None,
-                           theta_star: float, n_per: int = 24) -> float:
-    """(1/2pi) int f(center - radius * omega(t)) dt with structure at theta_star.
-
-    The mesh clusters around t = theta_star on both sides; with rho_head set
-    and delta == 0 the head panels integrate the |t|^(-rho) weight exactly.
-    """
-    t, wt, th, wh = _one_sided_mesh(delta, n_per=n_per, rho_head=rho_head)
-    total = 0.0
-    for sgn in (+1.0, -1.0):
-        ang = theta_star + sgn * t
-        vals = f_xy(cx - radius * np.cos(ang), cy - radius * np.sin(ang))
-        total += float(np.dot(wt, vals))
-        if th.size:
-            ang = theta_star + sgn * th
-            vals = f_xy(cx - radius * np.cos(ang), cy - radius * np.sin(ang))
-            total += float(np.dot(wh, th ** rho_head * vals))
-    return total / (2.0 * math.pi)
-
-
-def _tail_values_polar(tail: TailField, cx: float, cy: float, radius: float,
-                       u: np.ndarray) -> np.ndarray:
-    """Tail values at points c - radius*omega(theta_c + u), evaluated through
-    the cancellation-free squared distance (r-R)^2 + 4 r R sin^2(u/2)."""
-    model = tail.model
-    r = math.hypot(cx, cy)
-    d2 = (r - radius) ** 2 + 4.0 * r * radius * np.sin(0.5 * u) ** 2
-    if tail.b_rescale is not None:
-        d2 = d2 / tail.b_rescale
-    vals = d2 ** (-model.rho / 2.0)
-    if model.kind == "anisotropic-long-range":
-        theta_c = math.atan2(cy, cx)
-        ang = theta_c + u
-        x1 = cx - radius * np.cos(ang)
-        x2 = cy - radius * np.sin(ang)
-        if tail.b_rescale is not None:
-            x1, x2 = -x2, -x1
-        vals = vals * (1.0 + model.epsilon * np.cos(model.mode * np.arctan2(x2, x1)))
-    return model.amplitude * vals
-
-
-def _tail_circle_average(tail: TailField, cx: float, cy: float, radius: float) -> float:
-    # distance from the circle {c - R omega} to the tail singularity at 0
-    # behaves like sqrt((r-R)^2 + 4 r R sin^2(u/2)) around the closest angle
-    s = math.hypot(cx, cy)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    delta = abs(s - radius) / math.sqrt(max(s * radius, 1e-300))
-    singular = delta < 1e-13
-    rho = tail.rho
-    t, wt, th, wh = _one_sided_mesh(0.0 if singular else min(delta, math.pi),
-                                    rho_head=rho if singular else None)
-    total = 0.0
-    for sgn in (+1.0, -1.0):
-        total += float(np.dot(wt, _tail_values_polar(tail, cx, cy, radius, sgn * t)))
-        if th.size:
-            vals = _tail_values_polar(tail, cx, cy, radius, sgn * th)
-            total += float(np.dot(wh, th ** rho * vals))
-    return total / (2.0 * math.pi)
-
-
-def _model_circle_average(model: PotentialModel, cx: float, cy: float,
-                          radius: float) -> float:
-    # points c + R*omega; the integrand peaks where the orbit comes closest
-    # to the origin, at omega-angle arg(c) + pi, with the angular scale below
-    s = math.hypot(cx, cy)
-    if model.kind == "compact-gaussian-bump":
-        scale = model.width * math.sqrt(2.0 / max(s * radius, 1e-300))
-    else:
-        scale = math.sqrt((1.0 + (s - radius) ** 2) / max(s * radius, 1e-300))
-    delta = min(scale, math.pi)
-    theta_star = math.atan2(cy, cx) + math.pi  # harmless when s == 0
-    return _circle_average_points(model.value, cx, cy, -radius, delta, None, theta_star)
-
 
 def _adaptive_circle_average(f, cx: float, cy: float, radius: float,
                              tol: float = 1e-10, max_rounds: int = 10) -> float:
     """Panel-doubling average for arbitrary callables, with error control."""
-    xg, wg = legendre_rule(16)
 
     def eval_panels(n_panels: int) -> float:
-        edges = np.linspace(0.0, 2.0 * math.pi, n_panels + 1)
-        a, b = edges[:-1], edges[1:]
-        t = (0.5 * (b - a)[:, None] * (xg[None, :] + 1.0) + a[:, None]).ravel()
-        w = (0.5 * (b - a)[:, None] * wg[None, :]).ravel()
+        t, w = _panel_rule(np.linspace(0.0, 2.0 * math.pi, n_panels + 1), 16)
         vals = f(cx - radius * np.cos(t), cy - radius * np.sin(t))
         return float(np.dot(w, vals)) / (2.0 * math.pi)
 
@@ -471,31 +405,43 @@ def _adaptive_circle_average(f, cx: float, cy: float, radius: float,
         value=cur, estimate=est)
 
 
-def mean_value_transform(u, x, *, tol: float = 1e-10) -> float:
-    """Average of u over the unit circle centered at x.
-
-    `u` may be a PotentialModel, a TailField (handled with the singular
-    mesh when the circle meets the tail's singularity), or any callable
-    u(x1, x2) broadcasting over arrays (handled adaptively).
-    """
-    cx, cy = float(x[0]), float(x[1])
-    if isinstance(u, PotentialModel):
-        return _model_circle_average(u, cx, cy, 1.0)
-    if isinstance(u, TailField):
-        return _tail_circle_average(u, cx, cy, 1.0)
-    return _adaptive_circle_average(u, cx, cy, 1.0, tol=tol)
-
-
 def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
-    """Average of u over the circle of given radius centered at `center`."""
+    """Average of u over the circle of given radius centered at `center`.
+
+    A PotentialModel or TailField is averaged with the angle rule about the
+    point of the circle nearest the origin; any other callable u(x1, x2),
+    broadcasting over arrays, adaptively to `tol`.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     cx, cy = float(center[0]), float(center[1])
-    if isinstance(u, PotentialModel):
-        return _model_circle_average(u, cx, cy, radius)
+    if not isinstance(u, (PotentialModel, TailField)):
+        return _adaptive_circle_average(u, cx, cy, radius, tol=tol)
+    # the points c - R omega(arg c + t) pass nearest the origin at t = 0;
+    # delta is the angular scale on which u varies there
+    s = math.hypot(cx, cy)
+    sr = max(s * radius, 1e-300)
     if isinstance(u, TailField):
-        return _tail_circle_average(u, cx, cy, radius)
-    return _adaptive_circle_average(u, cx, cy, radius, tol=tol)
+        delta = abs(s - radius) / math.sqrt(sr)
+    elif u.kind == "compact-gaussian-bump":
+        delta = u.width * math.sqrt(2.0 / sr)
+    else:
+        delta = math.sqrt((1.0 + (s - radius) ** 2) / sr)
+    t, w = _angle_rule(delta, u.rho)
+    tt = np.stack([t, -t])
+    ang = math.atan2(cy, cx) + tt
+    x1, x2 = cx - radius * np.cos(ang), cy - radius * np.sin(ang)
+    if isinstance(u, TailField):
+        # the squared distance to the singularity, without cancellation
+        vals = u._at(x1, x2, (s - radius) ** 2 + 4.0 * s * radius * np.sin(0.5 * tt) ** 2)
+    else:
+        vals = u.value(x1, x2)
+    return float(0.5 * (vals[0] + vals[1]) @ w)
+
+
+def mean_value_transform(u, x, *, tol: float = 1e-10) -> float:
+    """Average of u over the unit circle centered at x."""
+    return circle_average(u, x, 1.0, tol=tol)
 
 
 def orbit_average(model: PotentialModel, c, E: float, B: float) -> float:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import AccuracyError, MethodError
 from .potentials import (PotentialModel, TailField, circle_average,
-                         mean_value_transform, power_cos_average,
-                         _model_circle_average)
+                         mean_value_transform, power_cos_average)
 from .specfun import bessel_j0, laguerre_weighted, legendre_rule
 from .landau import landau_level
 
@@ -107,8 +106,7 @@ def laguerre_smoothing(model: PotentialModel, B: float, q: int, z) -> float:
     cx, cy = _swap_negate(z)
     cx /= math.sqrt(B)
     cy /= math.sqrt(B)
-    avgs = np.array([_model_circle_average(model, cx, cy, ti / math.sqrt(B))
-                     for ti in t])
+    avgs = np.array([circle_average(model, (cx, cy), ti / math.sqrt(B)) for ti in t])
     return float(np.dot(wt, kern * avgs))
 
 
@@ -312,6 +310,5 @@ def circle_symbol_profile(model: PotentialModel, B: float, q: int,
     k = math.sqrt(2.0 * q + 1.0)
     sb = math.sqrt(B)
     radii = np.asarray(radii, dtype=float)
-    vals = np.array([_model_circle_average(model, 0.0, -r / sb, k / sb)
-                     for r in radii])
+    vals = np.array([circle_average(model, (0.0, -r / sb), k / sb) for r in radii])
     return RadialSymbolProfile(radii, vals, {"q": q, "B": B, "kind": "circle"})

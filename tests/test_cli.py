@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcl.cli import DEFAULT_CONFIG, RunConfig, main
 
@@ -18,6 +19,8 @@ SMALL = {
     "q_list": [2, 4],
     "delta": 0.19,
 }
+ANISO_MODEL = {"kind": "anisotropic-long-range", "rho": 0.5, "epsilon": 0.3,
+               "mode": 2, "amplitude": 1.0}
 
 
 def test_config_validation_field_paths(tmp_path, capsys):
@@ -46,9 +49,73 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LCL_JOBS", "two")
     assert main(["selfcheck", "--output", out]) == 2
     assert "LCL_JOBS" in capsys.readouterr().err
+    monkeypatch.setenv("LCL_JOBS", "0")
+    assert main(["selfcheck", "--output", out]) == 2
+    assert "LCL_JOBS" in capsys.readouterr().err
     monkeypatch.delenv("LCL_JOBS")
     assert main(["selfcheck", "--output", out, "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+    for jobs in ("0", "-3"):
+        assert main(["selfcheck", "--output", out, "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_config_rejects_non_numbers(tmp_path, capsys):
+    iso = DEFAULT_CONFIG["model"]
+    bad = [
+        ({"model": {**iso, "amplitude": "big"}}, "config.model"),
+        ({"model": {**ANISO_MODEL, "mode": 2.7}}, "config.model"),
+        ({"model": {**iso, "rho": "0.5"}}, "config.model"),
+        ({"B": True}, "config.B"),
+        ({"rho": "0.5"}, "config.rho"),
+        ({"q_list": [True]}, "config.q_list"),
+        ({"seed": False}, "config.seed"),
+        ({"delta": [0.1]}, "config.delta"),
+        ({"phi": {"center": "0.5", "half_width": 0.3}}, "config.phi.center"),
+        ({"phi": [0.5, 0.3]}, "config.phi"),
+    ]
+    for overrides, field in bad:
+        path = _write_config(tmp_path, **overrides)
+        code = main(["selfcheck", "--config", str(path), "--output", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err and "Traceback" not in err, (overrides, err)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+_FIELDS = ["", "model", "model.kind", "model.rho", "model.epsilon", "model.mode",
+           "model.amplitude", "model.width", "B", "rho", "q_list", "q_list.0",
+           "phi", "phi.center", "phi.half_width", "delta", "seed", "output_dir"]
+_BASES = {
+    "iso": DEFAULT_CONFIG,
+    "aniso": {**DEFAULT_CONFIG, "model": ANISO_MODEL},
+    "bump": {**DEFAULT_CONFIG, "model": {"kind": "compact-gaussian-bump", "width": 1.0}},
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(_BASES)), st.sampled_from(_FIELDS), _JSON_VALUES)
+def test_config_fuzz_raises_only_config_errors(base, field, value):
+    # any JSON value in any one field: the config parses or names its path
+    obj = json.loads(json.dumps(_BASES[base]))
+    if field:
+        *parents, leaf = field.split(".")
+        owner = obj
+        for key in parents:
+            owner = owner[key]
+        owner[int(leaf) if isinstance(owner, list) else leaf] = value
+    else:
+        obj = value
+    try:
+        cfg = RunConfig.from_json(obj)
+    except ValueError as exc:
+        assert str(exc).startswith("config"), exc
+    else:
+        assert isinstance(cfg, RunConfig)
 
 
 def test_spectrum_requires_q_from_list(tmp_path, capsys):
@@ -66,6 +133,23 @@ def test_spectrum_requires_q_from_list(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "spectrum"
     assert manifest["lambda_q"] == 5.0
+
+
+def test_spectrum_anisotropic_block_summary(tmp_path):
+    radial, aniso = tmp_path / "radial", tmp_path / "aniso"
+    path = _write_config(tmp_path, **SMALL)
+    assert main(["spectrum", "--config", str(path), "--output", str(radial), "--q", "2"]) == 0
+    path = _write_config(tmp_path, model=ANISO_MODEL, q_list=[2], delta=0.47,
+                         phi={"center": 0.65, "half_width": 0.15})
+    assert main(["spectrum", "--config", str(path), "--output", str(aniso), "--q", "2"]) == 0
+    block = json.loads((aniso / "block_q2.json").read_text())
+    assert list(block) == list(json.loads((radial / "block_q2.json").read_text()))
+    assert block["bandwidth"] == 2
+    rows = (aniso / "spectrum_q2.csv").read_text().splitlines()
+    assert len(rows) == block["dimension"] + 1
+    manifest = json.loads((aniso / "manifest.json").read_text())
+    assert manifest["tolerances"]["eig_residual_bound"] <= 1e-9
+    assert manifest["outputs"] == ["block_q2.json", "spectrum_q2.csv"]
 
 
 def test_trace_sweep_reproducible_and_constant_rhs(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -16,6 +17,40 @@ from lcl.potentials import PotentialModel, orbit_average
 ISO = PotentialModel.isotropic(0.5)
 ANISO = PotentialModel.anisotropic(0.5, 0.3, 2)
 PHI = TestFunction(0.5, 0.3)
+
+
+def _mode_integrand(rho, m, e, r):
+    # |x - w|^-rho cos(m arg(x - w)), x = (r, 0), w = (cos t, sin t), e = r - 1
+    def f(t):
+        s2 = mp.sin(t / 2) ** 2
+        ang = mp.atan2(-mp.sin(t), e + 2 * s2)
+        return (e * e + 4 * r * s2) ** (-mp.mpf(rho) / 2) * mp.cos(m * ang)
+    return f
+
+
+def test_mode_profile_on_circle_singular_head():
+    # g_m(1) with t = s^2, which turns the t^-rho singularity into s^(1-2 rho)
+    with mp.workdps(30):
+        f = _mode_integrand(0.5, 2, mp.mpf(0), mp.mpf(1))
+        oracle = mp.quad(lambda s: f(s * s) * 2 * s, [0, mp.sqrt(mp.pi)]) / mp.pi
+    got = LimitingMeasure(ANISO, 1.0).mode_profile(1.0)
+    assert abs(got - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("eps", [1e-15, 1e-14, 9e-14])
+def test_mode_profile_just_off_the_circle(rho, eps):
+    # at r = 1 + eps the angle arg(x - w) turns through pi/2 on the scale
+    # t ~ eps; mpmath panels 0, e, 8e, 64e, ... pi resolve it
+    r = 1.0 + eps
+    with mp.workdps(30):
+        e = mp.mpf(r) - 1
+        br = [mp.mpf(0), e]
+        while br[-1] * 8 < mp.pi:
+            br.append(br[-1] * 8)
+        oracle = mp.quad(_mode_integrand(rho, 2, e, mp.mpf(r)), br + [mp.pi]) / mp.pi
+    got = LimitingMeasure(PotentialModel.anisotropic(rho, 0.3, 2), 1.0).mode_profile(r)
+    assert abs(got - oracle) <= 1e-12, (got, float(oracle))
 
 
 def test_bump_shape():

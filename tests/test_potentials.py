@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl.potentials import (PotentialModel, circle_average, evaluate,
-                            evaluate_tail, mean_value_radial_profile,
+from lcl.potentials import (PotentialModel, TailField, circle_average,
+                            evaluate, evaluate_tail, mean_value_radial_profile,
                             mean_value_transform, orbit_average)
 
 mp.mp.dps = 30
@@ -144,6 +144,64 @@ def test_profile_continuous_across_circle():
         bound = 2.0 * eps ** 0.5
         assert abs(vals[0] - vals[1]) < bound
         assert abs(vals[2] - vals[1]) < bound
+
+
+def _near_circle_panels(e):
+    """mpmath breakpoints 0, e, 8e, 64e, ... pi for an integrand in t that
+    varies on the scale e = r - 1 near t = 0."""
+    br = [mp.mpf(0), e]
+    while br[-1] * 8 < mp.pi:
+        br.append(br[-1] * 8)
+    return br + [mp.pi]
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("eps", [1e-15, 1e-14, 9e-14])
+def test_transform_just_off_the_circle(rho, eps):
+    # at r = 1 + eps the circle misses the singularity: the integrand is
+    # bounded and varies on the angular scale eps, not like t^-rho
+    r = 1.0 + eps
+    e, rm = mp.mpf(r) - 1, mp.mpf(r)
+    oracle = mp.quad(lambda t: (e * e + 4 * rm * mp.sin(t / 2) ** 2) ** (-mp.mpf(rho) / 2),
+                     _near_circle_panels(e)) / mp.pi
+    prof = mean_value_radial_profile(rho, r)
+    got = mean_value_transform(PotentialModel.isotropic(rho).tail_field(), (r, 0.0))
+    assert abs(prof - oracle) <= 1e-12 * oracle
+    assert abs(got - prof) <= 1e-12 * prof, (got, prof)
+
+
+def _on_circle_tail_oracle(model, b_rescale, center, radius):
+    """(1/2pi) int tail(c - R omega(th)) dth for |c| = R, with th = arg c +- s^2:
+    the t^-rho singularity at th = arg c becomes the integrable s^(1-2rho)."""
+    cx, cy, R = mp.mpf(center[0]), mp.mpf(center[1]), mp.mpf(radius)
+    thc, rho = mp.atan2(cy, cx), mp.mpf(model.rho)
+
+    def tail(x1, x2):
+        if b_rescale is not None:
+            x1, x2 = -x2 / mp.sqrt(b_rescale), -x1 / mp.sqrt(b_rescale)
+        return ((x1 * x1 + x2 * x2) ** (-rho / 2)
+                * (1 + mp.mpf(model.epsilon) * mp.cos(model.mode * mp.atan2(x2, x1))))
+
+    def f(s):
+        return sum(tail(cx - R * mp.cos(thc + sg * s * s), cy - R * mp.sin(thc + sg * s * s))
+                   for sg in (1, -1)) * 2 * s
+    return model.amplitude * mp.quad(f, [0, mp.sqrt(mp.pi)]) / (2 * mp.pi)
+
+
+def test_singular_head_anisotropic_transform():
+    # (0, 1) lies exactly on the unit circle about (0, 1): the circle meets
+    # the singularity of the anisotropic tail
+    got = mean_value_transform(ANISO.tail_field(), (0.0, 1.0))
+    oracle = _on_circle_tail_oracle(ANISO, None, (0, 1), 1)
+    assert abs(got - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_singular_head_rescaled_tail():
+    # |(3, 4)| == 5 in floating point; the composed symbol tail_B keeps its
+    # singularity at the origin
+    got = circle_average(TailField(ANISO, b_rescale=2.0), (3.0, 4.0), 5.0)
+    oracle = _on_circle_tail_oracle(ANISO, 2.0, (3, 4), 5)
+    assert abs(got - oracle) <= 1e-12 * abs(oracle)
 
 
 def test_transform_linearity():
