@@ -295,9 +295,9 @@ def _selfchecks(cfg: RunConfig):
         from .landau import _band_batch
         for (q, k) in ((0, 0), (4, -2), (10, 37), (40, 200)):
             idx = BasisIndex(q, k)
-            val = _band_batch(lambda r: np.ones_like(r), cfg.B, q, idx.n,
+            val = _band_batch(lambda r: np.ones_like(r), cfg.B, idx.n,
                               np.array([float(idx.alpha)]), idx.n,
-                              np.array([float(idx.alpha)]), 80)[0]
+                              np.array([float(idx.alpha)]))[0]
             worst = max(worst, abs(val - 1.0))
         return worst < 1e-10, f"max |<R,R> - 1| = {worst:.2e}"
 

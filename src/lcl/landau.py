@@ -18,7 +18,11 @@ Matrix elements of a potential with angular modes v_j couple k' = k + j:
 Entries are integrated by Gauss-Legendre on the classical support window of
 the Laguerre pair (turning points padded by eight Airy widths), which stays
 accurate at any angular index; plain Gauss-Laguerre of the matching degree
-would overflow beyond |k| ~ 1e3.
+would overflow beyond |k| ~ 1e3.  Every entry goes through one batched
+quadrature, `_band_batch`, with one rule of 80 + 2.8 max(n) nodes per batch:
+the diagonal and each off-diagonal band put all k < 0 rows (whose degrees
+n = q + k differ; the one Laguerre recurrence reads each row off at its own
+degree) in one batch, then the k >= 0 rows in chunks of 128.
 
 For long-range models the diagonal rows k >= max(4q, 32), when there are more
 than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
@@ -57,6 +61,7 @@ __all__ = [
 ]
 
 K_HARD_CAP = 200_000
+_QUAD_BASE = 80
 _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
 _CHUNK = 128
@@ -74,12 +79,11 @@ def landau_level(B: float, q: int) -> float:
 
 @dataclass(frozen=True)
 class LandauConfig:
-    """Level index, field strength, angular cutoff and quadrature base order."""
+    """Level index, field strength and angular cutoff."""
 
     B: float
     q: int
     k_max: int
-    quad_order_base: int = 80
 
     def __post_init__(self):
         if self.B <= 0:
@@ -88,8 +92,6 @@ class LandauConfig:
             raise ValueError("q must be >= 0")
         if self.k_max < -self.q:
             raise ValueError("k_max must be >= -q")
-        if self.quad_order_base < 16:
-            raise ValueError("quad_order_base must be >= 16")
 
     @property
     def dimension(self) -> int:
@@ -163,14 +165,16 @@ def eigen_residual_check(idx: BasisIndex, B: float, *, operator_k: int | None = 
 # quadrature windows and batched entries
 # ---------------------------------------------------------------------------
 
-def _xi_window(n: int, alpha):
-    """Classical support of psi_n^(alpha), padded by Airy widths.
+def _xi_window(n, alpha):
+    """Classical support of psi_n^(alpha), padded by Airy widths, as 1-d
+    arrays over the broadcast (n, alpha).
 
     Small windows (n + alpha small) decay like a plain exponential rather
     than an Airy tail, so they are extended until the squared envelope
     xi^(alpha+2n) e^-xi / (n! Gamma(n+alpha+1)) falls below 1e-36-ish.
     """
-    a = np.asarray(alpha, dtype=float)
+    n, a = np.broadcast_arrays(np.atleast_1d(np.asarray(n, dtype=float)),
+                               np.atleast_1d(np.asarray(alpha, dtype=float)))
     c = 2.0 * n + a + 1.0
     half = 2.0 * np.sqrt((n + 0.5) * (n + a + 0.5))
     hi = c + half
@@ -180,39 +184,61 @@ def _xi_window(n: int, alpha):
     hi = hi + _PAD_AIRY * wA
     small = (a + 2.0 * n) <= 60.0
     if np.any(small):
-        a_s = a[small] if a.ndim else a
-        const = math.lgamma(n + 1.0) + _lgamma_arr(a_s + n + 1.0)
-        h = np.atleast_1d(hi[small] if a.ndim else hi).astype(float)
+        n_s, a_s, h = n[small], a[small], hi[small]
+        const = _lgamma_arr(n_s + 1.0) + _lgamma_arr(a_s + n_s + 1.0)
         for _ in range(16):
-            env = (a_s + 2.0 * n) * np.log(h) - h - const
+            env = (a_s + 2.0 * n_s) * np.log(h) - h - const
             mask = env > -36.0
             if not np.any(mask):
                 break
             h = np.where(mask, h + 8.0, h)
-        if a.ndim:
-            hi = hi.copy()
-            hi[small] = h
-        else:
-            hi = float(h[0])
+        hi[small] = h
     return lo, hi
 
 
-def _band_batch(vfun, B: float, q: int, n1: int, a1: np.ndarray,
-                n2: int, a2: np.ndarray, base: int) -> np.ndarray:
-    """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over rows."""
-    nmax = max(n1, n2)
-    M = int(base + math.ceil(_NODES_PER_N * nmax))
+def _psi_rows(n: np.ndarray, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    # a batch with one degree needs no per-row read-off
+    if np.all(n == n[0]):
+        return laguerre_function(int(n[0]), a, xi)
+    return laguerre_function_multi(n, a, xi)
+
+
+def _band_batch(vfun, B: float, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.ndarray:
+    """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over rows.
+
+    Degrees are per row (a scalar serves every row); the batch shares one
+    Gauss-Legendre rule, whose order follows its largest degree.
+    """
+    n1 = np.broadcast_to(np.asarray(n1, dtype=int), np.shape(a1))
+    n2 = np.broadcast_to(np.asarray(n2, dtype=int), np.shape(a2))
+    same = np.array_equal(n1, n2) and np.array_equal(a1, a2)
+    M = _QUAD_BASE + math.ceil(_NODES_PER_N * int(max(n1.max(), n2.max())))
     x, w = legendre_rule(M)
-    lo1, hi1 = _xi_window(n1, a1)
-    lo2, hi2 = _xi_window(n2, a2)
-    lo = np.minimum(lo1, lo2)
-    hi = np.maximum(hi1, hi2)
+    lo, hi = _xi_window(n1, a1)
+    if not same:
+        lo2, hi2 = _xi_window(n2, a2)
+        lo, hi = np.minimum(lo, lo2), np.maximum(hi, hi2)
     xi = 0.5 * (hi - lo)[:, None] * (x[None, :] + 1.0) + lo[:, None]
     ww = 0.5 * (hi - lo)[:, None] * w[None, :]
-    p1 = laguerre_function(n1, a1, xi)
-    p2 = p1 if (n1 == n2 and a1 is a2) else laguerre_function(n2, a2, xi)
+    p1 = _psi_rows(n1, a1, xi)
+    p2 = p1 if same else _psi_rows(n2, a2, xi)
     vals = vfun(np.sqrt(2.0 * xi / B))
     return np.einsum("ij,ij,ij,ij->i", ww, vals, p1, p2)
+
+
+def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
+    """Entries between phi_{k,q} and phi_{k+j,q} for the ascending integer rows
+    `ks`: every k < 0 row in one batch, then the k >= 0 rows in chunks."""
+    out = np.empty(len(ks))
+    n_neg = int(np.searchsorted(ks, 0))
+    for s in [slice(0, n_neg)] + [slice(i, i + _CHUNK) for i in range(n_neg, len(ks), _CHUNK)]:
+        k1 = ks[s]
+        if len(k1):
+            n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
+            k2 = k1 + j
+            n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
+            out[s] = _band_batch(vfun, B, n1, a1, n2, a2)
+    return out
 
 
 def _mode_map(model: PotentialModel) -> dict:
@@ -220,46 +246,25 @@ def _mode_map(model: PotentialModel) -> dict:
 
 
 def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
-                     k_hi: int, base: int) -> np.ndarray:
-    """Diagonal entries for k in [k_lo, k_hi]; negative indices are batched
-    through the shared multi-degree recurrence, and the far window of a
-    long-range model is a certified Chebyshev fit."""
+                     k_hi: int) -> np.ndarray:
+    """Diagonal entries for k in [k_lo, k_hi]; the far window of a long-range
+    model is a certified Chebyshev fit."""
     v0 = _mode_map(model)[0]
-    out = np.empty(k_hi - k_lo + 1)
-    if k_lo < 0:
-        ks = np.arange(k_lo, min(k_hi, -1) + 1)
-        n_arr = q + ks
-        a_arr = (-ks).astype(float)
-        lo, hi = _xi_window_pair(n_arr, a_arr)
-        M = int(base + math.ceil(_NODES_PER_N * int(np.max(n_arr))))
-        x, w = legendre_rule(M)
-        xi = 0.5 * (hi - lo)[:, None] * (x[None, :] + 1.0) + lo[:, None]
-        ww = 0.5 * (hi - lo)[:, None] * w[None, :]
-        psi = laguerre_function_multi(n_arr, a_arr, xi)
-        vals = v0(np.sqrt(2.0 * xi / B))
-        out[: len(ks)] = np.einsum("ij,ij,ij,ij->i", ww, vals, psi, psi)
-    if k_hi >= 0:
-        start = max(k_lo, 0)
-        k_split = max(start, 4 * q, 32)
-        if not model.long_range or k_hi - k_split + 1 <= 8 * _CHEB_NODES:
-            k_split = k_hi + 1
-        for k0 in range(start, k_split, _CHUNK):
-            ks = np.arange(k0, min(k0 + _CHUNK, k_split), dtype=float)
-            out[k0 - k_lo: k0 - k_lo + len(ks)] = _band_batch(
-                v0, B, q, q, ks, q, ks, base)
-        if k_split <= k_hi:
-            out[k_split - k_lo:] = _chebyshev_tail(v0, B, q, k_split, k_hi,
-                                                   base, model.rho)
-    return out
+    k_split = max(k_lo, 4 * q, 32)
+    if not model.long_range or k_hi - k_split + 1 <= 8 * _CHEB_NODES:
+        k_split = k_hi + 1
+    exact = _band_rows(v0, B, q, np.arange(k_lo, k_split), 0)
+    if k_split > k_hi:
+        return exact
+    return np.concatenate([exact, _chebyshev_tail(v0, B, q, k_split, k_hi, model.rho)])
 
 
-def _chebyshev_tail(v0, B: float, q: int, k_a: int, k_b: int, base: int,
+def _chebyshev_tail(v0, B: float, q: int, k_a: int, k_b: int,
                     rho: float) -> np.ndarray:
     """Diagonal entries for k in [k_a, k_b] by the certified Chebyshev fit."""
     def scaled(u):
         m = np.exp(u)
-        return m ** (0.5 * rho) * _band_batch(v0, B, q, q, m - q - 1.0,
-                                              q, m - q - 1.0, base)
+        return m ** (0.5 * rho) * _band_batch(v0, B, q, m - q - 1.0, q, m - q - 1.0)
 
     u_a, u_b = math.log(k_a + q + 1.0), math.log(k_b + q + 1.0)
     fit = Chebyshev.interpolate(scaled, _CHEB_NODES - 1, domain=[u_a, u_b])
@@ -276,12 +281,11 @@ def _chebyshev_tail(v0, B: float, q: int, k_a: int, k_b: int, base: int,
     return fit(np.log(m)) / m ** (0.5 * rho)
 
 
-def _xi_window_pair(n_arr, a_arr):
-    los = np.empty(len(n_arr))
-    his = np.empty(len(n_arr))
-    for i, (n, a) in enumerate(zip(n_arr, a_arr)):
-        los[i], his[i] = _xi_window(int(n), float(a))
-    return los, his
+def _check_cap(k_max: int) -> None:
+    """The one angular capacity cap: k_max <= K_HARD_CAP."""
+    if k_max > K_HARD_CAP:
+        raise CapacityError(
+            f"k_max {k_max} exceeds hard cap {K_HARD_CAP}; increase delta")
 
 
 def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
@@ -290,22 +294,19 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
     This is the storage-free fast path for radial models (the full block is
     diagonal); it is also the diagonal of the banded anisotropic block.
     """
-    if cfg.k_max + cfg.q + 1 > K_HARD_CAP + cfg.q + 1:
-        raise CapacityError(f"k_max beyond hard cap {K_HARD_CAP}")
-    return _diagonal_window(model, cfg.B, cfg.q, -cfg.q, cfg.k_max,
-                            cfg.quad_order_base)
+    _check_cap(cfg.k_max)
+    return _diagonal_window(model, cfg.B, cfg.q, -cfg.q, cfg.k_max)
 
 
-def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int,
-                   quad_order_base: int = 80) -> float:
+def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) -> float:
     """Single matrix element <V phi_{k2,q}, phi_{k1,q}>."""
     modes = _mode_map(model)
     j = k1 - k2
     if j not in modes:
         return 0.0
     i1, i2 = BasisIndex(q, k1), BasisIndex(q, k2)
-    val = _band_batch(modes[j], B, q, i1.n, np.array([float(i1.alpha)]),
-                      i2.n, np.array([float(i2.alpha)]), quad_order_base)
+    val = _band_batch(modes[j], B, i1.n, np.array([float(i1.alpha)]),
+                      i2.n, np.array([float(i2.alpha)]))
     return float(val[0])
 
 
@@ -384,21 +385,10 @@ def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
     A = np.zeros((dim, dim))
     A[np.arange(dim), np.arange(dim)] = radial_diagonal(model, cfg)
     for j in offs:
-        vj = modes[j]
-        # rows with k < 0 individually (n varies), k >= 0 in batches
-        for k in range(-q, 0):
-            if k + j > cfg.k_max:
-                continue
-            i1, i2 = BasisIndex(q, k), BasisIndex(q, k + j)
-            val = _band_batch(vj, B, q, i1.n, np.array([float(i1.alpha)]),
-                              i2.n, np.array([float(i2.alpha)]), cfg.quad_order_base)[0]
-            A[k + q, k + j + q] = A[k + j + q, k + q] = val
-        for k0 in range(0, cfg.k_max - j + 1, _CHUNK):
-            ks = np.arange(k0, min(k0 + _CHUNK, cfg.k_max - j + 1), dtype=float)
-            vals = _band_batch(vj, B, q, q, ks, q, ks + j, cfg.quad_order_base)
-            idx = (ks + q).astype(int)
-            A[idx, idx + j] = vals
-            A[idx + j, idx] = vals
+        ks = np.arange(-q, cfg.k_max - j + 1)
+        vals = _band_rows(modes[j], B, q, ks, j)
+        A[ks + q, ks + q + j] = vals
+        A[ks + q + j, ks + q] = vals
     bandwidth = max(offs) if offs else 0
     tail = _row_bound(model, B, q, cfg.k_max + 1)
     return ToeplitzBlock(q=q, B=B, k_max=cfg.k_max, entries=A,
@@ -415,7 +405,7 @@ def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
         raise ValueError("radius must be positive")
     s_max = math.sqrt(0.5 * B) * radius
     _, hi = _xi_window(idx.n, float(idx.alpha))
-    M = 64 + int(math.ceil(1.8 * s_max * math.sqrt(float(hi))))
+    M = 64 + int(math.ceil(1.8 * s_max * math.sqrt(float(hi[0]))))
     x, w = legendre_rule(M)
     s = 0.5 * s_max * (x + 1.0)
     ws = 0.5 * s_max * w
@@ -437,8 +427,7 @@ def _row_bound(model: PotentialModel, B: float, q: int, k: int) -> float:
 
 
 def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
-                     *, rho_scale: float | None = None,
-                     hard_cap: int = K_HARD_CAP) -> int:
+                     *, rho_scale: float | None = None) -> int:
     """Smallest k_max whose discarded rows are certified below the target.
 
     All rows k > k_max satisfy row_bound(k) < delta * lambda_q^(-rho/2); with
@@ -453,13 +442,10 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
         rho_scale = model.rho
     lam = landau_level(B, q)
     thr = delta * lam ** (-rho_scale / 2.0)
-    k = 1
-    while _row_bound(model, B, q, k) >= thr:
-        k *= 2
-        if k + q + 1 > hard_cap:
-            raise CapacityError(
-                f"truncation bound exceeds hard cap {hard_cap}; increase delta")
-    lo, hi = k // 2, k
+    lo, hi = 0, 1
+    while _row_bound(model, B, q, hi) >= thr:
+        _check_cap(hi)
+        lo, hi = hi, min(2 * hi, K_HARD_CAP + 1)
     while lo < hi - 1:
         mid = (lo + hi) // 2
         if _row_bound(model, B, q, mid) >= thr:
@@ -467,9 +453,8 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
         else:
             hi = mid
     K = hi
+    _check_cap(K)
     while _row_bound(model, B, q, K + 1) >= thr:  # guard against local bumps
         K += 1
-        if K + q + 1 > hard_cap:
-            raise CapacityError(
-                f"truncation bound exceeds hard cap {hard_cap}; increase delta")
+        _check_cap(K)
     return K

@@ -19,9 +19,11 @@ angular scale delta near t = 0: one 64-point Gauss-Legendre panel for
 delta >= 1, geometric 24-point panels from delta for 0 < delta < 1, and for
 delta == 0 -- the circle passes exactly through the tail's singularity, the
 only singular case -- a Gauss-Jacobi head carrying the t^(-rho) weight.
-Integrands even in t are averaged on the half circle; the others as the
-mean of f(t) and f(-t) about the angle nearest the singularity.  Arbitrary
-callables get an adaptive panel-doubling average instead.
+Batched averages split their rows into these three cases, each on the rule
+of its own smallest delta.  Integrands even in t are averaged on the half
+circle; the others as the mean of f(t) and f(-t) about the angle nearest the
+singularity.  Arbitrary callables get an adaptive panel-doubling average
+instead.
 """
 from __future__ import annotations
 
@@ -312,6 +314,17 @@ def _angle_rule(delta: float, rho: float):
     return t, w / math.pi
 
 
+def _angle_rule_groups(delta: np.ndarray, rho: float):
+    """Yield (rows, t, w) for the rows of `delta` with delta == 0, with
+    0 < delta < 1 and with delta >= 1, each group on the angle rule of its
+    smallest delta, so that one near-singular row does not put every row on
+    the graded rule."""
+    for rows in (delta == 0.0, (delta > 0.0) & (delta < 1.0), delta >= 1.0):
+        if np.any(rows):
+            t, w = _angle_rule(float(np.min(delta[rows])), rho)
+            yield rows, t, w
+
+
 def power_cos_average(a, b, rho: float, *, gap=None):
     """(1/pi) int_0^pi (a - b cos t)^(-rho/2) dt, broadcast over a, b >= 0.
 
@@ -333,11 +346,11 @@ def power_cos_average(a, b, rho: float, *, gap=None):
     out = np.empty(a_arr.shape)
     trivial = b_arr <= 1e-300
     out[trivial] = a_arr[trivial] ** (-rho / 2.0)
-    for part in (~trivial & (gap == 0.0), ~trivial & (gap != 0.0)):
-        if np.any(part):
-            gv, bv = gap[part][:, None], b_arr[part][:, None]
-            t, w = _angle_rule(float(np.min(np.sqrt(2.0 * gv / bv))), rho)
-            out[part] = (gv + 2.0 * bv * np.sin(0.5 * t) ** 2) ** (-rho / 2.0) @ w
+    gv, bv = gap[~trivial][:, None], b_arr[~trivial][:, None]
+    vals = np.empty(len(gv))
+    for rows, t, w in _angle_rule_groups(np.sqrt(2.0 * gv / bv).ravel(), rho):
+        vals[rows] = (gv[rows] + 2.0 * bv[rows] * np.sin(0.5 * t) ** 2) ** (-rho / 2.0) @ w
+    out[~trivial] = vals
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out.reshape(-1)[0])
     return out
@@ -364,17 +377,15 @@ def mean_value_mode_profile(rho: float, m: int, r):
     g_m(|x|) cos(m arg x).  Singular only at r = 1."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     out = np.empty_like(r_arr)
-    for part in (r_arr == 1.0, r_arr != 1.0):
-        if np.any(part):
-            rv = r_arr[part][:, None]
-            delta = float(np.min(np.abs(rv - 1.0) / np.sqrt(np.maximum(rv, 1e-2))))
-            t, w = _angle_rule(delta, rho)
-            # x - w = ((r-1) + 2 sin^2(t/2), -sin t) and |x - w|^2 =
-            # (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
-            s2 = np.sin(0.5 * t) ** 2
-            d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
-            ang = np.arctan2(-np.sin(t), (rv - 1.0) + 2.0 * s2)
-            out[part] = d2 ** (-rho / 2.0) * np.cos(m * ang) @ w
+    delta = np.abs(r_arr - 1.0) / np.sqrt(np.maximum(r_arr, 1e-2))
+    for rows, t, w in _angle_rule_groups(delta, rho):
+        rv = r_arr[rows][:, None]
+        # x - w = ((r-1) + 2 sin^2(t/2), -sin t) and |x - w|^2 =
+        # (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
+        s2 = np.sin(0.5 * t) ** 2
+        d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
+        ang = np.arctan2(-np.sin(t), (rv - 1.0) + 2.0 * s2)
+        out[rows] = d2 ** (-rho / 2.0) * np.cos(m * ang) @ w
     return out if np.ndim(r) else float(out[0])
 
 

@@ -141,37 +141,18 @@ def laguerre_function(n: int, alpha, t):
 
 
 def laguerre_function_multi(n_arr, alpha_arr, t):
-    """psi_{n_i}^(alpha_i)(t_i) rows with per-row degree n_i.
-
-    `t` has shape (m, M); one shared recurrence runs to max(n_i) and each
-    row's value is captured at its own degree.
-    """
+    """psi_{n_i}^(alpha_i)(t_i) rows with per-row degree n_i; `t` has shape (m, M)."""
     n_arr = np.asarray(n_arr, dtype=int)
     a = np.asarray(alpha_arr, dtype=float)[:, None]
     if np.any(n_arr < 0) or np.any(a < 0):
         raise ValueError("n and alpha must be >= 0")
-    t = np.asarray(t, dtype=float)
-    n_max = int(np.max(n_arr)) if n_arr.size else 0
-    tc = np.clip(np.max(t, axis=-1, keepdims=True), 1.0, None)
-    const = 0.5 * (a * np.log(tc) - tc) - 0.5 * _lgamma_arr(a.ravel() + 1.0)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp0 = const + 0.5 * (a * np.log(t / tc) - (t - tc))
-    logp0 = np.where(t > 0.0, logp0, np.where(a == 0.0, const + 0.5 * tc, -np.inf))
-    off = np.where(logp0 < _LOG_FLOOR, logp0 - _LOG_FLOOR, 0.0)
-    p0 = np.exp(logp0 - off)
-    out = np.where((n_arr == 0)[:, None], p0, 0.0)
-    if n_max == 0:
-        return out * np.exp(off)
-    p1 = (a + 1.0 - t) / np.sqrt(a + 1.0) * p0
-    out = np.where((n_arr == 1)[:, None], p1, out)
-    for j in range(1, n_max):
-        p0, p1 = p1, ((2.0 * j + a + 1.0 - t) * p1
-                      - np.sqrt(j * (j + a)) * p0) / np.sqrt((j + 1.0) * (j + 1.0 + a))
-        out = np.where((n_arr == j + 1)[:, None], p1, out)
-    return out * np.exp(off)
+    return _laguerre_function_core(n_arr, a, np.asarray(t, dtype=float))
 
 
 def _laguerre_function_core(n, a, t):
+    """psi_{n_i}^(a_i)(t_i) with rows along axis 0 and a degree n_i per row
+    (a scalar n serves every row): one recurrence runs to max n_i and each
+    row is read off at its own degree."""
     # Centered exponent: evaluating log psi_0 relative to a reference point
     # keeps the node-to-node jitter at machine precision even for huge alpha.
     tc = np.clip(np.max(t, axis=-1, keepdims=True), 1.0, None)
@@ -182,13 +163,22 @@ def _laguerre_function_core(n, a, t):
     logp0 = np.where(t > 0.0, logp0, np.where(a == 0.0, const + 0.5 * tc, -np.inf))
     if np.any(logp0 > 690.0):
         raise ConfigurationError("laguerre_function starting value overflows")
-    off = np.where(logp0 < _LOG_FLOOR, logp0 - _LOG_FLOOR, 0.0)
+    # psi vanishes where logp0 = -inf (t = 0, alpha > 0): no offset there
+    off = np.where((logp0 < _LOG_FLOOR) & (logp0 > -np.inf), logp0 - _LOG_FLOOR, 0.0)
     p0 = np.exp(logp0 - off)
-    if n == 0:
+    n = np.asarray(n)
+    n_max = int(np.max(n)) if n.size else 0
+    if n_max == 0:
         return p0 * np.exp(off)
+    stops = {} if n.ndim == 0 else {d: n == d for d in np.unique(n).tolist()}
+    out = np.empty_like(p0) if stops else None
+    if 0 in stops:
+        out[stops[0]] = p0[stops[0]]
     p1 = (a + 1.0 - t) / np.sqrt(a + 1.0) * p0
+    if 1 in stops:
+        out[stops[1]] = p1[stops[1]]
     buf = np.empty_like(p0)
-    for j in range(1, n):
+    for j in range(1, n_max):
         c = 2.0 * j + 1.0
         rj = np.sqrt(j * (j + a))
         sj = 1.0 / np.sqrt((j + 1.0) * (j + 1.0 + a))
@@ -198,7 +188,9 @@ def _laguerre_function_core(n, a, t):
         buf -= p0
         buf *= sj
         p0, p1, buf = p1, buf, p0
-    return p1 * np.exp(off)
+        if j + 1 in stops:
+            out[stops[j + 1]] = p1[stops[j + 1]]
+    return (out if stops else p1) * np.exp(off)
 
 
 def _lgamma_arr(x):

@@ -49,7 +49,7 @@ def _scaled_spectral_radius(model, q: int, k_window: int = 24) -> float:
     |k| (orbit through the potential's peak), so a window suffices."""
     from lcl.landau import _diagonal_window
     lo = max(-q, -k_window)
-    vals = np.abs(_diagonal_window(model, 1.0, q, lo, k_window, 80))
+    vals = np.abs(_diagonal_window(model, 1.0, q, lo, k_window))
     i = int(np.argmax(vals))
     assert i < len(vals) - 1 and (i > 0 or q <= k_window), "max not interior"
     return float(vals[i])

@@ -24,7 +24,7 @@ def _exact_diagonal(model, B, q, ks):
     for the Chebyshev fit of the far window."""
     v0 = model.angular_modes()[0].radial
     ks = np.asarray(ks, dtype=float)
-    return np.concatenate([_band_batch(v0, B, q, q, c, q, c, 80)
+    return np.concatenate([_band_batch(v0, B, q, c, q, c)
                            for c in np.array_split(ks, -(-len(ks) // 1024))])
 
 
@@ -52,6 +52,12 @@ def test_basis_index_validation():
     assert idx.n == 1 and idx.alpha == 2
     idx = BasisIndex(3, 5)
     assert idx.n == 3 and idx.alpha == 5
+
+
+def test_radial_basis_vanishes_at_origin_for_k_nonzero():
+    assert radial_basis(BasisIndex(2, 1), 1.0, 0.0) == 0.0
+    assert radial_basis(BasisIndex(2, -2), 1.0, 0.0) == 0.0
+    assert radial_basis(BasisIndex(2, 0), 1.0, 0.0) == 1.0
 
 
 def test_radial_basis_ground_state():
@@ -161,7 +167,7 @@ def test_contraction_bound():
 def test_toeplitz_entry_consistency():
     cfg = LandauConfig(B=1.0, q=2, k_max=12)
     blk = toeplitz_matrix(ANISO, cfg)
-    for (k1, k2) in ((0, 0), (3, 1), (-1, -1), (5, 3)):
+    for (k1, k2) in ((0, 0), (3, 1), (-1, -1), (5, 3), (-2, 0), (0, -2), (-1, 1)):
         want = blk.entries[k1 + 2, k2 + 2]
         got = toeplitz_entry(ANISO, 1.0, 2, k1, k2)
         assert abs(got - want) < 1e-14
@@ -249,6 +255,17 @@ def test_truncation_bound_monotone_in_delta():
 def test_truncation_bound_capacity_error():
     with pytest.raises(CapacityError):
         truncation_bound(ISO, 1.0, 128, 1e-3)
+    with pytest.raises(CapacityError):
+        radial_diagonal(ISO, LandauConfig(B=1.0, q=4, k_max=landau.K_HARD_CAP + 1))
+
+
+def test_truncation_bound_reaches_the_hard_cap():
+    # K between 2^17 and K_HARD_CAP: the doubling search stops at the cap
+    # instead of jumping to 2^18 and refusing the level
+    thr = 0.0427
+    K = truncation_bound(ISO, 1.0, 0, thr)
+    assert 2 ** 17 < K <= landau.K_HARD_CAP
+    assert landau._row_bound(ISO, 1.0, 0, K) < thr <= landau._row_bound(ISO, 1.0, 0, K - 1)
 
 
 def test_indicator_mass_splits_at_radius():

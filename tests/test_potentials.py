@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcl.potentials import (PotentialModel, TailField, circle_average,
-                            evaluate, evaluate_tail, mean_value_radial_profile,
-                            mean_value_transform, orbit_average)
+                            evaluate, evaluate_tail, mean_value_mode_profile,
+                            mean_value_radial_profile, mean_value_transform,
+                            orbit_average)
 
 mp.mp.dps = 30
 
@@ -299,3 +300,17 @@ def test_negated_model_symmetry():
     x = (1.3, 0.2)
     assert evaluate(neg, x) == -evaluate(ISO, x)
     assert evaluate_tail(neg, x) == -evaluate_tail(ISO, x)
+
+
+def test_batched_profiles_give_each_row_its_own_rule():
+    # a batch splits at delta == 0 and delta = 1: a row on the circle or near
+    # it does not move the far rows off the 64-point rule
+    r = np.array([1.0, 1.0 + 1e-9, 0.8, 2.7, 5.0, 40.0])
+    far = r >= 2.7
+    for f in (lambda x: mean_value_mode_profile(0.5, 2, x),
+              lambda x: mean_value_radial_profile(0.5, x)):
+        batch = f(r)
+        assert np.array_equal(batch[far], f(r[far]))
+        assert batch[0] == f(1.0)
+        single = np.array([f(x) for x in r])
+        assert np.max(np.abs(batch - single)) <= 1e-13

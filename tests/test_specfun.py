@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from lcl.errors import ConfigurationError
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
-                         laguerre_weighted)
+                         laguerre_function_multi, laguerre_weighted)
 
 mp.mp.dps = 40
 
@@ -82,6 +82,26 @@ def test_laguerre_function_orthonormal():
                        * laguerre_function(m, a, float(t)))
         val = mp.quad(f, [0, 1, 4 * max(n, m) + 2 * a + 4, 8 * max(n, m) + 4 * a + 60])
         assert abs(float(val) - (1.0 if n == m else 0.0)) < 1e-10
+
+
+def test_laguerre_function_multi_rows_match_single_degree():
+    # one recurrence to max(n) read off per row must give each row exactly
+    # what the scalar-degree front end gives it
+    rng = np.random.default_rng(7)
+    n = np.array([0, 1, 5, 1, 0, 12, 3, 40])
+    a = np.array([0.0, 2.0, 1.5, 0.0, 7.0, 3.0, 160.0, 0.5])
+    t = np.sort(rng.uniform(0.0, 150.0, (len(n), 33)), axis=1)
+    t[:, 0] = 0.0
+    rows = np.array([laguerre_function(int(k), b, x) for k, b, x in zip(n, a, t)])
+    assert np.array_equal(laguerre_function_multi(n, a, t), rows)
+
+
+def test_laguerre_function_at_zero():
+    # psi_n^(a)(0) = 0 for a > 0; for a = 0 it is L_n(0) = 1
+    assert laguerre_function(2, 3.0, 0.0) == 0.0
+    assert laguerre_function(3, 0.0, 0.0) == 1.0
+    vals = laguerre_function_multi([2, 0, 4], [1.0, 2.0, 0.0], np.zeros((3, 2)))
+    assert np.array_equal(vals, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
 
 
 def _j0_integral_oracle(r, order=400):
