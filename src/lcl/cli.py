@@ -317,7 +317,10 @@ def _selfchecks(cfg: RunConfig):
         return worst < 1e-6, f"max |trace - B A w^2| = {worst:.2e}"
 
     def irho_ratios():
-        e1 = abs(1e4 ** 0.5 * i_rho(1e4, 0.5) - 2.0) / 2.0
+        # criterion 07's first-order value 1/(1-rho) + D_rho k^(rho-1), with
+        # D_rho = sqrt(pi) Gamma((rho-1)/2) / (2 Gamma(rho/2)), at rho = 1/2
+        d_rho = math.sqrt(math.pi) * math.gamma(-0.25) / (2.0 * math.gamma(0.25))
+        e1 = abs(1e4 ** 0.5 * i_rho(1e4, 0.5) - (2.0 + d_rho * 1e-2)) / 2.0
         e2 = abs(1e3 * i_rho(1e3, 2.0) - math.pi / 2.0) / (math.pi / 2.0)
         return e1 < 0.02 and e2 < 0.01, f"rho=1/2 gap {e1:.2e}, rho=2 gap {e2:.2e}"
 

@@ -3,7 +3,9 @@
 The solve itself is LAPACK's orthogonal-tridiagonalization + implicit-shift
 iteration (`numpy.linalg.eigh`); this module owns the contract around it:
 symmetry checking, the dense dimension cap, trace/Frobenius certificates on
-every solve, and sampled eigenpair residuals.
+every solve, and sampled eigenpair residuals.  An anisotropic level block is
+never solved whole: ``measures.level_spectrum`` passes each of its residue
+chains here, so the cap and the certificates apply per chain.
 """
 from __future__ import annotations
 
@@ -34,6 +36,12 @@ class EigenSpectrum:
             raise ValueError("dimension does not match the number of eigenvalues")
 
 
+def _check_dense_cap(n: int) -> None:
+    """The one dense-storage cap: dimension n <= DENSE_CAP."""
+    if n > DENSE_CAP:
+        raise CapacityError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
+
+
 def sym_eig(matrix) -> EigenSpectrum:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
@@ -45,8 +53,7 @@ def sym_eig(matrix) -> EigenSpectrum:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
-    if n > DENSE_CAP:
-        raise CapacityError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
+    _check_dense_cap(n)
     scale = float(np.max(np.abs(A))) if n else 0.0
     asym = float(np.max(np.abs(A - A.T))) if n else 0.0
     if scale > 0.0 and asym > _SYM_RTOL * scale:

@@ -22,7 +22,8 @@ would overflow beyond |k| ~ 1e3.  Every entry goes through one batched
 quadrature, `_band_batch`, with one rule of 80 + 2.8 max(n) nodes per batch:
 the diagonal and each off-diagonal band put all k < 0 rows (whose degrees
 n = q + k differ; the one Laguerre recurrence reads each row off at its own
-degree) in one batch, then the k >= 0 rows in chunks of 128.
+degree) in one batch, then the k >= 0 rows in chunks of 128.  A non-finite
+entry raises ContractError naming the stage, q, the band and the first bad k.
 
 For long-range models the diagonal rows k >= max(4q, 32), when there are more
 than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
@@ -31,6 +32,11 @@ quadrature at continuous alpha, Clenshaw evaluation at every integer k.  Each
 fit is checked against exact entries at the window's 25 second-kind Chebyshev
 points; a relative error above 1e-9 max(1, q/128), the quadrature's own jitter
 between neighbouring k, raises ContractError.
+
+A level is assembled once, as its diagonal and one band per positive mode.
+Since modes couple only k and k + j, the block is the direct sum of
+g = gcd(modes) residue chains (tridiagonal for one mode m = g); the chains are
+what gets solved, and the dense block is only a view for tests and small cases.
 """
 from __future__ import annotations
 
@@ -41,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
-from .eigen import DENSE_CAP
+from .eigen import _check_dense_cap
 from .errors import CapacityError, ContractError
 from .potentials import PotentialModel
 from .specfun import _lgamma_arr, laguerre_function, laguerre_function_multi, legendre_rule
@@ -237,7 +243,13 @@ def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
             n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
             k2 = k1 + j
             n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
-            out[s] = _band_batch(vfun, B, n1, a1, n2, a2)
+            vals = _band_batch(vfun, B, n1, a1, n2, a2)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise ContractError(
+                    f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
+                    f"first at k={int(k1[np.argmin(finite)])}")
+            out[s] = vals
     return out
 
 
@@ -368,31 +380,57 @@ def _block_summary(q: int, B: float, k_max: int, bandwidth: int,
     }
 
 
-def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
-    """Assemble the dense (banded-content) truncated block.
+def _level_bands(model: PotentialModel, cfg: LandauConfig):
+    """The level block as (diagonal, {j: band j}) over k = -q .. k_max.
 
+    Band j > 0 holds the entries (k, k + j) for k = -q .. k_max - j, one per
+    positive angular mode; the block is symmetric, so these are all of it.
+    """
+    modes = _mode_map(model)
+    diag = radial_diagonal(model, cfg)
+    bands = {j: _band_rows(modes[j], cfg.B, cfg.q, np.arange(-cfg.q, cfg.k_max - j + 1), j)
+             for j in sorted(j for j in modes if j > 0)}
+    return diag, bands
+
+
+def _scatter(diag: np.ndarray, bands: dict, r: int = 0, g: int = 1) -> np.ndarray:
+    """Dense matrix of the block's positions i = r (mod g); band j couples
+    such a position with the one j // g further along."""
+    A = np.diag(diag[r::g])
+    for j, band in bands.items():
+        e = band[r::g]
+        i = np.arange(len(e))
+        A[i, i + j // g] = A[i + j // g, i] = e
+    return A
+
+
+def _chains(diag: np.ndarray, bands: dict):
+    """Dense blocks of the residue chains of a banded level block, one at a time.
+
+    Every band offset is a multiple of g = gcd(offsets), so the positions
+    i = r (mod g) couple only among themselves: the block is the direct sum
+    of g chains, and its spectrum is the union of theirs.  A single mode m
+    gives m tridiagonal chains.  The dense cap applies to the largest chain,
+    r = 0, and is checked before any chain is stored.
+    """
+    g = math.gcd(*bands)
+    _check_dense_cap(-(-len(diag) // g))
+    return (_scatter(diag, bands, r, g) for r in range(g))
+
+
+def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
+    """The level block as one dense matrix, scattered from its bands.
+
+    This is the dense view of the block and the test oracle for the chain
+    solve of ``measures.level_spectrum``, which never stores the whole block.
     Dense storage is capped at dimension 4096; radial models beyond that
     should use :func:`radial_diagonal`, which skips the matrix entirely.
     """
-    dim = cfg.dimension
-    if dim > DENSE_CAP:
-        raise CapacityError(
-            f"dense dimension {dim} exceeds cap {DENSE_CAP}; "
-            "use radial_diagonal for radial models")
-    q, B = cfg.q, cfg.B
-    modes = _mode_map(model)
-    offs = sorted({j for j in modes if j > 0})
-    A = np.zeros((dim, dim))
-    A[np.arange(dim), np.arange(dim)] = radial_diagonal(model, cfg)
-    for j in offs:
-        ks = np.arange(-q, cfg.k_max - j + 1)
-        vals = _band_rows(modes[j], B, q, ks, j)
-        A[ks + q, ks + q + j] = vals
-        A[ks + q + j, ks + q] = vals
-    bandwidth = max(offs) if offs else 0
-    tail = _row_bound(model, B, q, cfg.k_max + 1)
-    return ToeplitzBlock(q=q, B=B, k_max=cfg.k_max, entries=A,
-                         bandwidth=bandwidth, truncation_tail_bound=tail)
+    _check_dense_cap(cfg.dimension)
+    diag, bands = _level_bands(model, cfg)
+    tail = _row_bound(model, cfg.B, cfg.q, cfg.k_max + 1)
+    return ToeplitzBlock(q=cfg.q, B=cfg.B, k_max=cfg.k_max, entries=_scatter(diag, bands),
+                         bandwidth=max(bands, default=0), truncation_tail_bound=tail)
 
 
 def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:

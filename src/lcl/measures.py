@@ -25,8 +25,8 @@ import numpy as np
 
 from .eigen import EigenSpectrum, sym_eig
 from .errors import ContractError, MethodError
-from .landau import (LandauConfig, landau_level, radial_diagonal,
-                     toeplitz_matrix, truncation_bound, _block_summary, _row_bound)
+from .landau import (LandauConfig, landau_level, truncation_bound, _block_summary,
+                     _chains, _level_bands, _row_bound)
 from .potentials import (PotentialModel, mean_value_mode_profile,
                          mean_value_radial_profile)
 from .specfun import legendre_rule
@@ -415,18 +415,22 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     below `delta` (exponent `rho`).
 
     Returns (values, k_max, tail bound, eigen residual bound, block summary
-    dict); radial models skip the matrix and have residual 0.
+    dict).  Radial models skip the matrix and have residual 0.  An
+    anisotropic block is solved as its residue chains (see
+    ``landau._chains``): one certified ``sym_eig`` per chain, the values
+    merged and the largest chain residual reported, so the dense cap applies
+    per chain and the whole block is never stored.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
-    cfg = LandauConfig(B=B, q=q, k_max=k_max)
-    if model.kind == "anisotropic-long-range":
-        block = toeplitz_matrix(model, cfg)
-        spec = sym_eig(block.entries)
-        return (spec.values, k_max, block.truncation_tail_bound,
-                spec.residual_bound, block.summary())
-    values = np.sort(radial_diagonal(model, cfg))
+    diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
     tail = _row_bound(model, B, q, k_max + 1)
-    return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
+    if not bands:
+        values = np.sort(diag)
+        return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
+    specs = [sym_eig(chain) for chain in _chains(diag, bands)]
+    values = np.sort(np.concatenate([s.values for s in specs]))
+    return (values, k_max, tail, max(s.residual_bound for s in specs),
+            _block_summary(q, B, k_max, max(bands), diag, tail))
 
 
 def _study_row(model, B, rho, phi, delta, q, rhs) -> ConvergenceRow:

@@ -152,6 +152,16 @@ def test_spectrum_anisotropic_block_summary(tmp_path):
     assert manifest["outputs"] == ["block_q2.json", "spectrum_q2.csv"]
 
 
+def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys):
+    path = _write_config(tmp_path, q_list=[640], delta=0.6,
+                         phi={"center": 0.9, "half_width": 0.2})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "640"]) == 1
+    err = capsys.readouterr().err
+    assert "entry-quadrature" in err and "q=640" in err
+    assert not (out / "block_q640.json").exists()
+
+
 def test_trace_sweep_reproducible_and_constant_rhs(tmp_path):
     path = _write_config(tmp_path, **SMALL)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -35,14 +35,14 @@ def _householder_tridiag(A):
 
 
 def _sturm_count(d, e, x):
-    # eigenvalues of the tridiagonal (d, e) strictly below x
-    count, q = 0, 1.0
-    n = len(d)
-    for i in range(n):
+    # eigenvalues of the tridiagonal (d, e) strictly below x: the negative
+    # pivots of the LDL^T factorization of T - x, vectorized over shifts x
+    x = np.asarray(x, dtype=float)
+    count, q = np.zeros(x.shape, dtype=int), np.ones(x.shape)
+    for i in range(len(d)):
         e2 = e[i - 1] ** 2 if i > 0 else 0.0
-        q = d[i] - x - (e2 / q if q != 0.0 else e2 / 1e-300)
-        if q < 0.0:
-            count += 1
+        q = d[i] - x - e2 / np.where(q != 0.0, q, 1e-300)
+        count += q < 0.0
     return count
 
 

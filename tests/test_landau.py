@@ -179,6 +179,13 @@ def test_dense_cap_enforced():
         toeplitz_matrix(ISO, LandauConfig(B=1.0, q=2, k_max=5000))
 
 
+def test_band_rows_non_finite_entry_fails_loudly():
+    # the recurrence overflows at this degree; the entry must not pass as NaN
+    v0 = ISO.angular_modes()[0].radial
+    with pytest.raises(ContractError, match=r"entry-quadrature.*q=640\b.*j=0\b.*k=0\b"):
+        landau._band_rows(v0, 1.0, 640, np.arange(0, 4), 0)
+
+
 def test_truncation_bound_bump_small():
     K = truncation_bound(BUMP, 1.0, 4, 0.25, rho_scale=1.0)
     assert K < 60

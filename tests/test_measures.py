@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from lcl.eigen import sym_eig
-from lcl.errors import ContractError, MethodError
-from lcl.landau import LandauConfig, landau_level, radial_diagonal, toeplitz_matrix
+from lcl.errors import CapacityError, ContractError, MethodError
+from lcl.landau import (LandauConfig, _level_bands, landau_level, radial_diagonal,
+                        toeplitz_matrix)
 from lcl.measures import (ConvergenceRow, EmpiricalClusterMeasure,
                           LimitingMeasure, TestFunction, convergence_study,
-                          eigenvalue_counting, limiting_density_integral,
-                          mu_interval, rows_to_csv, schatten_norm,
-                          trace_functional)
+                          eigenvalue_counting, level_spectrum,
+                          limiting_density_integral, mu_interval, rows_to_csv,
+                          schatten_norm, trace_functional)
 from lcl.potentials import PotentialModel, orbit_average
 
 ISO = PotentialModel.isotropic(0.5)
@@ -268,6 +269,56 @@ def test_convergence_study_validation():
         convergence_study(ISO, 1.0, 0.5, PHI, [2, 4], 0.3)
     with pytest.raises(ValueError):
         convergence_study(ISO, 1.0, 0.7, PHI, [2], 0.1)
+
+
+@pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2)])
+def test_level_spectrum_chains_match_dense_oracle(mode, q):
+    # mode m splits the block into m residue chains; mode 1 is one chain,
+    # the whole block
+    model = PotentialModel.anisotropic(0.5, 0.3, mode)
+    values, k_max, tail, residual, summary = level_spectrum(model, 1.0, q, 0.47, 0.5)
+    blk = toeplitz_matrix(model, LandauConfig(B=1.0, q=q, k_max=k_max))
+    dense = sym_eig(blk.entries).values
+    assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert summary == blk.summary()
+    assert tail == blk.truncation_tail_bound
+    assert residual <= 1e-12
+
+
+def test_chain_solve_keeps_anisotropic_sweep_lhs():
+    # lhs of the dense solve, recorded from the seed commit in
+    # perfbench/reference/aniso-block.json
+    want = {8: 4.569056824386879, 16: 4.562647548508397, 32: 4.559490773070477}
+    rows = convergence_study(ANISO, 1.0, 0.5, TestFunction(0.65, 0.15),
+                             [8, 16, 32], 0.47)
+    for r in rows:
+        assert abs(r.lhs - want[r.q]) <= 1e-9 * want[r.q], (r.q, r.lhs)
+
+
+def test_level_spectrum_dense_cap_is_per_chain():
+    # dimension 4676 > 4096 in four chains of 1169
+    from test_eigen import _sturm_count
+    mode4 = PotentialModel.anisotropic(0.5, 0.3, 4)
+    values, k_max, _, _, summary = level_spectrum(mode4, 1.0, 2, 0.2, 0.5)
+    assert summary["dimension"] == len(values) == 4676
+    diag, bands = _level_bands(mode4, LandauConfig(B=1.0, q=2, k_max=k_max))
+    assert list(bands) == [4]
+    band = bands[4]
+    scale = float(np.max(np.abs(values)))
+    tol = 1e-12 * len(values) * scale
+    assert abs(np.sum(values) - np.sum(diag)) <= tol
+    assert abs(np.sum(values ** 2) - np.sum(diag ** 2) - 2.0 * np.sum(band ** 2)) <= tol * scale
+    # shifts in the middle of 64 gaps of the merged spectrum
+    i = np.linspace(0, len(values) - 2, 64).astype(int)
+    shifts = 0.5 * (values[i] + values[i + 1])
+    counts = sum(_sturm_count(diag[r::4], band[r::4], shifts) for r in range(4))
+    assert np.array_equal(counts, np.searchsorted(values, shifts))
+
+
+def test_level_spectrum_chain_above_dense_cap():
+    # mode 2 at q = 4: dimension 8418 in two chains of 4209
+    with pytest.raises(CapacityError, match=r"\b4209\b.*\b4096\b"):
+        level_spectrum(ANISO, 1.0, 4, 0.2, 0.5)
 
 
 def test_rows_to_csv_format(tmp_path):
