@@ -292,12 +292,9 @@ def _selfchecks(cfg: RunConfig):
 
     def basis_orthonormality():
         worst = 0.0
-        from .landau import _band_batch
-        for (q, k) in ((0, 0), (4, -2), (10, 37), (40, 200)):
-            idx = BasisIndex(q, k)
-            val = _band_batch(lambda r: np.ones_like(r), cfg.B, idx.n,
-                              np.array([float(idx.alpha)]), idx.n,
-                              np.array([float(idx.alpha)]))[0]
+        from .landau import _band_rows
+        for (q, k) in ((0, 0), (4, -2), (10, 37), (40, 200), (1024, 0)):
+            val = _band_rows(np.ones_like, cfg.B, q, np.array([k]), 0)[0]
             worst = max(worst, abs(val - 1.0))
         return worst < 1e-10, f"max |<R,R> - 1| = {worst:.2e}"
 

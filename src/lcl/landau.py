@@ -311,15 +311,13 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
 
 
 def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) -> float:
-    """Single matrix element <V phi_{k2,q}, phi_{k1,q}>."""
+    """Single matrix element <V phi_{k2,q}, phi_{k1,q}>: one row of band
+    |k1 - k2|, through the same quadrature and check as the block."""
     modes = _mode_map(model)
-    j = k1 - k2
-    if j not in modes:
+    if k1 - k2 not in modes:
         return 0.0
-    i1, i2 = BasisIndex(q, k1), BasisIndex(q, k2)
-    val = _band_batch(modes[j], B, i1.n, np.array([float(i1.alpha)]),
-                      i2.n, np.array([float(i2.alpha)]))
-    return float(val[0])
+    k = np.array([BasisIndex(q, min(k1, k2)).k])  # rejects k < -q
+    return float(_band_rows(modes[k1 - k2], B, q, k, abs(k1 - k2))[0])
 
 
 @dataclass(frozen=True)

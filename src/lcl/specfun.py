@@ -3,12 +3,15 @@
 Everything downstream (basis functions, matrix elements, symbol integrals)
 is built on the four families here:
 
-* Laguerre polynomials ``L_q`` by the three-term recurrence, plus the
-  pre-damped form ``L_q(t) e^{-t/2}`` which stays bounded for any order and
-  argument,
+* Laguerre polynomials ``L_n^(a)`` by the plain three-term recurrence
+  (:func:`assoc_laguerre`, with :func:`laguerre` its ``a = 0`` case),
 * orthonormal generalized-Laguerre functions
   ``psi_n^(a)(t) = sqrt(n!/Gamma(n+a+1)) t^{a/2} e^{-t/2} L_n^(a)(t)``,
-  evaluated by a normalized recurrence with log-gamma starting values,
+  evaluated by one normalized recurrence with log-gamma starting values and
+  power-of-two rescaling, finite at every degree.  It serves
+  :func:`laguerre_function`, :func:`laguerre_function_multi`, the damped
+  polynomial :func:`laguerre_weighted` (``L_q(t) e^{-t/2} = psi_q^(0)(t)``)
+  and the Newton iteration of the Gauss-Laguerre rule,
 * the Bessel function ``J_0`` (power series below the switchover, quadrature
   of the cosine integral representation above it),
 * Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration.
@@ -37,69 +40,30 @@ __all__ = [
 # Switch between the J0 power series and the integral representation.
 _J0_SWITCH = 12.0
 
-# Renormalization guards for the damped/normalized recurrences.  Between
-# checkpoints the values can grow by ~(t/k)^_RENORM_EVERY, so the threshold
-# leaves that much headroom below the float maximum.
+# Overflow guard of the normalized recurrence: a starting value below
+# e^_LOG_FLOOR starts near e^_LOG_FLOOR with the rest in a binary exponent,
+# and a node whose |p| passes 2^_RESCALE_EXP is scaled back by a power of two.
 _LOG_FLOOR = -600.0
-_RENORM_EVERY = 8
-_RENORM_HI = 1e200
-_RENORM_LO = 1e-200
+_RESCALE_EXP = 512
 
 
 def laguerre(q: int, t):
-    """Laguerre polynomial L_q(t) via (k+1)L_{k+1} = (2k+1-t)L_k - k L_{k-1}.
+    """Laguerre polynomial L_q(t) = L_q^(0)(t) by the three-term recurrence.
 
     Overflows for large q and t; use :func:`laguerre_weighted` in that regime.
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    t = np.asarray(t, dtype=float)
-    p0 = np.ones_like(t)
-    if q == 0:
-        return p0 if p0.ndim else float(p0)
-    p1 = 1.0 - t
-    for k in range(1, q):
-        p0, p1 = p1, ((2.0 * k + 1.0 - t) * p1 - k * p0) / (k + 1.0)
-    return p1 if p1.ndim else float(p1)
+    return assoc_laguerre(q, 0, t)
 
 
 def laguerre_weighted(q: int, t):
-    """Damped Laguerre polynomial L_q(t) e^{-t/2} for t >= 0.
+    """Damped Laguerre polynomial L_q(t) e^{-t/2} = psi_q^(0)(t) for t >= 0.
 
-    The recurrence runs on the damped sequence itself, with a carried
-    exponent so the starting value e^{-t/2} never underflows while the
-    classical bound |L_q(t) e^{-t/2}| <= 1 keeps everything representable.
+    Bounded by 1 for every order and argument (the classical bound), and
+    finite at any order through the rescaled normalized recurrence.
     """
-    if q < 0:
-        raise ValueError("q must be >= 0")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(t < 0):
+    if np.any(np.asarray(t) < 0):
         raise ValueError("t must be >= 0")
-    logl0 = -0.5 * t
-    off = np.where(logl0 < _LOG_FLOOR, logl0 - _LOG_FLOOR, 0.0)
-    p0 = np.exp(logl0 - off)
-    if q == 0:
-        out = p0 * np.exp(off)
-    else:
-        p1 = (1.0 - t) * p0
-        for k in range(1, q):
-            p0, p1 = p1, ((2.0 * k + 1.0 - t) * p1 - k * p0) / (k + 1.0)
-            if k % _RENORM_EVERY == 0:
-                mag = np.maximum(np.abs(p0), np.abs(p1))
-                big = mag > _RENORM_HI
-                small = (mag < _RENORM_LO) & (mag > 0.0) & (off < 0.0)
-                if np.any(big):
-                    p0 = np.where(big, p0 * _RENORM_LO, p0)
-                    p1 = np.where(big, p1 * _RENORM_LO, p1)
-                    off = np.where(big, off + math.log(_RENORM_HI), off)
-                if np.any(small):
-                    p0 = np.where(small, p0 * _RENORM_HI, p0)
-                    p1 = np.where(small, p1 * _RENORM_HI, p1)
-                    off = np.where(small, off - math.log(_RENORM_HI), off)
-        out = p1 * np.exp(off)
-    return float(out[0]) if scalar else out
+    return laguerre_function(q, 0.0, t)
 
 
 def assoc_laguerre(n: int, alpha: int, t):
@@ -122,8 +86,9 @@ def laguerre_function(n: int, alpha, t):
     psi = sqrt(n!/Gamma(n+alpha+1)) t^{alpha/2} e^{-t/2} L_n^(alpha)(t), so
     that int_0^inf psi_n psi_m dt = delta_{nm}.  The normalization enters
     through a log-gamma difference (factorial ratios overflow near n ~ 85)
-    and the recurrence is run on the normalized sequence, which is bounded
-    for all (n, alpha).  `alpha` may be a vector broadcast against `t`.
+    and the recurrence is run on the normalized sequence, rescaled by powers
+    of two so it is finite at every (n, alpha, t).  `alpha` may be a vector
+    broadcast against `t`.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -152,7 +117,13 @@ def laguerre_function_multi(n_arr, alpha_arr, t):
 def _laguerre_function_core(n, a, t):
     """psi_{n_i}^(a_i)(t_i) with rows along axis 0 and a degree n_i per row
     (a scalar n serves every row): one recurrence runs to max n_i and each
-    row is read off at its own degree."""
+    row is read off at its own degree.
+
+    Every node carries psi = p 2^e, a mantissa p and an integer exponent e;
+    the exponent is applied once, as its row is read off.  Scaling by powers
+    of two is exact, so the rescaled recurrence gives the values of the plain
+    one wherever the plain one stays finite.
+    """
     # Centered exponent: evaluating log psi_0 relative to a reference point
     # keeps the node-to-node jitter at machine precision even for huge alpha.
     tc = np.clip(np.max(t, axis=-1, keepdims=True), 1.0, None)
@@ -163,34 +134,53 @@ def _laguerre_function_core(n, a, t):
     logp0 = np.where(t > 0.0, logp0, np.where(a == 0.0, const + 0.5 * tc, -np.inf))
     if np.any(logp0 > 690.0):
         raise ConfigurationError("laguerre_function starting value overflows")
-    # psi vanishes where logp0 = -inf (t = 0, alpha > 0): no offset there
-    off = np.where((logp0 < _LOG_FLOOR) & (logp0 > -np.inf), logp0 - _LOG_FLOOR, 0.0)
-    p0 = np.exp(logp0 - off)
+    # psi vanishes where logp0 = -inf (t = 0, alpha > 0): exponent 0 there
+    low = (logp0 < _LOG_FLOOR) & (logp0 > -np.inf)
+    e = np.where(low, np.ceil((logp0 - _LOG_FLOOR) / math.log(2.0)), 0.0).astype(np.int32)
+    p0 = np.exp(logp0 - e * math.log(2.0))
     n = np.asarray(n)
     n_max = int(np.max(n)) if n.size else 0
     if n_max == 0:
-        return p0 * np.exp(off)
-    stops = {} if n.ndim == 0 else {d: n == d for d in np.unique(n).tolist()}
+        return np.ldexp(p0, e)
+    # rows that stop at degree d, read off with their exponents applied
+    stops = {} if n.ndim == 0 else {d: np.flatnonzero(n == d) for d in np.unique(n).tolist()}
     out = np.empty_like(p0) if stops else None
-    if 0 in stops:
-        out[stops[0]] = p0[stops[0]]
+
+    def read_off(p, d):
+        if d in stops:
+            out[stops[d]] = np.ldexp(p[stops[d]], e[stops[d]])
+
+    read_off(p0, 0)
     p1 = (a + 1.0 - t) / np.sqrt(a + 1.0) * p0
-    if 1 in stops:
-        out[stops[1]] = p1[stops[1]]
+    read_off(p1, 1)
+    # Before its division by sqrt((j+1)(j+1+a)) >= 1, a step is at most
+    #   (|2j+1+a-t| + sqrt(j(j+a))) max(|p_j|, |p_{j-1}|) <= growth max(...)
+    # with growth = t + 3n + 2a + 1 over the batch.  So from below
+    # 2^_RESCALE_EXP at the start (|psi_0| <= 1) or at a check, the `every`
+    # steps to the next check stay below 2^1023 and cannot overflow (for growth
+    # below 2^511; a window has t, n and a below 2^21).  The check is one
+    # reduction per array; only when it trips are the large nodes' pairs
+    # scaled back into [1/2, 1).
+    growth = float(np.nanmax(t, initial=0.0) + 3.0 * n_max + 2.0 * np.max(a)) + 1.0
+    every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
+    hi = 2.0 ** _RESCALE_EXP
     buf = np.empty_like(p0)
     for j in range(1, n_max):
-        c = 2.0 * j + 1.0
-        rj = np.sqrt(j * (j + a))
-        sj = 1.0 / np.sqrt((j + 1.0) * (j + 1.0 + a))
-        np.subtract(c + a, t, out=buf)
+        np.subtract(2.0 * j + 1.0 + a, t, out=buf)
         buf *= p1
-        p0 *= rj
+        p0 *= np.sqrt(j * (j + a))
         buf -= p0
-        buf *= sj
+        # divide rather than multiply by the reciprocal: L_q(0) = 1 stays exact
+        buf /= np.sqrt((j + 1.0) * (j + 1.0 + a))
         p0, p1, buf = p1, buf, p0
-        if j + 1 in stops:
-            out[stops[j + 1]] = p1[stops[j + 1]]
-    return (out if stops else p1) * np.exp(off)
+        if j % every == 0 and max(p0.max(), -p0.min(), p1.max(), -p1.min()) > hi:
+            mag = np.maximum(np.abs(p0), np.abs(p1))
+            s = np.where(mag > hi, np.frexp(mag)[1], 0)
+            np.ldexp(p0, -s, out=p0)
+            np.ldexp(p1, -s, out=p1)
+            e += s
+        read_off(p1, j + 1)
+    return out if stops else np.ldexp(p1, e)
 
 
 def _lgamma_arr(x):
@@ -313,18 +303,13 @@ def _newton_legendre(n):
     return x[::-1].copy(), w[::-1].copy()
 
 
-def _damped_laguerre_pair(n, x):
-    """(L_n e^{-x/2}, L_{n-1} e^{-x/2}) for scalar x >= 0."""
-    p0 = math.exp(-0.5 * x)
-    if n == 0:
-        return p0, 0.0
-    p1 = (1.0 - x) * p0
-    for k in range(1, n):
-        p0, p1 = p1, ((2.0 * k + 1.0 - x) * p1 - k * p0) / (k + 1.0)
-    return p1, p0
-
-
 def _newton_laguerre(n):
+    rows = np.array([n + 1, n, n - 1])
+
+    def damped(z):
+        """(L_{n+1}, L_n, L_{n-1})(z) e^{-z/2}, i.e. psi^(0) at these degrees."""
+        return _laguerre_function_core(rows, np.zeros((3, 1)), np.full((3, 1), z))[:, 0]
+
     x = np.empty(n)
     w = np.empty(n)
     z = 0.0
@@ -337,7 +322,7 @@ def _newton_laguerre(n):
             ai = i - 1.0
             z += ((1.0 + 2.55 * ai) / (1.9 * ai)) * (z - x[i - 2])
         for it in range(100):
-            ln, lnm1 = _damped_laguerre_pair(n, z)
+            _, ln, lnm1 = damped(z)
             dl = n * (ln - lnm1) / z  # d/dz of L_n, damped consistently
             dz = ln / dl
             z -= dz
@@ -346,7 +331,7 @@ def _newton_laguerre(n):
         else:
             raise ConfigurationError(f"Laguerre Newton iteration failed at order {n}")
         x[i] = z
-        lnp1, _ = _damped_laguerre_pair(n + 1, z)
+        lnp1 = damped(z)[0]
         w[i] = z * math.exp(-z) / ((n + 1.0) * lnp1) ** 2
     if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
         raise ConfigurationError(

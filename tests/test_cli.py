@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcl import landau
 from lcl.cli import DEFAULT_CONFIG, RunConfig, main
 
 
@@ -152,14 +154,15 @@ def test_spectrum_anisotropic_block_summary(tmp_path):
     assert manifest["outputs"] == ["block_q2.json", "spectrum_q2.csv"]
 
 
-def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys):
-    path = _write_config(tmp_path, q_list=[640], delta=0.6,
-                         phi={"center": 0.9, "half_width": 0.2})
+def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(landau, "_band_batch",
+                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    path = _write_config(tmp_path, **SMALL)
     out = tmp_path / "out"
-    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "640"]) == 1
+    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "2"]) == 1
     err = capsys.readouterr().err
-    assert "entry-quadrature" in err and "q=640" in err
-    assert not (out / "block_q640.json").exists()
+    assert "entry-quadrature" in err and "q=2" in err
+    assert not (out / "block_q2.json").exists()
 
 
 def test_trace_sweep_reproducible_and_constant_rhs(tmp_path):

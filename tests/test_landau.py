@@ -165,13 +165,22 @@ def test_contraction_bound():
 
 
 def test_toeplitz_entry_consistency():
+    # the single entry is a one-row band of the block: the same quadrature,
+    # so the same bits
     cfg = LandauConfig(B=1.0, q=2, k_max=12)
     blk = toeplitz_matrix(ANISO, cfg)
     for (k1, k2) in ((0, 0), (3, 1), (-1, -1), (5, 3), (-2, 0), (0, -2), (-1, 1)):
         want = blk.entries[k1 + 2, k2 + 2]
         got = toeplitz_entry(ANISO, 1.0, 2, k1, k2)
-        assert abs(got - want) < 1e-14
+        assert got == want
     assert toeplitz_entry(ANISO, 1.0, 2, 4, 1) == 0.0
+
+
+def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
+    monkeypatch.setattr(landau, "_band_batch",
+                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    with pytest.raises(ContractError, match=r"entry-quadrature.*q=640\b.*j=0\b.*k=0\b"):
+        toeplitz_entry(ISO, 1.0, 640, 0, 0)
 
 
 def test_dense_cap_enforced():
@@ -180,10 +189,20 @@ def test_dense_cap_enforced():
 
 
 def test_band_rows_non_finite_entry_fails_loudly():
-    # the recurrence overflows at this degree; the entry must not pass as NaN
+    # a profile that is infinite inside r < 1 makes every row non-finite; the
+    # entry must not pass as inf or NaN
+    def vfun(r):
+        return np.where(r < 1.0, np.inf, 1.0)
+
+    with pytest.raises(ContractError, match=r"entry-quadrature.*q=8\b.*j=0\b.*k=0\b"):
+        landau._band_rows(vfun, 1.0, 8, np.arange(0, 4), 0)
+
+
+@pytest.mark.parametrize("q", [640, 1024])
+def test_band_rows_finite_at_high_degree(q):
+    # the recurrence rescales by powers of two instead of overflowing near 4q
     v0 = ISO.angular_modes()[0].radial
-    with pytest.raises(ContractError, match=r"entry-quadrature.*q=640\b.*j=0\b.*k=0\b"):
-        landau._band_rows(v0, 1.0, 640, np.arange(0, 4), 0)
+    assert np.all(np.isfinite(landau._band_rows(v0, 1.0, q, np.arange(0, 4), 0)))
 
 
 def test_truncation_bound_bump_small():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcl.errors import ConfigurationError
+from lcl.landau import _band_batch
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
                          laguerre_function_multi, laguerre_weighted)
@@ -82,6 +83,39 @@ def test_laguerre_function_orthonormal():
                        * laguerre_function(m, a, float(t)))
         val = mp.quad(f, [0, 1, 4 * max(n, m) + 2 * a + 4, 8 * max(n, m) + 4 * a + 60])
         assert abs(float(val) - (1.0 if n == m else 0.0)) < 1e-10
+
+
+def _psi_oracle(n, a, t):
+    # psi_n^(a)(t) from mpmath's L_n^(a) at 50 digits
+    with mp.workdps(50):
+        t = mp.mpf(t)
+        return float(mp.sqrt(mp.factorial(n) / mp.gamma(n + a + 1)) * t ** (mp.mpf(a) / 2)
+                     * mp.exp(-t / 2) * mp.laguerre(n, a, t))
+
+
+@pytest.mark.parametrize("n", [700, 1024, 4096])
+@pytest.mark.parametrize("a", [0, 37])
+def test_laguerre_function_high_degree_oracle(n, a):
+    # nodes across the oscillatory range, through the upper turning point
+    # 4n + 2a + 2 and out to where psi has decayed by orders of magnitude:
+    # the region where an unscaled recurrence overflows
+    edge = 4 * n + 2 * a + 2
+    ts = np.concatenate([np.geomspace(16.0, 0.9 * edge, 10),
+                         edge + np.array([-20.0, -5.0, 0.0, 5.0, 20.0, 50.0, 120.0])])
+    ref = np.array([_psi_oracle(n, a, t) for t in ts])
+    got = laguerre_function(n, float(a), ts)
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("a", [0.0, 37.0])
+def test_laguerre_function_gram_degree_1000(a):
+    # <psi_1000, psi_1000> = 1 and <psi_1000, psi_999> = 0 by the entry
+    # quadrature with a unit profile
+    alpha = np.array([a])
+    norm = _band_batch(np.ones_like, 1.0, 1000, alpha, 1000, alpha)[0]
+    cross = _band_batch(np.ones_like, 1.0, 1000, alpha, 999, alpha)[0]
+    assert abs(norm - 1.0) < 1e-10
+    assert abs(cross) < 1e-10
 
 
 def test_laguerre_function_multi_rows_match_single_degree():
