@@ -29,7 +29,7 @@ from . import __version__
 from .errors import LclError
 from .landau import (BasisIndex, LandauConfig, eigen_residual_check,
                      landau_level, radial_diagonal, truncation_bound)
-from .eigen import sym_eig
+from .eigen import _sturm_count, sym_eig
 from .measures import (LimitingMeasure, TestFunction, convergence_study,
                        level_spectrum, rows_to_csv)
 from .potentials import (PotentialModel, mean_value_radial_profile,
@@ -345,8 +345,17 @@ def _selfchecks(cfg: RunConfig):
         perm = rng.permutation(6)
         spec_p = sym_eig(A[np.ix_(perm, perm)])
         gap = float(np.max(np.abs(spec.values - spec_p.values)))
-        ok = spec.residual_bound < 1e-12 and gap < 1e-10
-        return ok, f"residual {spec.residual_bound:.2e}, permutation gap {gap:.2e}"
+        # a 200-row chain, the tridiagonal path of level_spectrum: its Sturm
+        # count at every gap midpoint is the number of values below it
+        d, e = np.arange(200.0), rng.uniform(0.1, 0.5, 199)
+        chain = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        mid = 0.5 * (chain.values[:-1] + chain.values[1:])
+        miss = int(np.count_nonzero(_sturm_count(d, e, mid) != np.arange(1, 200)))
+        ok = (spec.residual_bound < 1e-12 and gap < 1e-10
+              and chain.residual_bound < 1e-12 and miss == 0)
+        return ok, (f"residual {spec.residual_bound:.2e}, permutation gap {gap:.2e}, "
+                    f"chain residual {chain.residual_bound:.2e}, "
+                    f"Sturm-count misses {miss} of 199")
 
     def gap_scan():
         rg = np.linspace(0.01, 50.0, 200)

@@ -419,7 +419,9 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     anisotropic block is solved as its residue chains (see
     ``landau._chains``): one certified ``sym_eig`` per chain, the values
     merged and the largest chain residual reported, so the dense cap applies
-    per chain and the whole block is never stored.
+    per chain and the whole block is never stored.  A model with one positive
+    mode gives tridiagonal chains, which ``sym_eig`` solves for eigenvalues
+    only, certifying sampled eigenpairs by inverse iteration.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))

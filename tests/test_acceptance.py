@@ -9,8 +9,8 @@ import math
 import mpmath as mp
 import numpy as np
 
-from lcl.eigen import sym_eig
-from lcl.landau import (BasisIndex, LandauConfig, eigen_residual_check,
+from lcl.eigen import _sturm_count, sym_eig
+from lcl.landau import (BasisIndex, LandauConfig, _level_bands, eigen_residual_check,
                         indicator_basis_mass, landau_level, radial_diagonal,
                         toeplitz_entry, truncation_bound)
 from lcl.measures import LimitingMeasure, TestFunction, convergence_study
@@ -208,6 +208,16 @@ def test_10_infrastructure_oracles(tmp_path):
     A = rng.standard_normal((6, 6))
     A = 0.5 * (A + A.T)
     eig_gap = float(np.max(np.abs(sym_eig(A).values - _sturm_eigenvalues(A))))
+    # the tridiagonal path: each residue chain of the criterion-09 q = 8
+    # level, its Sturm count at every gap midpoint of its spectrum
+    k_max = truncation_bound(ANISO, 1.0, 8, 0.47, rho_scale=0.5)
+    diag, bands = _level_bands(ANISO, LandauConfig(B=1.0, q=8, k_max=k_max))
+    chain_miss = 0
+    for r in range(2):
+        d, e = diag[r::2], bands[2][r::2]
+        vals = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
+        mid = 0.5 * (vals[:-1] + vals[1:])
+        chain_miss += int(np.count_nonzero(_sturm_count(d, e, mid) != np.arange(1, len(vals))))
 
     resid = max(eigen_residual_check(BasisIndex(0, 0), 1.0),
                 eigen_residual_check(BasisIndex(2, -1), 1.0))
@@ -254,10 +264,11 @@ def test_10_infrastructure_oracles(tmp_path):
                      (outdir / "m" / "measure.csv").read_bytes()))
     reproducible = outs[0] == outs[1]
 
-    ok = (eig_gap < 1e-9 and resid < 1e-5 and gram_err < 1e-8
+    ok = (eig_gap < 1e-9 and chain_miss == 0 and resid < 1e-5 and gram_err < 1e-8
           and quad_err < 1e-12 and reproducible)
     _report("10 infrastructure oracles", ok,
             f"eigensolver vs Sturm bisection {eig_gap:.1e} (< 1e-9); "
+            f"chain Sturm-count misses {chain_miss} (= 0); "
             f"basis residual {resid:.1e} (< 1e-5); Gram {gram_err:.1e} (< 1e-8); "
             f"quadrature exactness {quad_err:.1e} (< 1e-12); "
             f"byte-identical reruns: {reproducible}")

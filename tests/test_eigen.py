@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from lcl.eigen import EigenSpectrum, sym_eig
-from lcl.errors import CapacityError, ContractError
+from lcl.eigen import EigenSpectrum, _lu_solve, _sturm_count, _tridiag_lu, sym_eig
+from lcl.errors import CapacityError, ContractError, NumericalError
 
 
 def test_diagonal_matrix():
@@ -32,18 +34,6 @@ def _householder_tridiag(A):
         H[k + 1:, k + 1:] -= 2.0 * np.outer(v, v)
         A = H @ A @ H
     return np.diag(A), np.diag(A, 1)
-
-
-def _sturm_count(d, e, x):
-    # eigenvalues of the tridiagonal (d, e) strictly below x: the negative
-    # pivots of the LDL^T factorization of T - x, vectorized over shifts x
-    x = np.asarray(x, dtype=float)
-    count, q = np.zeros(x.shape, dtype=int), np.ones(x.shape)
-    for i in range(len(d)):
-        e2 = e[i - 1] ** 2 if i > 0 else 0.0
-        q = d[i] - x - e2 / np.where(q != 0.0, q, 1e-300)
-        count += q < 0.0
-    return count
 
 
 def _sturm_eigenvalues(A, tol=1e-12):
@@ -122,3 +112,100 @@ def test_dimension_cap():
 def test_spectrum_dataclass_validation():
     with pytest.raises(ValueError):
         EigenSpectrum(values=np.zeros(3), residual_bound=0.0, dimension=4)
+
+
+def _tridiag(d, e):
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def _chain(n, seed=3):
+    rng = np.random.Generator(np.random.Philox(seed))
+    return rng.standard_normal(n), rng.standard_normal(n - 1)
+
+
+def test_dense_input_keeps_the_eigh_path_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(5))
+    A = rng.standard_normal((30, 30))
+    A = 0.5 * (A + A.T)
+    vals, vecs = np.linalg.eigh(A)
+    spec = sym_eig(A)
+    assert np.array_equal(spec.values, vals)
+    want = max(float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
+               for j in list(range(0, 30, 3)) + [29]) / float(np.max(np.abs(vals)))
+    assert spec.residual_bound == want
+
+
+def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
+    d, e = _chain(300)
+    T = _tridiag(d, e)
+    want = np.linalg.eigh(T)[0]
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh called on a tridiagonal matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    spec = sym_eig(T)
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert spec.residual_bound <= 1e-12
+    # shifts at the gap midpoints: Sturm counts agree with the spectrum
+    mid = 0.5 * (spec.values[:-1] + spec.values[1:])
+    assert np.array_equal(_sturm_count(d, e, mid), np.arange(1, 300))
+
+
+def test_residual_certificate_fails_loudly(monkeypatch):
+    # the index-0 eigenvalue moved by 1e-7 max|lambda| stays inside the
+    # trace and Frobenius tolerances; only the sampled residual sees it
+    n, b = 2000, 1.0
+    T = _tridiag(np.zeros(n), np.full(n - 1, b))
+    exact = np.sort(2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+    shifted = exact.copy()
+    shifted[0] += 1e-7 * np.max(np.abs(exact))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shifted.copy())
+    with pytest.raises(NumericalError, match=r"eigen-residual.*\b0\b.*\b2000\b"):
+        sym_eig(T)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: exact.copy())
+    assert sym_eig(T).residual_bound <= 1e-12
+
+
+def test_residual_certificate_fails_loudly_on_dense_input(monkeypatch):
+    # the sampled eigenvalue nearest 0 moved by 1e-8 max|lambda|: inside the
+    # trace and Frobenius tolerances, outside the residual one
+    rng = np.random.Generator(np.random.Philox(5))
+    A = rng.standard_normal((40, 40))
+    A = 0.5 * (A + A.T)
+    vals, vecs = np.linalg.eigh(A)
+    j = min(range(0, 40, 5), key=lambda i: abs(vals[i]))
+    vals[j] += 1e-8 * np.max(np.abs(vals))
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: (vals, vecs))
+    with pytest.raises(NumericalError, match=rf"eigen-residual.*\b{j}\b.*\b40\b"):
+        sym_eig(A)
+
+
+def _repeated():
+    d, e = _chain(40)
+    return np.block([[_tridiag(d, e), np.zeros((40, 40))],
+                     [np.zeros((40, 40)), _tridiag(d, e)]])
+
+
+@pytest.mark.parametrize("A", [
+    np.diag([3.0, -1.0, 2.0, 2.0, 0.0]),     # e = 0: every shift is exact
+    np.array([[0.0, 1.0], [1.0, 0.0]]),       # zero leading pivot
+    _repeated(),                              # every eigenvalue twice
+    np.array([[2.5]]),
+    np.array([[1.0, -3.0], [-3.0, 1.0]]),
+    _tridiag([1.0, 0.0, -1.0], [1e-3, 2.0]),
+    np.zeros((3, 3)),
+], ids=["diagonal", "zero-pivot", "repeated", "n1", "n2", "n3", "zero"])
+def test_inverse_iteration_edge_cases(A):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = sym_eig(A)
+    assert spec.residual_bound <= 1e-12
+
+
+def test_pivoted_lu_solves_through_a_zero_pivot():
+    # T - 0 has a zero leading pivot, so the first step interchanges rows
+    for d, e in (([0.0, 0.0], [1.0]), ([0.0, 2.0, 0.0, 1.0], [1.0, 3.0, 0.5])):
+        b = np.arange(1.0, len(d) + 1.0)
+        x = _lu_solve(_tridiag_lu(d, e, 0.0, 1e-300), b)
+        assert np.max(np.abs(_tridiag(d, e) @ x - b)) <= 1e-14

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lcl.eigen import sym_eig
+from lcl.eigen import _sturm_count, sym_eig
 from lcl.errors import CapacityError, ContractError, MethodError
 from lcl.landau import (LandauConfig, _level_bands, landau_level, radial_diagonal,
                         toeplitz_matrix)
@@ -271,14 +271,15 @@ def test_convergence_study_validation():
         convergence_study(ISO, 1.0, 0.7, PHI, [2], 0.1)
 
 
-@pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2)])
+@pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2), (2, 32)])
 def test_level_spectrum_chains_match_dense_oracle(mode, q):
     # mode m splits the block into m residue chains; mode 1 is one chain,
-    # the whole block
+    # the whole block, itself tridiagonal, so the oracle is a dense eigh and
+    # not sym_eig; (2, 32) is the q = 32 level of criterion 09
     model = PotentialModel.anisotropic(0.5, 0.3, mode)
     values, k_max, tail, residual, summary = level_spectrum(model, 1.0, q, 0.47, 0.5)
     blk = toeplitz_matrix(model, LandauConfig(B=1.0, q=q, k_max=k_max))
-    dense = sym_eig(blk.entries).values
+    dense = np.linalg.eigh(blk.entries)[0]
     assert np.max(np.abs(values - dense)) <= 1e-12 * np.max(np.abs(dense))
     assert summary == blk.summary()
     assert tail == blk.truncation_tail_bound
@@ -297,7 +298,6 @@ def test_chain_solve_keeps_anisotropic_sweep_lhs():
 
 def test_level_spectrum_dense_cap_is_per_chain():
     # dimension 4676 > 4096 in four chains of 1169
-    from test_eigen import _sturm_count
     mode4 = PotentialModel.anisotropic(0.5, 0.3, 4)
     values, k_max, _, _, summary = level_spectrum(mode4, 1.0, 2, 0.2, 0.5)
     assert summary["dimension"] == len(values) == 4676
