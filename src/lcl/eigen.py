@@ -1,19 +1,20 @@
 """Real-symmetric eigensolver with certificates.
 
 A dense matrix goes to LAPACK's `numpy.linalg.eigh`, every eigenvector
-included.  A tridiagonal one (each residue chain of a level block of a model
-with one positive mode) goes to `numpy.linalg.eigvalsh` for eigenvalues only,
-and its sampled eigenvectors come from inverse iteration on the tridiagonal
-(Demmel, *Applied Numerical Linear Algebra*, §5.3), so no n×n eigenvector
-matrix is formed.  This module owns the contract around both: symmetry
-checking, the dense dimension cap, and one certificate block (trace and
-Frobenius identities, sampled eigenpair residuals) that raises NumericalError.
+included, and is certified by sampled eigenpair residuals.  A tridiagonal one
+(each residue chain of a level block of a model with one positive mode) goes
+to `numpy.linalg.eigvalsh` for eigenvalues only, and every eigenvalue is
+certified by Sturm counts at both ends of an enclosure (Barth, Martin and
+Wilkinson, *Numer. Math.* 9 (1967); Demmel, *Applied Numerical Linear
+Algebra*, §5.3), so no eigenvector is formed.  This module owns the contract
+around both: finite and symmetric input, the dense dimension cap, and one
+certificate block (trace and Frobenius identities, the eigenvalue error bound)
+that raises NumericalError.
 ``measures.level_spectrum`` passes each residue chain here, so the cap and
 the certificates apply per chain.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,12 +27,15 @@ DENSE_CAP = 4096
 _SYM_RTOL = 1e-12
 _IDENT_RTOL = 1e-9
 _N_RESIDUAL_SAMPLES = 8
-_MAX_INVERSE_STEPS = 8
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_TIGHT_RTOL = 2.0 ** 10 * _EPS
 
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Sorted eigenvalues with a sampled residual certificate."""
+    """Sorted eigenvalues and `residual_bound`, their certified error relative
+    to max |lambda|: the Sturm enclosure radius of every eigenvalue for a
+    tridiagonal input, the worst sampled eigenpair residual for a dense one."""
 
     values: np.ndarray = field(repr=False)
     residual_bound: float
@@ -51,124 +55,68 @@ def _check_dense_cap(n: int) -> None:
 def _sturm_count(d, e, x):
     """Eigenvalues of the symmetric tridiagonal (d, e) strictly below x: the
     negative pivots of the LDL^T factorization of T - x, vectorized over
-    shifts x."""
+    shifts x.  A pivot smaller than LAPACK dstebz's pivmin = tiny max(1, e^2)
+    becomes +pivmin, so no division overflows and an eigenvalue at x is not
+    counted."""
     x = np.asarray(x, dtype=float)
-    count, q = np.zeros(x.shape, dtype=int), np.ones(x.shape)
-    for i in range(len(d)):
-        e2 = e[i - 1] ** 2 if i > 0 else 0.0
-        q = d[i] - x - e2 / np.where(q != 0.0, q, 1e-300)
+    e2 = np.square(np.asarray(e, dtype=float))
+    pivmin = _TINY * max(1.0, float(np.max(e2, initial=0.0)))
+    count, q, nx = np.zeros(x.size, dtype=int), np.ones(x.size), -x.reshape(-1)
+    for di, e2i in zip(np.asarray(d, dtype=float).tolist(), [0.0] + e2.tolist()):
+        q = (nx + di) - e2i / q
+        q[np.abs(q) < pivmin] = pivmin
         count += q < 0.0
-    return count
+    return count.reshape(x.shape)
 
 
-def _tridiag_lu(d, e, s, tiny):
-    """Row-pivoted LU of the tridiagonal T - s (LAPACK dgttrf), from lists of
-    floats d, e: U's diagonal and two superdiagonals, L's multipliers and the
-    row swaps.  A pivot below `tiny` becomes `tiny`, as inverse iteration at
-    an exact eigenvalue needs.  Plain float loops, one shift at a time: at
-    n = 1815 nine shifts take 6 ms, against 70 ms for numpy calls on the
-    nine-wide rows of a loop vectorized over shifts (2-core x86, NumPy 2.4).
-    """
-    n = len(d)
-    u0 = [x - s for x in d]
-    u1 = e + [0.0]
-    u2 = [0.0] * n
-    mult = [0.0] * n
-    swap = [False] * n
-    for i in range(n - 1):
-        p, ei = u0[i], e[i]
-        if abs(ei) > abs(p):
-            f = p / ei
-            c0, c1, c2 = u1[i], u0[i + 1], u1[i + 1]
-            u0[i], u1[i], u2[i], swap[i] = ei, c1, c2, True
-            u0[i + 1], u1[i + 1] = c0 - f * c1, -f * c2
-        else:
-            if abs(p) < tiny:
-                p = math.copysign(tiny, p)
-            f = ei / p
-            u0[i] = p
-            u0[i + 1] -= f * u1[i]
-        mult[i] = f
-    if abs(u0[-1]) < tiny:
-        u0[-1] = math.copysign(tiny, u0[-1])
-    return u0, u1, u2, mult, swap
+def _enclosure(d, e, vals):
+    """The first rung rtol of (_TIGHT_RTOL, _IDENT_RTOL) at which every computed
+    vals[i] lies within tau = rtol max|lambda| of the i-th eigenvalue of the
+    tridiagonal (d, e), proved by Sturm counts at the 2n shifts vals -+ tau:
+    count(vals[i] - tau) <= i < count(vals[i] + tau).  Returns (rtol, 0), or
+    (inf, first index outside the wider rung).  max|lambda| is floored at
+    tiny/eps so that tau stays above the count's pivot guard."""
+    n = len(vals)
+    norm = max(float(np.max(np.abs(vals), initial=0.0)), _TINY / _EPS)
+    index = np.arange(n)
+    for rtol in (_TIGHT_RTOL, _IDENT_RTOL):
+        tau = rtol * norm
+        counts = _sturm_count(d, e, np.concatenate([vals - tau, vals + tau]))
+        bad = (counts[:n] > index) | (counts[n:] <= index)
+        if not bad.any():
+            return rtol, 0
+    return np.inf, int(np.argmax(bad))
 
 
-def _lu_solve(lu, b):
-    """Solve (T - s) x = b from the factors of `_tridiag_lu`."""
-    u0, u1, u2, mult, swap = lu
-    n = len(u0)
-    x = b.tolist() + [0.0, 0.0]
-    for i in range(n - 1):
-        if swap[i]:
-            x[i], x[i + 1] = x[i + 1], x[i] - mult[i] * x[i + 1]
-        else:
-            x[i + 1] -= mult[i] * x[i]
-    for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
-    return np.array(x[:n])
-
-
-def _inverse_iteration(d, e, shifts, scale):
-    """Smallest residual ||T v - s v||, v of unit norm, that inverse iteration
-    reaches at each shift s: one factorization per shift, a fixed start
-    vector (reruns are identical), steps while the residual keeps halving.
-    """
-    tiny = np.finfo(float).eps * scale if scale > 0.0 else 1.0
-    dl, el = d.tolist(), e.tolist()
-    start = np.random.Generator(np.random.Philox(0)).uniform(-1.0, 1.0, len(d))
-    out = []
-    for s in shifts.tolist():
-        lu = _tridiag_lu(dl, el, s, tiny)
-        v, best = start, math.inf
-        for _ in range(_MAX_INVERSE_STEPS):
-            v = _lu_solve(lu, v)
-            v /= np.max(np.abs(v))
-            v /= np.linalg.norm(v)
-            r = (d - s) * v
-            r[:-1] += e * v[1:]
-            r[1:] += e * v[:-1]
-            res = float(np.linalg.norm(r))
-            if not res < 0.5 * best:
-                best = min(best, res)
-                break
-            best = res
-        out.append(best)
-    return np.array(out)
-
-
-def _certify(vals, trace, frob, scale, residuals, samples) -> EigenSpectrum:
-    """The certificate block of every solve: trace and Frobenius identities
-    and the worst sampled eigenpair residual, relative to max |lambda|."""
+def _certify(vals, trace, frob, scale, bound, worst) -> EigenSpectrum:
+    """The certificate block of every solve: trace and Frobenius identities,
+    and the eigenvalue error `bound` relative to max |lambda|, which must not
+    exceed _IDENT_RTOL (`worst` is the index it was found at)."""
     n = len(vals)
     tol = _IDENT_RTOL * max(n * scale, 1e-300)
     tr_err = abs(float(np.sum(vals)) - trace)
-    if tr_err > tol:
+    if not tr_err <= tol:
         raise NumericalError(f"trace identity violated by {tr_err:.3e}")
     fr_err = abs(float(np.sum(vals * vals)) - frob)
-    if fr_err > tol * max(scale, 1.0):
+    if not fr_err <= tol * max(scale, 1.0):
         raise NumericalError(f"Frobenius identity violated by {fr_err:.3e}")
-    residual = 0.0
-    if n:
-        norm = max(float(np.max(np.abs(vals))), 1e-300)
-        worst = int(np.argmax(residuals))
-        residual = float(residuals[worst]) / norm
-        if residual > _IDENT_RTOL:
-            raise NumericalError(
-                f"eigen-residual: sampled eigenpair {samples[worst]} of dimension {n} "
-                f"has residual {residual:.3e} > {_IDENT_RTOL:g}")
-    return EigenSpectrum(values=vals, residual_bound=residual, dimension=n)
+    if not bound <= _IDENT_RTOL:
+        raise NumericalError(
+            f"eigen-residual: eigenvalue {worst} of dimension {n} is certified "
+            f"only to {bound:.3e} max|lambda| > {_IDENT_RTOL:g}")
+    return EigenSpectrum(values=vals, residual_bound=bound, dimension=n)
 
 
 def sym_eig(matrix) -> EigenSpectrum:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
-    A tridiagonal matrix is solved for eigenvalues only, and its sampled
-    eigenpairs are certified by inverse iteration; any other matrix by a
-    dense ``eigh``.  Raises ContractError for asymmetric input, CapacityError
-    above the dense cap, NumericalError if LAPACK fails to converge or the
-    trace/Frobenius identities or the sampled residuals (``eigen-residual``)
-    are violated.
+    A tridiagonal matrix is solved for eigenvalues only, and every eigenvalue
+    is certified by a Sturm-count enclosure; any other matrix by a dense
+    ``eigh``, with sampled eigenpair residuals.  Raises ContractError for
+    non-finite or asymmetric input, CapacityError above the dense cap,
+    NumericalError if LAPACK fails to converge or the trace/Frobenius
+    identities or the eigenvalue certificate (``eigen-residual``) are
+    violated.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -178,18 +126,15 @@ def sym_eig(matrix) -> EigenSpectrum:
     d, e, e_up = np.diagonal(A), np.diagonal(A, -1), np.diagonal(A, 1)
     tridiagonal = np.count_nonzero(A) == (np.count_nonzero(d) + np.count_nonzero(e)
                                           + np.count_nonzero(e_up))
-    if tridiagonal:
-        # every other entry is zero: scale and asymmetry without n x n temporaries
-        scale = float(np.max(np.abs(np.concatenate([d, e, e_up])), initial=0.0))
-        asym = float(np.max(np.abs(e - e_up), initial=0.0))
-    else:
-        scale = float(np.max(np.abs(A)))
-        asym = float(np.max(np.abs(A - A.T)))
+    # a tridiagonal matrix's other entries are zero: no n x n temporaries
+    scale = float(np.max(np.abs(np.concatenate([d, e, e_up]) if tridiagonal else A),
+                         initial=0.0))
+    if not np.isfinite(scale):
+        raise ContractError("matrix has a non-finite entry")
+    asym = float(np.max(np.abs(e - e_up if tridiagonal else A - A.T), initial=0.0))
     if scale > 0.0 and asym > _SYM_RTOL * scale:
         raise ContractError(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}")
-    step = max(1, n // _N_RESIDUAL_SAMPLES)
-    samples = list(range(0, n, step)) + [n - 1] if n else []
     try:
         if tridiagonal:
             vals = np.linalg.eigvalsh(A)
@@ -198,10 +143,13 @@ def sym_eig(matrix) -> EigenSpectrum:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
     if tridiagonal:
-        residuals = _inverse_iteration(d, e, vals[samples], scale)
+        bound, worst = _enclosure(d, e, vals)
         trace, frob = float(np.sum(d)), float(np.sum(d * d) + 2.0 * np.sum(e * e))
     else:
-        residuals = np.array([float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
-                              for j in samples])
+        samples = list(range(0, n, max(1, n // _N_RESIDUAL_SAMPLES))) + [n - 1]
+        residuals = [float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
+                     for j in samples]
+        worst = samples[int(np.argmax(residuals))]
+        bound = max(residuals) / max(float(np.max(np.abs(vals))), 1e-300)
         trace, frob = float(np.trace(A)), float(np.sum(A * A))
-    return _certify(vals, trace, frob, scale, residuals, samples)
+    return _certify(vals, trace, frob, scale, bound, worst)

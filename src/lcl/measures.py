@@ -102,7 +102,7 @@ def trace_functional(spec, lambda_q: float, rho: float, phi: TestFunction,
     scale = lambda_q ** (rho / 2.0)
     if tail_bound is None:
         raise ContractError("truncation certificate missing")
-    if scale * tail_bound >= phi.support_abs_low:
+    if not scale * tail_bound < phi.support_abs_low:
         raise ContractError(
             f"truncation certificate violated: scaled tail bound "
             f"{scale * tail_bound:.3e} meets the support of phi "
@@ -418,10 +418,10 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     dict).  Radial models skip the matrix and have residual 0.  An
     anisotropic block is solved as its residue chains (see
     ``landau._chains``): one certified ``sym_eig`` per chain, the values
-    merged and the largest chain residual reported, so the dense cap applies
-    per chain and the whole block is never stored.  A model with one positive
-    mode gives tridiagonal chains, which ``sym_eig`` solves for eigenvalues
-    only, certifying sampled eigenpairs by inverse iteration.
+    merged and the largest chain certificate reported, so the dense cap
+    applies per chain and the whole block is never stored.  A model with one
+    positive mode gives tridiagonal chains, which ``sym_eig`` solves for
+    eigenvalues only, every one certified by a Sturm-count enclosure.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lcl.eigen import EigenSpectrum, _lu_solve, _sturm_count, _tridiag_lu, sym_eig
+from lcl.eigen import EigenSpectrum, _sturm_count, sym_eig
 from lcl.errors import CapacityError, ContractError, NumericalError
 
 
@@ -152,16 +152,18 @@ def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
     assert np.array_equal(_sturm_count(d, e, mid), np.arange(1, 300))
 
 
-def test_residual_certificate_fails_loudly(monkeypatch):
-    # the index-0 eigenvalue moved by 1e-7 max|lambda| stays inside the
-    # trace and Frobenius tolerances; only the sampled residual sees it
+@pytest.mark.parametrize("moved", [0, 1, 1001])
+def test_residual_certificate_fails_loudly(monkeypatch, moved):
+    # one eigenvalue moved by 1e-7 max|lambda| stays inside the trace and
+    # Frobenius tolerances and inside its neighbours' gaps; only the Sturm
+    # enclosure of that index sees it, whichever index it is
     n, b = 2000, 1.0
     T = _tridiag(np.zeros(n), np.full(n - 1, b))
     exact = np.sort(2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     shifted = exact.copy()
-    shifted[0] += 1e-7 * np.max(np.abs(exact))
+    shifted[moved] += 1e-7 * np.max(np.abs(exact))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shifted.copy())
-    with pytest.raises(NumericalError, match=r"eigen-residual.*\b0\b.*\b2000\b"):
+    with pytest.raises(NumericalError, match=rf"eigen-residual.*\b{moved}\b.*\b2000\b"):
         sym_eig(T)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: exact.copy())
     assert sym_eig(T).residual_bound <= 1e-12
@@ -203,9 +205,20 @@ def test_inverse_iteration_edge_cases(A):
     assert spec.residual_bound <= 1e-12
 
 
-def test_pivoted_lu_solves_through_a_zero_pivot():
-    # T - 0 has a zero leading pivot, so the first step interchanges rows
-    for d, e in (([0.0, 0.0], [1.0]), ([0.0, 2.0, 0.0, 1.0], [1.0, 3.0, 0.5])):
-        b = np.arange(1.0, len(d) + 1.0)
-        x = _lu_solve(_tridiag_lu(d, e, 0.0, 1e-300), b)
-        assert np.max(np.abs(_tridiag(d, e) @ x - b)) <= 1e-14
+@pytest.mark.parametrize("A", [
+    [[np.nan]],
+    [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["nan", "nan-band", "inf"])
+def test_non_finite_input_rejected(A):
+    with pytest.raises(ContractError, match="non-finite"):
+        sym_eig(np.array(A))
+
+
+def test_sturm_count_pivot_guard_does_not_overflow():
+    # e^2 = 4e8: a zero pivot guarded by 1e-300 would overflow e^2 / pivot;
+    # eigenvalues 0 and +-2e4 sqrt(2), and the one at 0 is not below 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        counts = _sturm_count(np.zeros(3), [2e4, 2e4], [-1.0, 0.0, 1.0, 3e4])
+    assert counts.tolist() == [1, 1, 2, 3]

@@ -112,6 +112,8 @@ def test_trace_functional_certificate_errors():
         trace_functional(np.array([0.1]), 9.0, 0.5, PHI, tail_bound=None)
     with pytest.raises(ContractError):
         trace_functional(np.array([0.1]), 9.0, 0.5, PHI, tail_bound=0.5)
+    with pytest.raises(ContractError):
+        trace_functional(np.array([0.1]), 9.0, 0.5, PHI, tail_bound=float("nan"))
 
 
 def _measure_from(values, q=4, rho=0.5, B=1.0, tail=1e-6):
