@@ -8,13 +8,15 @@ is built on the four families here:
 * orthonormal generalized-Laguerre functions
   ``psi_n^(a)(t) = sqrt(n!/Gamma(n+a+1)) t^{a/2} e^{-t/2} L_n^(a)(t)``,
   evaluated by one normalized recurrence with log-gamma starting values and
-  power-of-two rescaling, finite at every degree.  It serves
+  power-of-two rescaling, finite at every degree; a row of a mixed-degree
+  batch leaves the recurrence once read off.  It serves
   :func:`laguerre_function`, :func:`laguerre_function_multi`, the damped
   polynomial :func:`laguerre_weighted` (``L_q(t) e^{-t/2} = psi_q^(0)(t)``)
   and the Newton iteration of the Gauss-Laguerre rule,
 * the Bessel function ``J_0`` (power series below the switchover, quadrature
   of the cosine integral representation above it),
-* Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration.
+* Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration (the
+  Legendre one on the half rule in [-1, 0], mirrored: exactly symmetric).
 """
 from __future__ import annotations
 
@@ -116,14 +118,21 @@ def laguerre_function_multi(n_arr, alpha_arr, t):
 
 def _laguerre_function_core(n, a, t):
     """psi_{n_i}^(a_i)(t_i) with rows along axis 0 and a degree n_i per row
-    (a scalar n serves every row): one recurrence runs to max n_i and each
-    row is read off at its own degree.
+    (a scalar n serves every row): one recurrence runs to max n_i over rows in
+    ascending degree (unsorted ones are sorted into a copy), and each row
+    leaves it once read off at its own degree.
 
     Every node carries psi = p 2^e, a mantissa p and an integer exponent e;
     the exponent is applied once, as its row is read off.  Scaling by powers
     of two is exact, so the rescaled recurrence gives the values of the plain
     one wherever the plain one stays finite.
     """
+    n = np.asarray(n)
+    if n.ndim and np.any(n[1:] < n[:-1]):
+        order = np.argsort(n, kind="stable")
+        out = np.empty(np.broadcast_shapes(a.shape, t.shape))
+        out[order] = _laguerre_function_core(n[order], a[order], t[order])
+        return out
     # Centered exponent: evaluating log psi_0 relative to a reference point
     # keeps the node-to-node jitter at machine precision even for huge alpha.
     tc = np.clip(np.max(t, axis=-1, keepdims=True), 1.0, None)
@@ -138,17 +147,16 @@ def _laguerre_function_core(n, a, t):
     low = (logp0 < _LOG_FLOOR) & (logp0 > -np.inf)
     e = np.where(low, np.ceil((logp0 - _LOG_FLOOR) / math.log(2.0)), 0.0).astype(np.int32)
     p0 = np.exp(logp0 - e * math.log(2.0))
-    n = np.asarray(n)
     n_max = int(np.max(n)) if n.size else 0
     if n_max == 0:
         return np.ldexp(p0, e)
-    # rows that stop at degree d, read off with their exponents applied
-    stops = {} if n.ndim == 0 else {d: np.flatnonzero(n == d) for d in np.unique(n).tolist()}
-    out = np.empty_like(p0) if stops else None
+    # rows of degree d are start[d]:start[d + 1]; rows from start[d] on reach d
+    start = np.searchsorted(np.broadcast_to(n, p0.shape[:1]), np.arange(n_max + 2)).tolist()
+    out = np.empty_like(p0)
 
     def read_off(p, d):
-        if d in stops:
-            out[stops[d]] = np.ldexp(p[stops[d]], e[stops[d]])
+        r = slice(start[d], start[d + 1])
+        np.ldexp(p[r], e[r], out=out[r])
 
     read_off(p0, 0)
     p1 = (a + 1.0 - t) / np.sqrt(a + 1.0) * p0
@@ -166,21 +174,23 @@ def _laguerre_function_core(n, a, t):
     hi = 2.0 ** _RESCALE_EXP
     buf = np.empty_like(p0)
     for j in range(1, n_max):
-        np.subtract(2.0 * j + 1.0 + a, t, out=buf)
-        buf *= p1
-        p0 *= np.sqrt(j * (j + a))
-        buf -= p0
+        r = slice(start[j + 1], None)  # the rows that reach degree j + 1
+        ar, q0, q1, b = a[r], p0[r], p1[r], buf[r]
+        np.subtract(2.0 * j + 1.0 + ar, t[r], out=b)
+        b *= q1
+        q0 *= np.sqrt(j * (j + ar))
+        b -= q0
         # divide rather than multiply by the reciprocal: L_q(0) = 1 stays exact
-        buf /= np.sqrt((j + 1.0) * (j + 1.0 + a))
+        b /= np.sqrt((j + 1.0) * (j + 1.0 + ar))
         p0, p1, buf = p1, buf, p0
-        if j % every == 0 and max(p0.max(), -p0.min(), p1.max(), -p1.min()) > hi:
-            mag = np.maximum(np.abs(p0), np.abs(p1))
+        if j % every == 0 and max(q1.max(), -q1.min(), b.max(), -b.min()) > hi:
+            mag = np.maximum(np.abs(q1), np.abs(b))
             s = np.where(mag > hi, np.frexp(mag)[1], 0)
-            np.ldexp(p0, -s, out=p0)
-            np.ldexp(p1, -s, out=p1)
-            e += s
+            np.ldexp(q1, -s, out=q1)
+            np.ldexp(b, -s, out=b)
+            e[r] += s
         read_off(p1, j + 1)
-    return out if stops else np.ldexp(p1, e)
+    return out
 
 
 def _lgamma_arr(x):
@@ -252,7 +262,7 @@ def gauss_nodes(kind: str, order: int) -> QuadratureRule:
     """Build a Gaussian rule by Newton iteration on the recurrence values.
 
     `legendre`: weight 1 on [-1, 1].  `laguerre`: weight e^{-t} on [0, inf).
-    Nodes ascending, weights strictly positive.
+    Nodes ascending, weights strictly positive; the arrays are read-only.
     """
     if order < 1:
         raise ConfigurationError(f"quadrature order must be >= 1, got {order}")
@@ -265,6 +275,9 @@ def gauss_nodes(kind: str, order: int) -> QuadratureRule:
         x, w = _newton_laguerre(order)
     else:
         raise ConfigurationError(f"unknown quadrature kind {kind!r}")
+    # every caller shares the cached arrays, so none may write into them
+    x.flags.writeable = False
+    w.flags.writeable = False
     rule = QuadratureRule(kind, order, x, w)
     _rule_cache[key] = rule
     return rule
@@ -286,10 +299,13 @@ def _legendre_value_derivative(n, x):
 
 
 def _newton_legendre(n):
+    # Newton on the ceil(n/2) nodes in [-1, 0] from Tricomi's start; the rest mirror them
     if n == 1:
         return np.array([0.0]), np.array([2.0])
-    i = np.arange(1, n + 1)
-    x = np.cos(math.pi * (i - 0.25) / (n + 0.5))
+    i = np.arange(1, (n + 1) // 2 + 1)
+    x = -(1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
+    if n % 2:
+        x[-1] = 0.0  # P_n(0) = 0 exactly, so Newton leaves it there
     for it in range(100):
         p, dp = _legendre_value_derivative(n, x)
         dx = p / dp
@@ -300,14 +316,14 @@ def _newton_legendre(n):
         raise ConfigurationError(f"Legendre Newton iteration failed at order {n}")
     _, dp = _legendre_value_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
-    return x[::-1].copy(), w[::-1].copy()
+    return np.concatenate([x, -x[n // 2 - 1::-1]]), np.concatenate([w, w[n // 2 - 1::-1]])
 
 
 def _newton_laguerre(n):
-    rows = np.array([n + 1, n, n - 1])
+    rows = np.array([n - 1, n, n + 1])
 
     def damped(z):
-        """(L_{n+1}, L_n, L_{n-1})(z) e^{-z/2}, i.e. psi^(0) at these degrees."""
+        """(L_{n-1}, L_n, L_{n+1})(z) e^{-z/2}, i.e. psi^(0) at these degrees."""
         return _laguerre_function_core(rows, np.zeros((3, 1)), np.full((3, 1), z))[:, 0]
 
     x = np.empty(n)
@@ -322,7 +338,7 @@ def _newton_laguerre(n):
             ai = i - 1.0
             z += ((1.0 + 2.55 * ai) / (1.9 * ai)) * (z - x[i - 2])
         for it in range(100):
-            _, ln, lnm1 = damped(z)
+            lnm1, ln, _ = damped(z)
             dl = n * (ln - lnm1) / z  # d/dz of L_n, damped consistently
             dz = ln / dl
             z -= dz
@@ -331,7 +347,7 @@ def _newton_laguerre(n):
         else:
             raise ConfigurationError(f"Laguerre Newton iteration failed at order {n}")
         x[i] = z
-        lnp1 = damped(z)[0]
+        lnp1 = damped(z)[2]
         w[i] = z * math.exp(-z) / ((n + 1.0) * lnp1) ** 2
     if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
         raise ConfigurationError(

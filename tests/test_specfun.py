@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcl.errors import ConfigurationError
-from lcl.landau import _band_batch
+from lcl.landau import _band_batch, _xi_window
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
-                         laguerre_function_multi, laguerre_weighted)
+                         laguerre_function_multi, laguerre_weighted, legendre_rule)
 
 mp.mp.dps = 40
 
@@ -130,6 +130,23 @@ def test_laguerre_function_multi_rows_match_single_degree():
     assert np.array_equal(laguerre_function_multi(n, a, t), rows)
 
 
+def test_finished_rows_leave_the_recurrence_bitwise_at_high_degree():
+    # the k < 0 batch of a q = 1024 level: degrees 0..1023, alpha = |k|, each
+    # row on nodes of its own window; the recurrence rescales on the way
+    q = 1024
+    k = np.arange(-q, 0)
+    n, a = q + k, np.abs(k).astype(float)
+    lo, hi = _xi_window(n, a)
+    x, _ = legendre_rule(40)
+    xi = 0.5 * (hi - lo)[:, None] * (x[None, :] + 1.0) + lo[:, None]
+    rows = laguerre_function_multi(n, a, xi)
+    # the per-row oracle costs a Python loop of n_i steps, so check a sample
+    for i in np.r_[0:q:37, q - 1]:
+        assert np.array_equal(rows[i], laguerre_function(int(n[i]), a[i], xi[i])), i
+    perm = np.random.default_rng(3).permutation(q)
+    assert np.array_equal(laguerre_function_multi(n[perm], a[perm], xi[perm]), rows[perm])
+
+
 def test_laguerre_function_at_zero():
     # psi_n^(a)(0) = 0 for a > 0; for a = 0 it is L_n(0) = 1
     assert laguerre_function(2, 3.0, 0.0) == 0.0
@@ -217,6 +234,41 @@ def test_laguerre_rule_invariants(order):
         assert err < 1e-12, (order, j, err)
 
 
+def _legendre_node_oracle(n, x):
+    """Node of P_n refined at 40 digits from x by two Newton steps, and its
+    Gauss weight 2 / ((1 - x^2) P_n'(x)^2)."""
+    x = mp.mpf(x)
+    for _ in range(2):
+        p0, p1 = mp.mpf(1), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x -= p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("order", [2, 3, 80, 81, 452, 801])
+def test_legendre_rule_is_exactly_symmetric(order):
+    x, w = legendre_rule(order)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert np.all(np.diff(x) > 0)
+    if order % 2:
+        assert x[order // 2] == 0.0
+
+
+@pytest.mark.parametrize("order", [81, 452, 801])
+def test_legendre_rule_matches_mpmath(order):
+    # the rule is exactly symmetric, so the half in [-1, 0] covers it; the
+    # weights err most near the ends, so the first 8 nodes are all checked
+    x, w = legendre_rule(order)
+    half = (order + 1) // 2
+    for i in np.r_[0:8, 8:half:16, half - 1]:
+        xo, wo = _legendre_node_oracle(order, x[i])
+        assert abs(float(xo - x[i])) <= 1e-16, (i, float(xo - x[i]))
+        assert abs(float((w[i] - wo) / wo)) <= 2e-12, (i, float((w[i] - wo) / wo))
+
+
 def test_gauss_nodes_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         gauss_nodes("legendre", 0)
@@ -229,6 +281,14 @@ def test_rules_are_cached_and_immutable():
     r2 = gauss_nodes("legendre", 7)
     assert r1 is r2
     assert isinstance(r1, QuadratureRule)
+    # the cached arrays are shared by every caller, so writes must fail
+    x, w = legendre_rule(7)
+    with pytest.raises(ValueError):
+        x += 1.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    with pytest.raises(ValueError):
+        gauss_nodes("laguerre", 7).nodes[0] = 0.0
 
 
 def test_gap_vanishes_at_zero():
