@@ -29,7 +29,7 @@ from . import __version__
 from .errors import LclError
 from .landau import (BasisIndex, LandauConfig, eigen_residual_check,
                      landau_level, radial_diagonal, truncation_bound)
-from .eigen import _sturm_count, sym_eig
+from .eigen import _sturm_count, sym_eig, tridiagonal_eig
 from .measures import (LimitingMeasure, TestFunction, convergence_study,
                        level_spectrum, rows_to_csv)
 from .potentials import (PotentialModel, mean_value_radial_profile,
@@ -345,10 +345,10 @@ def _selfchecks(cfg: RunConfig):
         perm = rng.permutation(6)
         spec_p = sym_eig(A[np.ix_(perm, perm)])
         gap = float(np.max(np.abs(spec.values - spec_p.values)))
-        # a 200-row chain, the tridiagonal path of level_spectrum: its Sturm
+        # a 200-row chain, solved as level_spectrum solves one: its Sturm
         # count at every gap midpoint is the number of values below it
         d, e = np.arange(200.0), rng.uniform(0.1, 0.5, 199)
-        chain = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        chain = tridiagonal_eig(d, e)
         mid = 0.5 * (chain.values[:-1] + chain.values[1:])
         miss = int(np.count_nonzero(_sturm_count(d, e, mid) != np.arange(1, 200)))
         ok = (spec.residual_bound < 1e-12 and gap < 1e-10
@@ -432,13 +432,17 @@ def main(argv=None) -> int:
         if args.jobs is None and not (env.strip().isdecimal() and int(env) >= 1):
             raise ValueError(f"LCL_JOBS: must be a positive integer, got {env!r}")
         jobs = int(env) if args.jobs is None else args.jobs
+        outdir = Path(args.output or cfg.output_dir)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{'--output' if args.output else 'config.output_dir'}: "
+                             f"cannot create {str(outdir)!r}: {exc.strerror or exc}") from exc
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     cfg = RunConfig(**{**cfg.__dict__, "jobs": jobs,
                        "seed": cfg.seed if args.seed is None else args.seed})
-    outdir = Path(args.output) if args.output else Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         if args.subcommand == "spectrum":
             return _cmd_spectrum(cfg, outdir, args.q)

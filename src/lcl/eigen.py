@@ -1,17 +1,16 @@
-"""Real-symmetric eigensolver with certificates.
+"""Real-symmetric eigensolvers with certificates.
 
-A dense matrix goes to LAPACK's `numpy.linalg.eigh`, every eigenvector
-included, and is certified by sampled eigenpair residuals.  A tridiagonal one
-(each residue chain of a level block of a model with one positive mode) goes
-to `numpy.linalg.eigvalsh` for eigenvalues only, and every eigenvalue is
-certified by Sturm counts at both ends of an enclosure (Barth, Martin and
-Wilkinson, *Numer. Math.* 9 (1967); Demmel, *Applied Numerical Linear
-Algebra*, §5.3), so no eigenvector is formed.  This module owns the contract
-around both: finite and symmetric input, the dense dimension cap, and one
+``sym_eig`` takes a dense matrix to LAPACK's `numpy.linalg.eigh`, every
+eigenvector included, and certifies it by sampled eigenpair residuals.
+``tridiagonal_eig`` takes a symmetric tridiagonal matrix as its diagonal d and
+off-diagonal e (each residue chain of a level block) to `numpy.linalg.eigvalsh`
+for eigenvalues only, and certifies every eigenvalue by Sturm counts at both
+ends of an enclosure (Barth, Martin and Wilkinson, *Numer. Math.* 9 (1967);
+Demmel, *Applied Numerical Linear Algebra*, §5.3), so no eigenvector is
+formed.  This module owns the contract around both: finite and well-shaped
+input, the dense dimension cap (``eigvalsh`` too needs dense storage), and one
 certificate block (trace and Frobenius identities, the eigenvalue error bound)
 that raises NumericalError.
-``measures.level_spectrum`` passes each residue chain here, so the cap and
-the certificates apply per chain.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ContractError, NumericalError
 
-__all__ = ["EigenSpectrum", "sym_eig", "DENSE_CAP"]
+__all__ = ["EigenSpectrum", "sym_eig", "tridiagonal_eig", "DENSE_CAP"]
 
 DENSE_CAP = 4096
 _SYM_RTOL = 1e-12
@@ -34,8 +33,9 @@ _TIGHT_RTOL = 2.0 ** 10 * _EPS
 @dataclass(frozen=True)
 class EigenSpectrum:
     """Sorted eigenvalues and `residual_bound`, their certified error relative
-    to max |lambda|: the Sturm enclosure radius of every eigenvalue for a
-    tridiagonal input, the worst sampled eigenpair residual for a dense one."""
+    to max |lambda|: the Sturm enclosure radius of every eigenvalue from
+    ``tridiagonal_eig``, the worst sampled eigenpair residual from
+    ``sym_eig``."""
 
     values: np.ndarray = field(repr=False)
     residual_bound: float
@@ -110,46 +110,60 @@ def _certify(vals, trace, frob, scale, bound, worst) -> EigenSpectrum:
 def sym_eig(matrix) -> EigenSpectrum:
     """All eigenvalues of a dense real symmetric matrix, ascending.
 
-    A tridiagonal matrix is solved for eigenvalues only, and every eigenvalue
-    is certified by a Sturm-count enclosure; any other matrix by a dense
-    ``eigh``, with sampled eigenpair residuals.  Raises ContractError for
-    non-finite or asymmetric input, CapacityError above the dense cap,
-    NumericalError if LAPACK fails to converge or the trace/Frobenius
-    identities or the eigenvalue certificate (``eigen-residual``) are
-    violated.
+    Solved by a dense ``eigh`` and certified by sampled eigenpair residuals.
+    Raises ContractError for non-finite or asymmetric input, CapacityError
+    above the dense cap, NumericalError if LAPACK fails to converge or the
+    trace/Frobenius identities or the residual certificate
+    (``eigen-residual``) are violated.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {A.shape}")
     n = A.shape[0]
     _check_dense_cap(n)
-    d, e, e_up = np.diagonal(A), np.diagonal(A, -1), np.diagonal(A, 1)
-    tridiagonal = np.count_nonzero(A) == (np.count_nonzero(d) + np.count_nonzero(e)
-                                          + np.count_nonzero(e_up))
-    # a tridiagonal matrix's other entries are zero: no n x n temporaries
-    scale = float(np.max(np.abs(np.concatenate([d, e, e_up]) if tridiagonal else A),
-                         initial=0.0))
+    scale = float(np.max(np.abs(A), initial=0.0))
     if not np.isfinite(scale):
         raise ContractError("matrix has a non-finite entry")
-    asym = float(np.max(np.abs(e - e_up if tridiagonal else A - A.T), initial=0.0))
+    asym = float(np.max(np.abs(A - A.T), initial=0.0))
     if scale > 0.0 and asym > _SYM_RTOL * scale:
         raise ContractError(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}")
     try:
-        if tridiagonal:
-            vals = np.linalg.eigvalsh(A)
-        else:
-            vals, vecs = np.linalg.eigh(A)
+        vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    if tridiagonal:
-        bound, worst = _enclosure(d, e, vals)
-        trace, frob = float(np.sum(d)), float(np.sum(d * d) + 2.0 * np.sum(e * e))
-    else:
-        samples = list(range(0, n, max(1, n // _N_RESIDUAL_SAMPLES))) + [n - 1]
-        residuals = [float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
-                     for j in samples]
-        worst = samples[int(np.argmax(residuals))]
-        bound = max(residuals) / max(float(np.max(np.abs(vals))), 1e-300)
-        trace, frob = float(np.trace(A)), float(np.sum(A * A))
-    return _certify(vals, trace, frob, scale, bound, worst)
+    samples = list(range(0, n, max(1, n // _N_RESIDUAL_SAMPLES))) + [n - 1]
+    residuals = [float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
+                 for j in samples]
+    worst = samples[int(np.argmax(residuals))]
+    bound = max(residuals) / max(float(np.max(np.abs(vals))), 1e-300)
+    return _certify(vals, float(np.trace(A)), float(np.sum(A * A)), scale, bound, worst)
+
+
+def tridiagonal_eig(d, e) -> EigenSpectrum:
+    """All eigenvalues of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, ascending, each certified by a Sturm-count enclosure.
+
+    Raises ContractError for ill-shaped or non-finite input, CapacityError
+    above the dense cap (``eigvalsh`` stores the matrix), and NumericalError
+    as ``sym_eig`` does.
+    """
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
+    if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
+        raise ContractError(f"expected d of length n and e of length n - 1, got "
+                            f"shapes {d.shape} and {e.shape}")
+    n = len(d)
+    _check_dense_cap(n)
+    scale = float(np.max(np.abs(np.concatenate([d, e])), initial=0.0))
+    if not np.isfinite(scale):
+        raise ContractError("tridiagonal matrix has a non-finite entry")
+    A = np.diag(d)
+    i = np.arange(n - 1)
+    A[i, i + 1] = A[i + 1, i] = e
+    try:
+        vals = np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    bound, worst = _enclosure(d, e, vals)
+    frob = float(np.sum(d * d) + 2.0 * np.sum(e * e))
+    return _certify(vals, float(np.sum(d)), frob, scale, bound, worst)

@@ -34,9 +34,11 @@ points; a relative error above 1e-9 max(1, q/128), the quadrature's own jitter
 between neighbouring k, raises ContractError.
 
 A level is assembled once, as its diagonal and one band per positive mode.
-Since modes couple only k and k + j, the block is the direct sum of
-g = gcd(modes) residue chains (tridiagonal for one mode m = g); the chains are
-what gets solved, and the dense block is only a view for tests and small cases.
+A model has at most one positive mode m, and it couples only k and k + m, so
+the block is the direct sum of m tridiagonal residue chains: the positions
+i = r (mod m) for r = 0 .. m - 1.  ``measures.level_spectrum`` solves each
+chain from its slices diag[r::m] and band[r::m]; the dense block of
+:func:`toeplitz_matrix` is only a view for tests and small cases.
 """
 from __future__ import annotations
 
@@ -391,36 +393,20 @@ def _level_bands(model: PotentialModel, cfg: LandauConfig):
     return diag, bands
 
 
-def _scatter(diag: np.ndarray, bands: dict, r: int = 0, g: int = 1) -> np.ndarray:
-    """Dense matrix of the block's positions i = r (mod g); band j couples
-    such a position with the one j // g further along."""
-    A = np.diag(diag[r::g])
+def _scatter(diag: np.ndarray, bands: dict) -> np.ndarray:
+    """Dense matrix of the block: band j holds the entries (i, i + j)."""
+    A = np.diag(diag)
     for j, band in bands.items():
-        e = band[r::g]
-        i = np.arange(len(e))
-        A[i, i + j // g] = A[i + j // g, i] = e
+        i = np.arange(len(band))
+        A[i, i + j] = A[i + j, i] = band
     return A
-
-
-def _chains(diag: np.ndarray, bands: dict):
-    """Dense blocks of the residue chains of a banded level block, one at a time.
-
-    Every band offset is a multiple of g = gcd(offsets), so the positions
-    i = r (mod g) couple only among themselves: the block is the direct sum
-    of g chains, and its spectrum is the union of theirs.  A single mode m
-    gives m tridiagonal chains.  The dense cap applies to the largest chain,
-    r = 0, and is checked before any chain is stored.
-    """
-    g = math.gcd(*bands)
-    _check_dense_cap(-(-len(diag) // g))
-    return (_scatter(diag, bands, r, g) for r in range(g))
 
 
 def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
     """The level block as one dense matrix, scattered from its bands.
 
     This is the dense view of the block and the test oracle for the chain
-    solve of ``measures.level_spectrum``, which never stores the whole block.
+    solves of ``measures.level_spectrum``, which never store the whole block.
     Dense storage is capped at dimension 4096; radial models beyond that
     should use :func:`radial_diagonal`, which skips the matrix entirely.
     """

@@ -23,13 +23,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .eigen import EigenSpectrum, sym_eig
+from .eigen import EigenSpectrum, tridiagonal_eig
 from .errors import ContractError, MethodError
 from .landau import (LandauConfig, landau_level, truncation_bound, _block_summary,
-                     _chains, _level_bands, _row_bound)
+                     _level_bands, _row_bound)
 from .potentials import (PotentialModel, mean_value_mode_profile,
                          mean_value_radial_profile)
-from .specfun import legendre_rule
+from .specfun import legendre_rule, panel_rule
 
 __all__ = [
     "TestFunction",
@@ -346,12 +346,7 @@ class LimitingMeasure:
         r_hi = self._envelope_radius(level) * 1.02
         scale = self.B ** self.rho
         if method == "radial":
-            x, w = legendre_rule(12)
-            n_pan = 96
-            edges = np.linspace(0.0, r_hi, n_pan + 1)
-            rr = (0.5 * np.diff(edges)[:, None] * (x[None, :] + 1.0)
-                  + edges[:-1, None]).ravel()
-            wr = (0.5 * np.diff(edges)[:, None] * w[None, :]).ravel()
+            rr, wr = panel_rule(np.linspace(0.0, r_hi, 96 + 1), 12)
             base = self.model.amplitude * self.base_profile(rr)
             if self.model.kind == "anisotropic-long-range":
                 mode = self.model.amplitude * self.model.epsilon * self.mode_profile(rr)
@@ -415,13 +410,13 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     below `delta` (exponent `rho`).
 
     Returns (values, k_max, tail bound, eigen residual bound, block summary
-    dict).  Radial models skip the matrix and have residual 0.  An
-    anisotropic block is solved as its residue chains (see
-    ``landau._chains``): one certified ``sym_eig`` per chain, the values
-    merged and the largest chain certificate reported, so the dense cap
-    applies per chain and the whole block is never stored.  A model with one
-    positive mode gives tridiagonal chains, which ``sym_eig`` solves for
-    eigenvalues only, every one certified by a Sturm-count enclosure.
+    dict).  Radial models skip the matrix and have residual 0.  A model has
+    at most one positive mode m, so an anisotropic block is the direct sum of
+    m tridiagonal residue chains, positions i = r (mod m): each goes to
+    ``tridiagonal_eig`` as (diag[r::m], band[r::m]), for eigenvalues only,
+    every one certified by a Sturm-count enclosure.  The values are merged and
+    the largest chain certificate reported; the dense cap applies per chain,
+    first to the largest, r = 0, and the whole block is never stored.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
@@ -429,7 +424,8 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     if not bands:
         values = np.sort(diag)
         return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
-    specs = [sym_eig(chain) for chain in _chains(diag, bands)]
+    (m, band), = bands.items()
+    specs = [tridiagonal_eig(diag[r::m], band[r::m]) for r in range(m)]
     values = np.sort(np.concatenate([s.values for s in specs]))
     return (values, k_max, tail, max(s.residual_bound for s in specs),
             _block_summary(q, B, k_max, max(bands), diag, tail))

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import QuadratureError
-from .specfun import legendre_rule
+from .specfun import panel_rule
 
 __all__ = [
     "PotentialModel",
@@ -284,13 +284,6 @@ def _gauss_jacobi01(n: int, rho: float):
     return x, w
 
 
-def _panel_rule(edges: np.ndarray, n: int):
-    """n-point Gauss-Legendre on each panel [edges[i], edges[i+1]]."""
-    x, w = legendre_rule(n)
-    h = 0.5 * np.diff(edges)[:, None]
-    return (h * (x[None, :] + 1.0) + edges[:-1, None]).ravel(), (h * w[None, :]).ravel()
-
-
 def _angle_rule(delta: float, rho: float):
     """Nodes t and weights w with f(t) @ w = (1/pi) int_0^pi f(t) dt, for an
     f that varies on the angular scale `delta` near t = 0.
@@ -301,12 +294,12 @@ def _angle_rule(delta: float, rho: float):
     [0, 0.05], is a Gauss-Jacobi head whose weights carry the factor t^rho.
     """
     if delta >= 1.0:
-        t, w = _panel_rule(np.array([0.0, math.pi]), 64)
+        t, w = panel_rule([0.0, math.pi], 64)
         return t, w / math.pi
     edges = [0.0, delta if delta > 0.0 else 0.05]
     while edges[-1] < math.pi:
         edges.append(min(2.0 * edges[-1], math.pi))
-    t, w = _panel_rule(np.array(edges), 24)
+    t, w = panel_rule(edges, 24)
     if delta == 0.0:
         xh, wh = _gauss_jacobi01(24, rho)
         t[:24] = edges[1] * xh
@@ -398,7 +391,7 @@ def _adaptive_circle_average(f, cx: float, cy: float, radius: float,
     """Panel-doubling average for arbitrary callables, with error control."""
 
     def eval_panels(n_panels: int) -> float:
-        t, w = _panel_rule(np.linspace(0.0, 2.0 * math.pi, n_panels + 1), 16)
+        t, w = panel_rule(np.linspace(0.0, 2.0 * math.pi, n_panels + 1), 16)
         vals = f(cx - radius * np.cos(t), cy - radius * np.sin(t))
         return float(np.dot(w, vals)) / (2.0 * math.pi)
 

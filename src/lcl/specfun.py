@@ -36,6 +36,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_nodes",
     "legendre_rule",
+    "panel_rule",
     "laguerre_bessel_gap",
 ]
 
@@ -287,6 +288,15 @@ def legendre_rule(order: int):
     """Nodes and weights of the Gauss-Legendre rule on [-1, 1] (cached)."""
     rule = gauss_nodes("legendre", order)
     return rule.nodes, rule.weights
+
+
+def panel_rule(edges, n: int):
+    """n-point Gauss-Legendre on each panel [edges[i], edges[i+1]], as one
+    flat array of nodes and one of weights."""
+    edges = np.asarray(edges, dtype=float)
+    x, w = legendre_rule(n)
+    h = 0.5 * np.diff(edges)[:, None]
+    return (h * (x[None, :] + 1.0) + edges[:-1, None]).ravel(), (h * w[None, :]).ravel()
 
 
 def _legendre_value_derivative(n, x):

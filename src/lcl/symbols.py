@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AccuracyError, MethodError
 from .potentials import (PotentialModel, TailField, circle_average,
                          mean_value_transform, power_cos_average)
-from .specfun import bessel_j0, laguerre_weighted, legendre_rule
+from .specfun import bessel_j0, laguerre_weighted, legendre_rule, panel_rule
 from .landau import landau_level
 
 __all__ = [
@@ -214,11 +214,8 @@ def _fourier_transform_radial(model: PotentialModel, zeta: np.ndarray) -> np.nda
     zmin = float(np.min(zeta[zeta > 0])) if np.any(zeta > 0) else 1.0
     v_lo = min(2.0 * math.log(zmin / 2.0) - 45.0, -45.0)
     v_hi = 45.0
-    xg, wg = legendre_rule(16)
     n_pan = int(math.ceil((v_hi - v_lo) / 4.0))
-    edges = np.linspace(v_lo, v_hi, n_pan + 1)
-    v = (0.5 * np.diff(edges)[:, None] * (xg[None, :] + 1.0) + edges[:-1, None]).ravel()
-    wv = (0.5 * np.diff(edges)[:, None] * wg[None, :]).ravel()
+    v, wv = panel_rule(np.linspace(v_lo, v_hi, n_pan + 1), 16)
     u = np.exp(v)
     base = (rho / 2.0 - 1.0) * v - u
     expo = base[None, :] - np.square(zeta)[:, None] / (4.0 * u[None, :])
@@ -242,10 +239,7 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int,
         zeta_max = 45.0 / math.sqrt(B)
     h = math.pi / (2.0 * k) if k > 0 else 0.5
     h = min(h, 0.25)
-    edges = np.arange(0.0, zeta_max + h, h)
-    xg, wg = legendre_rule(12)
-    z = (0.5 * np.diff(edges)[:, None] * (xg[None, :] + 1.0) + edges[:-1, None]).ravel()
-    wz = (0.5 * np.diff(edges)[:, None] * wg[None, :]).ravel()
+    z, wz = panel_rule(np.arange(0.0, zeta_max + h, h), 12)
     G = laguerre_weighted(q, 0.5 * z * z) - bessel_j0(k * z)
     vhat_b = abs(model.amplitude) * B * _fourier_transform_radial(model, math.sqrt(B) * z)
     return math.sqrt(float(np.dot(wz, G * G * vhat_b * vhat_b * z)))

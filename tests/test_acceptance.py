@@ -9,7 +9,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from lcl.eigen import _sturm_count, sym_eig
+from lcl.eigen import _sturm_count, sym_eig, tridiagonal_eig
 from lcl.landau import (BasisIndex, LandauConfig, _level_bands, eigen_residual_check,
                         indicator_basis_mass, landau_level, radial_diagonal,
                         toeplitz_entry, truncation_bound)
@@ -208,14 +208,14 @@ def test_10_infrastructure_oracles(tmp_path):
     A = rng.standard_normal((6, 6))
     A = 0.5 * (A + A.T)
     eig_gap = float(np.max(np.abs(sym_eig(A).values - _sturm_eigenvalues(A))))
-    # the tridiagonal path: each residue chain of the criterion-09 q = 8
-    # level, its Sturm count at every gap midpoint of its spectrum
+    # each residue chain of the criterion-09 q = 8 level, solved as
+    # level_spectrum solves it: its Sturm count at every gap midpoint
     k_max = truncation_bound(ANISO, 1.0, 8, 0.47, rho_scale=0.5)
     diag, bands = _level_bands(ANISO, LandauConfig(B=1.0, q=8, k_max=k_max))
     chain_miss = 0
     for r in range(2):
         d, e = diag[r::2], bands[2][r::2]
-        vals = sym_eig(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)).values
+        vals = tridiagonal_eig(d, e).values
         mid = 0.5 * (vals[:-1] + vals[1:])
         chain_miss += int(np.count_nonzero(_sturm_count(d, e, mid) != np.arange(1, len(vals))))
 

@@ -62,6 +62,20 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys, monkeypatch):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_output_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        assert main(["selfcheck", "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --output: ") and "Traceback" not in err, err
+    path = _write_config(tmp_path, output_dir=str(afile))
+    assert main(["selfcheck", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: config.output_dir: "), err
+    assert afile.read_text() == ""
+
+
 def test_config_rejects_non_numbers(tmp_path, capsys):
     iso = DEFAULT_CONFIG["model"]
     bad = [

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lcl.eigen import EigenSpectrum, _sturm_count, sym_eig
+from lcl.eigen import EigenSpectrum, _sturm_count, sym_eig, tridiagonal_eig
 from lcl.errors import CapacityError, ContractError, NumericalError
 
 
@@ -107,6 +107,8 @@ def test_non_square_rejected():
 def test_dimension_cap():
     with pytest.raises(CapacityError):
         sym_eig(np.zeros((4097, 4097)))
+    with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
+        tridiagonal_eig(np.zeros(4097), np.zeros(4096))
 
 
 def test_spectrum_dataclass_validation():
@@ -124,27 +126,30 @@ def _chain(n, seed=3):
 
 
 def test_dense_input_keeps_the_eigh_path_bit_for_bit():
+    # a tridiagonal matrix too: sym_eig has one path, whatever the structure
     rng = np.random.Generator(np.random.Philox(5))
     A = rng.standard_normal((30, 30))
-    A = 0.5 * (A + A.T)
-    vals, vecs = np.linalg.eigh(A)
-    spec = sym_eig(A)
-    assert np.array_equal(spec.values, vals)
-    want = max(float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
-               for j in list(range(0, 30, 3)) + [29]) / float(np.max(np.abs(vals)))
-    assert spec.residual_bound == want
+    for A in (0.5 * (A + A.T), _tridiag(*_chain(30))):
+        vals, vecs = np.linalg.eigh(A)
+        spec = sym_eig(A)
+        assert np.array_equal(spec.values, vals)
+        want = max(float(np.linalg.norm(A @ vecs[:, j] - vals[j] * vecs[:, j]))
+                   for j in list(range(0, 30, 3)) + [29]) / float(np.max(np.abs(vals)))
+        assert spec.residual_bound == want
 
 
 def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
     d, e = _chain(300)
     T = _tridiag(d, e)
     want = np.linalg.eigh(T)[0]
+    values_only = np.linalg.eigvalsh(T)
 
     def no_eigh(*args, **kwargs):
         raise AssertionError("eigh called on a tridiagonal matrix")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    spec = sym_eig(T)
+    spec = tridiagonal_eig(d, e)
+    assert np.array_equal(spec.values, values_only)
     assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert spec.residual_bound <= 1e-12
     # shifts at the gap midpoints: Sturm counts agree with the spectrum
@@ -158,15 +163,15 @@ def test_residual_certificate_fails_loudly(monkeypatch, moved):
     # Frobenius tolerances and inside its neighbours' gaps; only the Sturm
     # enclosure of that index sees it, whichever index it is
     n, b = 2000, 1.0
-    T = _tridiag(np.zeros(n), np.full(n - 1, b))
+    d, e = np.zeros(n), np.full(n - 1, b)
     exact = np.sort(2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
     shifted = exact.copy()
     shifted[moved] += 1e-7 * np.max(np.abs(exact))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shifted.copy())
     with pytest.raises(NumericalError, match=rf"eigen-residual.*\b{moved}\b.*\b2000\b"):
-        sym_eig(T)
+        tridiagonal_eig(d, e)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: exact.copy())
-    assert sym_eig(T).residual_bound <= 1e-12
+    assert tridiagonal_eig(d, e).residual_bound <= 1e-12
 
 
 def test_residual_certificate_fails_loudly_on_dense_input(monkeypatch):
@@ -184,35 +189,41 @@ def test_residual_certificate_fails_loudly_on_dense_input(monkeypatch):
 
 
 def _repeated():
+    # two copies of one chain, uncoupled
     d, e = _chain(40)
-    return np.block([[_tridiag(d, e), np.zeros((40, 40))],
-                     [np.zeros((40, 40)), _tridiag(d, e)]])
+    return np.concatenate([d, d]), np.concatenate([e, [0.0], e])
 
 
-@pytest.mark.parametrize("A", [
-    np.diag([3.0, -1.0, 2.0, 2.0, 0.0]),     # e = 0: every shift is exact
-    np.array([[0.0, 1.0], [1.0, 0.0]]),       # zero leading pivot
-    _repeated(),                              # every eigenvalue twice
-    np.array([[2.5]]),
-    np.array([[1.0, -3.0], [-3.0, 1.0]]),
-    _tridiag([1.0, 0.0, -1.0], [1e-3, 2.0]),
-    np.zeros((3, 3)),
-], ids=["diagonal", "zero-pivot", "repeated", "n1", "n2", "n3", "zero"])
-def test_inverse_iteration_edge_cases(A):
+@pytest.mark.parametrize("d,e", [
+    ([3.0, -1.0, 2.0, 2.0, 0.0], np.zeros(4)),   # e = 0: every shift is exact
+    ([0.0, 0.0], [1.0]),                          # zero leading pivot
+    _repeated(),                                  # every eigenvalue twice
+    ([2.5], []),
+    ([1.0, 1.0], [-3.0]),
+    ([1.0, 0.0, -1.0], [1e-3, 2.0]),
+    (np.zeros(3), np.zeros(2)),
+    ([], []),                                     # an empty chain of a level with dimension < mode
+], ids=["diagonal", "zero-pivot", "repeated", "n1", "n2", "n3", "zero", "n0"])
+def test_tridiagonal_edge_cases(d, e):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        spec = sym_eig(A)
+        spec = tridiagonal_eig(d, e)
     assert spec.residual_bound <= 1e-12
 
 
-@pytest.mark.parametrize("A", [
-    [[np.nan]],
-    [[1.0, np.nan], [np.nan, 1.0]],
-    [[np.inf, 0.0], [0.0, 1.0]],
-], ids=["nan", "nan-band", "inf"])
-def test_non_finite_input_rejected(A):
-    with pytest.raises(ContractError, match="non-finite"):
-        sym_eig(np.array(A))
+@pytest.mark.parametrize("solve,match", [
+    (lambda: sym_eig(np.array([[np.nan]])), "non-finite"),
+    (lambda: sym_eig(np.array([[1.0, np.nan], [np.nan, 1.0]])), "non-finite"),
+    (lambda: sym_eig(np.array([[np.inf, 0.0], [0.0, 1.0]])), "non-finite"),
+    (lambda: tridiagonal_eig([1.0, np.nan], [0.5]), "non-finite"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [np.inf]), "non-finite"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5, 0.5]), "length n - 1"),
+    (lambda: tridiagonal_eig(np.eye(2), [0.5]), "length n - 1"),
+], ids=["nan", "nan-band", "inf", "tridiagonal-nan", "tridiagonal-inf",
+        "length-mismatch", "two-dimensional-diagonal"])
+def test_non_finite_input_rejected(solve, match):
+    with pytest.raises(ContractError, match=match):
+        solve()
 
 
 def test_sturm_count_pivot_guard_does_not_overflow():

@@ -276,8 +276,8 @@ def test_convergence_study_validation():
 @pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2), (2, 32)])
 def test_level_spectrum_chains_match_dense_oracle(mode, q):
     # mode m splits the block into m residue chains; mode 1 is one chain,
-    # the whole block, itself tridiagonal, so the oracle is a dense eigh and
-    # not sym_eig; (2, 32) is the q = 32 level of criterion 09
+    # the whole block; the oracle is a dense eigh of the toeplitz_matrix
+    # view; (2, 32) is the q = 32 level of criterion 09
     model = PotentialModel.anisotropic(0.5, 0.3, mode)
     values, k_max, tail, residual, summary = level_spectrum(model, 1.0, q, 0.47, 0.5)
     blk = toeplitz_matrix(model, LandauConfig(B=1.0, q=q, k_max=k_max))
