@@ -144,6 +144,7 @@ def eigenvalue_counting(measure: EmpiricalClusterMeasure, alpha: float,
 # ---------------------------------------------------------------------------
 
 _METHODS = ("radial-inversion", "grid-2d", "monte-carlo")
+_TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,10 @@ class LimitingMeasure:
             raise ValueError("B must be positive")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if type(self.samples) is not int or self.samples < 1:
+            raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
     def rho(self) -> float:
@@ -216,11 +221,11 @@ class LimitingMeasure:
                 hi = mid
         return hi
 
-    def _tables(self, r_out: float, n: int = 8192):
-        r = np.linspace(0.0, r_out, n)
+    def _tables(self, r_out: float):
+        r = np.linspace(0.0, r_out, _TABLE_POINTS)
         base = self.base_profile(r)
         mode = (self.mode_profile(r)
-                if self.model.kind == "anisotropic-long-range" else np.zeros(n))
+                if self.model.kind == "anisotropic-long-range" else np.zeros_like(r))
         return r, base, mode
 
     # -- interval measure -------------------------------------------------
@@ -319,12 +324,29 @@ class LimitingMeasure:
         return r_out * np.sqrt(u), th
 
     def _interp_transform(self, r, th, tables):
+        """Linear in r >= 0 between the uniform table's nodes: the bracket
+        rt[j] <= r < rt[j+1] is the scaled r rounded down, corrected once each
+        way, and a zero last slope holds r >= rt[-1] at the last value."""
         rt, base, mode = tables
-        vals = np.interp(r, rt, base)
+        dr = r * ((_TABLE_POINTS - 1) / rt[-1])  # one scratch column, r - rt[j] at the end
+        j = np.clip(dr.astype(np.intp), 0, _TABLE_POINTS - 2)
+        j -= np.take(rt, j, out=dr, mode="clip") > r
+        j += np.take(rt[1:], j, out=dr, mode="clip") <= r
+        np.subtract(r, np.take(rt, j, out=dr, mode="clip"), out=dr)
+
+        def lookup(f):  # slope * (r - rt[j]) + f[j], in this order
+            vals = np.append(np.diff(f) / np.diff(rt), 0.0)[j]
+            vals *= dr
+            vals += f[j]
+            return vals
+
+        vals = lookup(base)
         if self.model.kind == "anisotropic-long-range":
-            vals = vals + (self.model.epsilon * np.cos(self.model.mode * th)
-                           * np.interp(r, rt, mode))
-        return self.model.amplitude * vals
+            g = lookup(mode)
+            c = np.cos(np.multiply(self.model.mode, th, out=dr), out=dr)
+            c *= self.model.epsilon
+            vals += np.multiply(g, c, out=g)  # (eps cos(m th)) g
+        return np.multiply(vals, self.model.amplitude, out=vals)
 
     def _mu_monte_carlo(self, t_lo: float, t_hi: float) -> float:
         r_out = self._envelope_radius(t_lo)
@@ -338,6 +360,8 @@ class LimitingMeasure:
         """(1/2piB) int phi(B^rho tail_transform(x)) dx."""
         if phi.support_abs_low <= 0.0:
             raise ValueError("the support of phi must exclude 0")
+        if method not in ("radial", "grid-2d", "monte-carlo"):
+            raise ValueError(f"unknown method {method!r}")
         if self.model.amplitude == 0.0:
             return 0.0
         level = phi.support_abs_low * self.B ** (-self.rho)
@@ -360,12 +384,10 @@ class LimitingMeasure:
         if method == "grid-2d":
             vals, area_row = self._grid(r_hi)
             return float(np.sum(phi(scale * vals) * area_row[:, None])) / (2.0 * math.pi * self.B)
-        if method == "monte-carlo":
-            r, th = self._mc_points(r_hi)
-            vals = self._interp_transform(r, th, self._tables(r_hi))
-            return (float(np.mean(phi(scale * vals)))
-                    * math.pi * r_hi * r_hi / (2.0 * math.pi * self.B))
-        raise ValueError(f"unknown method {method!r}")
+        r, th = self._mc_points(r_hi)
+        vals = self._interp_transform(r, th, self._tables(r_hi))
+        return (float(np.mean(phi(scale * vals)))
+                * math.pi * r_hi * r_hi / (2.0 * math.pi * self.B))
 
 
 def mu_interval(lim: LimitingMeasure, alpha: float, beta: float,

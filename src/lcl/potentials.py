@@ -27,6 +27,7 @@ instead.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -284,6 +285,15 @@ def _gauss_jacobi01(n: int, rho: float):
     return x, w
 
 
+@functools.cache
+def _far_rule():
+    """The delta >= 1 rule: built on first use, then shared read-only."""
+    t, w = panel_rule([0.0, math.pi], 64)
+    w /= math.pi
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _angle_rule(delta: float, rho: float):
     """Nodes t and weights w with f(t) @ w = (1/pi) int_0^pi f(t) dt, for an
     f that varies on the angular scale `delta` near t = 0.
@@ -294,8 +304,7 @@ def _angle_rule(delta: float, rho: float):
     [0, 0.05], is a Gauss-Jacobi head whose weights carry the factor t^rho.
     """
     if delta >= 1.0:
-        t, w = panel_rule([0.0, math.pi], 64)
-        return t, w / math.pi
+        return _far_rule()
     edges = [0.0, delta if delta > 0.0 else 0.05]
     while edges[-1] < math.pi:
         edges.append(min(2.0 * edges[-1], math.pi))

@@ -221,6 +221,21 @@ def test_measure_outputs_cross_checks(tmp_path):
     assert len(lines) == 6
 
 
+def test_measure_reproducible(tmp_path):
+    # the test-09 anisotropic config: every output file of two runs is
+    # byte-identical, Monte Carlo table lookups included
+    path = _write_config(tmp_path, model=ANISO_MODEL, q_list=[8, 16, 32, 48],
+                         phi={"center": 0.65, "half_width": 0.15}, delta=0.47)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    for out in (out1, out2):
+        assert main(["measure", "--config", str(path), "--output", str(out)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "measure.csv" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 def test_measure_rejects_bump_model(tmp_path, capsys):
     path = _write_config(tmp_path, q_list=[2],
                          model={"kind": "compact-gaussian-bump",

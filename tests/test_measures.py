@@ -213,6 +213,54 @@ def test_density_integral_dual_methods():
     assert abs(rad - grid) / rad < 0.005
 
 
+@pytest.mark.parametrize("level", [0.2, 0.5])
+@pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
+def test_table_lookup_matches_np_interp(model, level):
+    # the indexed lookup on the uniform table against np.interp's search,
+    # element by element: random radii, every node and its two float
+    # neighbours, both ends and a radius past the table.  The scaled radius
+    # rounds below a node's index on the level-0.2 tables and above it on
+    # the level-0.5 ones, so each bracket correction is exercised.
+    lim = LimitingMeasure(model, 1.0)
+    r_out = lim._envelope_radius(level)
+    tables = lim._tables(r_out)
+    rt, base, mode = tables
+    rng = np.random.default_rng(7)
+    r = np.concatenate([rng.uniform(0.0, r_out, 100_000), rt,
+                        np.nextafter(rt, -np.inf)[1:], np.nextafter(rt, np.inf),
+                        [0.0, r_out, np.nextafter(r_out, 0.0), 1.5 * r_out]])
+    th = rng.uniform(0.0, 2.0 * math.pi, r.size)
+    want = np.interp(r, rt, base)
+    if model.kind == "anisotropic-long-range":
+        want = want + model.epsilon * np.cos(model.mode * th) * np.interp(r, rt, mode)
+    want = model.amplitude * want
+    got = lim._interp_transform(r, th, tables)
+    assert rt[-1] == r_out
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 0}, {"samples": -5}, {"samples": 2.5}, {"samples": True},
+    {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.0}, {"seed": False},
+], ids=["samples-zero", "samples-negative", "samples-float", "samples-bool",
+        "seed-negative", "seed-too-large", "seed-float", "seed-bool"])
+def test_limiting_measure_checks_samples_and_seed(kwargs):
+    (name, _), = kwargs.items()
+    with pytest.raises(ValueError, match=name):
+        LimitingMeasure(ISO, 1.0, **kwargs)
+
+
+def test_density_integral_checks_method_first():
+    # the method is checked before the early returns for a zero amplitude
+    # and for a test function above the envelope peak
+    zero = LimitingMeasure(PotentialModel.isotropic(0.5, amplitude=0.0), 1.0)
+    high = LimitingMeasure(ISO, 1.0)
+    for lim, phi in ((zero, PHI), (high, TestFunction(9.0, 0.5))):
+        assert lim.density_integral(phi, "grid-2d") == 0.0
+        with pytest.raises(ValueError, match="bogus"):
+            lim.density_integral(phi, method="bogus")
+
+
 def test_density_integral_stieltjes_partition_oracle():
     # int phi dmu by midpoint Riemann-Stieltjes sums over a partition of
     # supp phi, against the direct radial integral

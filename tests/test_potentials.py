@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl.potentials import (PotentialModel, TailField, circle_average,
+from lcl.potentials import (PotentialModel, TailField, _angle_rule, circle_average,
                             evaluate, evaluate_tail, mean_value_mode_profile,
                             mean_value_radial_profile, mean_value_transform,
                             orbit_average)
+from lcl.specfun import panel_rule
 
 mp.mp.dps = 30
 
@@ -314,3 +315,14 @@ def test_batched_profiles_give_each_row_its_own_rule():
         assert batch[0] == f(1.0)
         single = np.array([f(x) for x in r])
         assert np.max(np.abs(batch - single)) <= 1e-13
+
+
+def test_far_rule_built_once_and_read_only():
+    # the delta >= 1 rule depends on neither delta nor rho: one shared object
+    t, w = far = _angle_rule(1.0, 0.5)
+    assert _angle_rule(7.5, 0.1) is far and _angle_rule(1.0, 0.9) is far
+    t_ref, w_ref = panel_rule([0.0, math.pi], 64)
+    assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref / math.pi)
+    for arr in far:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
