@@ -3,17 +3,18 @@
 Spectral side: scaled trace functionals and empirical cluster measures built
 from eigenvalues of the truncated level blocks.  Limiting side: the measure
 
-    mu([a, b]) = (1/2piB) |{x : a B^-rho <= tail_transform(x) <= b B^-rho}|
+    mu([a, b]) = (1/2piB) |{x : a B^-rho <= T(x) <= b B^-rho}|
 
-and the density integral (1/2piB) int phi(B^rho tail_transform(x)) dx, where
-tail_transform is the mean-value (circle-average) transform of the model's
-homogeneous tail.  For the built-in models the transform reduces to two
-radial profiles,
+and the density integral (1/2piB) int phi(B^rho T(x)) dx, where T is the
+mean-value (circle-average) transform of the model's homogeneous tail.  For
+the built-in models T reduces to two radial profiles,
 
-    tail_transform(r, th) = a [ m0(r) + eps cos(m th) g_m(r) ],
+    T(r, th) = a [ m0(r) + eps cos(m th) g_m(r) ].
 
-so every evaluation method (radial inversion, 2-d midpoint grid, counter-based
-Monte Carlo) runs on cheap profile tables.
+Both are (1/2piB) int f(T(x)) dx, f the indicator of [a, b] B^-rho or
+phi(B^rho .): one integrator takes either on a 2-d midpoint grid or by
+counter-based Monte Carlo over profile tables, beside radial inversion (mu,
+isotropic model) and a radial quadrature (density).
 """
 from __future__ import annotations
 
@@ -60,8 +61,10 @@ class TestFunction:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
+        if not (math.isfinite(self.half_width) and self.half_width > 0):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width!r}")
         if abs(self.center) <= self.half_width:
             raise ValueError("the support of the test function must exclude 0")
 
@@ -130,7 +133,7 @@ class EmpiricalClusterMeasure:
 def eigenvalue_counting(measure: EmpiricalClusterMeasure, alpha: float,
                         beta: float) -> int:
     """Number of scaled eigenvalues in [alpha, beta]; 0 must lie outside."""
-    if alpha >= beta:
+    if not alpha < beta:
         raise ValueError("alpha must be < beta")
     if alpha <= 0.0 <= beta:
         raise ValueError("the counting interval must exclude 0")
@@ -145,6 +148,8 @@ def eigenvalue_counting(measure: EmpiricalClusterMeasure, alpha: float,
 
 _METHODS = ("radial-inversion", "grid-2d", "monte-carlo")
 _TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
+_GRID_RADII = 4000  # grid-2d midpoint cells in r
+_GRID_ANGLES = 720  # ... and in theta (anisotropic model only)
 
 
 @dataclass(frozen=True)
@@ -153,17 +158,14 @@ class LimitingMeasure:
 
     model: PotentialModel
     B: float
-    method: str = "radial-inversion"
     seed: int = 20240801
     samples: int = 10_000_000
 
     def __post_init__(self):
         if not self.model.long_range:
             raise ValueError("the limiting measure requires a long-range model")
-        if self.B <= 0:
-            raise ValueError("B must be positive")
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError(f"B must be positive and finite, got {self.B!r}")
         if type(self.samples) is not int or self.samples < 1:
             raise ValueError(f"samples must be a positive integer, got {self.samples!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 2 ** 64:
@@ -184,19 +186,8 @@ class LimitingMeasure:
             return mean_value_mode_profile(self.rho, self.model.mode, r)
         return np.zeros(np.shape(r)) if np.ndim(r) else 0.0
 
-    def tail_transform(self, x1, x2):
-        """Mean-value transform of the tail at (x1, x2), via the profiles."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        r = np.hypot(x1, x2)
-        out = self.base_profile(r)
-        if self.model.kind == "anisotropic-long-range":
-            out = out + self.model.epsilon * np.cos(
-                self.model.mode * np.arctan2(x2, x1)) * self.mode_profile(r)
-        return self.model.amplitude * out
-
     def envelope(self, r):
-        """Upper bound for |tail_transform| on the circle of radius r."""
+        """Upper bound for |T| on the circle of radius r."""
         base = self.base_profile(r)
         if self.model.kind == "anisotropic-long-range":
             base = base + self.model.epsilon * np.abs(self.mode_profile(r))
@@ -223,20 +214,16 @@ class LimitingMeasure:
 
     def _tables(self, r_out: float):
         r = np.linspace(0.0, r_out, _TABLE_POINTS)
-        base = self.base_profile(r)
-        mode = (self.mode_profile(r)
-                if self.model.kind == "anisotropic-long-range" else np.zeros_like(r))
-        return r, base, mode
+        return r, self.base_profile(r), self.mode_profile(r)
 
     # -- interval measure -------------------------------------------------
     def mu_interval(self, alpha: float, beta: float,
-                    method: str | None = None) -> float:
-        """(1/2piB) Lebesgue area of {x : alpha B^-rho <= transform <= beta B^-rho}."""
-        if alpha >= beta:
+                    method: str = "radial-inversion") -> float:
+        """(1/2piB) Lebesgue area of {x : alpha B^-rho <= T(x) <= beta B^-rho}."""
+        if not alpha < beta:
             raise ValueError("alpha must be < beta")
         if alpha <= 0.0 <= beta:
             raise ValueError("the interval must exclude 0")
-        method = method or self.method
         if method not in _METHODS:
             raise ValueError(f"unknown method {method!r}")
         amp = self.model.amplitude
@@ -254,9 +241,8 @@ class LimitingMeasure:
             return 0.0
         if method == "radial-inversion":
             return self._mu_radial_inversion(t_lo, t_hi)
-        if method == "grid-2d":
-            return self._mu_grid(t_lo, t_hi)
-        return self._mu_monte_carlo(t_lo, t_hi)
+        return self._integral(lambda v: (v >= t_lo) & (v <= t_hi),
+                              self._envelope_radius(t_lo), method)
 
     def _decreasing_branch(self):
         """(r_peak, profile function) with a verified decreasing tail."""
@@ -296,32 +282,19 @@ class LimitingMeasure:
         r_hi = invert(t_hi)  # inner radius (upper level)
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
 
-    def _grid(self, r_out: float, nr: int = 4000, ntheta: int | None = None):
-        if ntheta is None:
-            ntheta = 720 if self.model.kind == "anisotropic-long-range" else 1
-        dr = r_out / nr
-        rc = (np.arange(nr) + 0.5) * dr
+    def _grid(self, r_out: float):
+        """T at the midpoints of the polar cells of the disc of radius r_out
+        (one angle for the isotropic model), and each radius row's cell area."""
+        dr = r_out / _GRID_RADII
+        rc = (np.arange(_GRID_RADII) + 0.5) * dr
         base = self.model.amplitude * self.base_profile(rc)
         if self.model.kind == "anisotropic-long-range":
-            dth = 2.0 * math.pi / ntheta
-            thc = (np.arange(ntheta) + 0.5) * dth
+            dth = 2.0 * math.pi / _GRID_ANGLES
+            thc = (np.arange(_GRID_ANGLES) + 0.5) * dth
             mode = self.model.amplitude * self.model.epsilon * self.mode_profile(rc)
             vals = base[:, None] + mode[:, None] * np.cos(self.model.mode * thc)[None, :]
-            area_row = rc * dr * dth
-            return vals, area_row
+            return vals, rc * dr * dth
         return base[:, None], (rc * dr * 2.0 * math.pi)
-
-    def _mu_grid(self, t_lo: float, t_hi: float) -> float:
-        r_out = self._envelope_radius(t_lo)
-        vals, area_row = self._grid(r_out)
-        inside = (vals >= t_lo) & (vals <= t_hi)
-        return float(np.sum(inside * area_row[:, None])) / (2.0 * math.pi * self.B)
-
-    def _mc_points(self, r_out: float):
-        rng = np.random.Generator(np.random.Philox(self.seed))
-        u = rng.random(self.samples)
-        th = 2.0 * math.pi * rng.random(self.samples)
-        return r_out * np.sqrt(u), th
 
     def _interp_transform(self, r, th, tables):
         """Linear in r >= 0 between the uniform table's nodes: the bracket
@@ -348,16 +321,22 @@ class LimitingMeasure:
             vals += np.multiply(g, c, out=g)  # (eps cos(m th)) g
         return np.multiply(vals, self.model.amplitude, out=vals)
 
-    def _mu_monte_carlo(self, t_lo: float, t_hi: float) -> float:
-        r_out = self._envelope_radius(t_lo)
-        r, th = self._mc_points(r_out)
+    def _integral(self, f, r_out: float, method: str) -> float:
+        """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
+        r_out: midpoint cells ("grid-2d") or self.samples uniform Philox(seed)
+        points ("monte-carlo"); f is vectorised."""
+        if method == "grid-2d":
+            vals, area_row = self._grid(r_out)
+            return float(np.sum(f(vals) * area_row[:, None])) / (2.0 * math.pi * self.B)
+        rng = np.random.Generator(np.random.Philox(self.seed))
+        r = r_out * np.sqrt(rng.random(self.samples))
+        th = 2.0 * math.pi * rng.random(self.samples)
         vals = self._interp_transform(r, th, self._tables(r_out))
-        frac = float(np.mean((vals >= t_lo) & (vals <= t_hi)))
-        return frac * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
+        return float(np.mean(f(vals))) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
 
     # -- density integral -------------------------------------------------
     def density_integral(self, phi: TestFunction, method: str = "radial") -> float:
-        """(1/2piB) int phi(B^rho tail_transform(x)) dx."""
+        """(1/2piB) int phi(B^rho T(x)) dx."""
         if phi.support_abs_low <= 0.0:
             raise ValueError("the support of phi must exclude 0")
         if method not in ("radial", "grid-2d", "monte-carlo"):
@@ -381,17 +360,11 @@ class LimitingMeasure:
             else:
                 angular = phi(scale * base)
             return float(np.dot(wr, angular * rr)) / self.B
-        if method == "grid-2d":
-            vals, area_row = self._grid(r_hi)
-            return float(np.sum(phi(scale * vals) * area_row[:, None])) / (2.0 * math.pi * self.B)
-        r, th = self._mc_points(r_hi)
-        vals = self._interp_transform(r, th, self._tables(r_hi))
-        return (float(np.mean(phi(scale * vals)))
-                * math.pi * r_hi * r_hi / (2.0 * math.pi * self.B))
+        return self._integral(lambda v: phi(scale * v), r_hi, method)
 
 
 def mu_interval(lim: LimitingMeasure, alpha: float, beta: float,
-                method: str | None = None) -> float:
+                method: str = "radial-inversion") -> float:
     return lim.mu_interval(alpha, beta, method)
 
 

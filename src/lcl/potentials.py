@@ -256,14 +256,10 @@ def evaluate_tail(model: PotentialModel, x) -> float:
 # the angle rule behind every circle average
 # ---------------------------------------------------------------------------
 
-_jacobi_cache: dict = {}
-
-
+@functools.cache
 def _gauss_jacobi01(n: int, rho: float):
-    """Nodes/weights for int_0^1 x^(-rho) f(x) dx (weight included)."""
-    key = (n, round(rho, 14))
-    if key in _jacobi_cache:
-        return _jacobi_cache[key]
+    """Nodes/weights for int_0^1 x^(-rho) f(x) dx (weight included), built
+    on first use, then shared read-only."""
     a, b = 0.0, -rho
     i = np.arange(n, dtype=float)
     ab = a + b
@@ -281,7 +277,7 @@ def _gauss_jacobi01(n: int, rho: float):
     mu0 = 2.0 ** (ab + 1.0) / (ab + 1.0)
     w = mu0 * evec[0, :] ** 2 / 2.0 ** (b + 1.0)
     x = 0.5 * (ev + 1.0)
-    _jacobi_cache[key] = (x, w)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -377,7 +373,11 @@ def mean_value_mode_profile(rho: float, m: int, r):
     """g_m(r) = (1/pi) int_0^pi |x - w|^-rho cos(m arg(x - w)) dt, x = (r, 0),
     w = (cos t, sin t): the mean-value transform of |x|^-rho cos(m arg x) is
     g_m(|x|) cos(m arg x).  Singular only at r = 1."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(r_arr < 0):
+        raise ValueError("r must be >= 0")
     out = np.empty_like(r_arr)
     delta = np.abs(r_arr - 1.0) / np.sqrt(np.maximum(r_arr, 1e-2))
     for rows, t, w in _angle_rule_groups(delta, rho):

@@ -234,6 +234,10 @@ def test_measure_reproducible(tmp_path):
     assert "measure.csv" in names
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    # grid-2d against Monte Carlo for mu, radial against Monte Carlo for the density
+    tolerances = json.loads((out1 / "manifest.json").read_text())["tolerances"]
+    assert tolerances["mu_cross_rel"] < 0.01
+    assert tolerances["density_cross_rel"] < 0.01
 
 
 def test_measure_rejects_bump_model(tmp_path, capsys):

@@ -178,11 +178,12 @@ def test_mu_interval_additivity():
 
 def test_mu_interval_negative_amplitude_mirrors():
     neg = PotentialModel.isotropic(0.5, amplitude=-1.0)
-    lim_n = LimitingMeasure(neg, 1.0)
-    lim_p = LimitingMeasure(ISO, 1.0)
-    got = lim_n.mu_interval(-0.6, -0.3, "radial-inversion")
-    ref = lim_p.mu_interval(0.3, 0.6, "radial-inversion")
-    assert abs(got - ref) < 1e-12 * ref
+    lim_n = LimitingMeasure(neg, 1.0, samples=1_000_000)
+    lim_p = LimitingMeasure(ISO, 1.0, samples=1_000_000)
+    for method in ("radial-inversion", "grid-2d", "monte-carlo"):
+        got = lim_n.mu_interval(-0.6, -0.3, method)
+        ref = lim_p.mu_interval(0.3, 0.6, method)
+        assert abs(got - ref) < 1e-12 * ref, method
 
 
 def test_mu_interval_method_errors():
@@ -197,6 +198,29 @@ def test_mu_interval_method_errors():
         lim.mu_interval(-0.1, 0.1)
     with pytest.raises(ValueError):
         lim.mu_interval(0.6, 0.3)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: LimitingMeasure(ISO, 1.0).mu_interval(0.3, NAN, "grid-2d"), "beta"),
+    (lambda: LimitingMeasure(ISO, 1.0).mu_interval(NAN, 0.6, "grid-2d"), "alpha"),
+    (lambda: LimitingMeasure(ISO, NAN), "B"),
+    (lambda: LimitingMeasure(ISO, math.inf), "B"),
+    (lambda: TestFunction(NAN, 0.3), "center"),
+    (lambda: TestFunction(math.inf, 0.3), "center"),
+    (lambda: TestFunction(0.5, NAN), "half_width"),
+    (lambda: TestFunction(0.5, math.inf), "half_width"),
+    (lambda: eigenvalue_counting(_measure_from([0.1, 0.2, 0.3]), NAN, 0.5), "alpha"),
+    (lambda: eigenvalue_counting(_measure_from([0.1, 0.2, 0.3]), 0.1, NAN), "beta"),
+], ids=["mu-beta", "mu-alpha", "B-nan", "B-inf",
+        "center-nan", "center-inf", "half-width-nan", "half-width-inf",
+        "counting-alpha", "counting-beta"])
+def test_limiting_side_rejects_nan(call, name):
+    # each check is written so that NaN fails it, and names the argument
+    with pytest.raises(ValueError, match=name):
+        call()
 
 
 def test_density_integral_above_sup():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl.potentials import (PotentialModel, TailField, _angle_rule, circle_average,
+from lcl.potentials import (PotentialModel, TailField, _angle_rule, _gauss_jacobi01,
+                            circle_average,
                             evaluate, evaluate_tail, mean_value_mode_profile,
                             mean_value_radial_profile, mean_value_transform,
                             orbit_average)
@@ -115,6 +116,18 @@ def test_profile_at_zero_and_monotone_tail():
     rs = np.linspace(2.0, 40.0, 50)
     prof = mean_value_radial_profile(0.5, rs)
     assert np.all(np.diff(prof) < 0)
+
+
+@pytest.mark.parametrize("profile", [mean_value_radial_profile,
+                                     lambda rho, r: mean_value_mode_profile(rho, 2, r)],
+                         ids=["radial", "mode"])
+@pytest.mark.parametrize("rho, r, match", [
+    (1.5, 0.5, "rho"), (0.0, 0.5, "rho"), (float("nan"), 0.5, "rho"),
+    (0.5, -0.5, "r must"), (0.5, [1.0, -0.5], "r must"),
+], ids=["rho-above-1", "rho-zero", "rho-nan", "r-negative", "r-array-negative"])
+def test_profiles_check_rho_and_r(profile, rho, r, match):
+    with pytest.raises(ValueError, match=match):
+        profile(rho, r)
 
 
 def test_profile_tail_normalization():
@@ -324,5 +337,23 @@ def test_far_rule_built_once_and_read_only():
     t_ref, w_ref = panel_rule([0.0, math.pi], 64)
     assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref / math.pi)
     for arr in far:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_jacobi_head_cached_read_only():
+    # the Gauss-Jacobi head of the delta == 0 rule: one shared read-only
+    # pair per (n, rho), equal to a fresh build, which building the angle
+    # rule leaves untouched; the rule is the same cold and warm
+    _gauss_jacobi01.cache_clear()
+    t_cold, w_cold = _angle_rule(0.0, 0.5)
+    head = _gauss_jacobi01(24, 0.5)
+    assert _gauss_jacobi01(24, 0.5) is head
+    fresh = _gauss_jacobi01.__wrapped__(24, 0.5)
+    t_warm, w_warm = _angle_rule(0.0, 0.5)
+    for got, want in ((t_warm, t_cold), (w_warm, w_cold),
+                      (head[0], fresh[0]), (head[1], fresh[1])):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    for arr in head:
         with pytest.raises(ValueError):
             arr[0] = 0.0
