@@ -78,8 +78,8 @@ _CHEB_NODES = 24
 
 def landau_level(B: float, q: int) -> float:
     """The Landau level B(2q+1)."""
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (math.isfinite(B) and B > 0):
+        raise ValueError("B must be finite and positive")
     if q < 0:
         raise ValueError("q must be >= 0")
     return B * (2.0 * q + 1.0)
@@ -94,8 +94,8 @@ class LandauConfig:
     k_max: int
 
     def __post_init__(self):
-        if self.B <= 0:
-            raise ValueError("B must be positive")
+        if not (math.isfinite(self.B) and self.B > 0):
+            raise ValueError("B must be finite and positive")
         if self.q < 0:
             raise ValueError("q must be >= 0")
         if self.k_max < -self.q:
@@ -134,8 +134,8 @@ class BasisIndex:
 
 def radial_basis(idx: BasisIndex, B: float, r):
     """Radial factor R_{k,q}(r), normalized so int_0^inf R^2 r dr = 1."""
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (math.isfinite(B) and B > 0):
+        raise ValueError("B must be finite and positive")
     r = np.asarray(r, dtype=float)
     xi = 0.5 * B * np.square(r)
     return math.sqrt(B) * laguerre_function(idx.n, float(idx.alpha), xi)

@@ -265,21 +265,17 @@ class LimitingMeasure:
             raise MethodError(
                 "interval reaches the non-monotone inner region; use grid-2d")
 
-        def invert(t: float) -> float:
-            # unique root of amplitude*m0(r) = t on the decreasing branch
-            lo, hi = r_peak, 2.0
-            while self.model.amplitude * float(self.base_profile(hi)) > t:
-                hi *= 2.0
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if self.model.amplitude * float(self.base_profile(mid)) > t:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        r_lo = invert(t_lo)  # outer radius (lower level)
-        r_hi = invert(t_hi)  # inner radius (upper level)
+        # the unique roots of amplitude*m0(r) = t on the decreasing branch,
+        # both levels bisected at once, each in its own doubling bracket
+        t = np.array([t_lo, t_hi])
+        lo, hi = np.full(2, r_peak), np.full(2, 2.0)
+        while np.any(above := self.model.amplitude * self.base_profile(hi) > t):
+            hi = np.where(above, 2.0 * hi, hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            above = self.model.amplitude * self.base_profile(mid) > t
+            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+        r_lo, r_hi = (0.5 * (lo + hi)).tolist()  # outer radius (lower level), inner (upper)
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
 
     def _grid(self, r_out: float):

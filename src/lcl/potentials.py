@@ -12,13 +12,17 @@ a |x|^(-rho) (1 + eps cos(m th)); the anisotropic correction is damped with a
 harmonic polynomial r^m cos(m th) so V stays smooth at the origin.  The
 difference V - tail decays two orders faster than the tail itself.
 
-The mean-value transform (average over the unit circle centered at x) and
-every other circle average of a model or tail run on one angle rule,
-`_angle_rule(delta, rho)`, for (1/pi) int_0^pi f(t) dt where f varies on the
-angular scale delta near t = 0: one 64-point Gauss-Legendre panel for
-delta >= 1, geometric 24-point panels from delta for 0 < delta < 1, and for
-delta == 0 -- the circle passes exactly through the tail's singularity, the
-only singular case -- a Gauss-Jacobi head carrying the t^(-rho) weight.
+The power-cosine average (1/pi) int_0^pi (a - b cos t)^(-rho/2) dt behind
+the radial profile m0 and the Hilbert-Schmidt distance is a Gauss
+hypergeometric function, summed as a series (`power_cos_average`).  The
+mean-value transform (average over the unit circle centered at x), the mode
+profile g_m and every other circle average of a model or tail run on one
+angle rule, `_angle_rule(delta, rho)`, for (1/pi) int_0^pi f(t) dt where f
+varies on the angular scale delta near t = 0: one 64-point Gauss-Legendre
+panel for delta >= 1, geometric 24-point panels from delta for
+0 < delta < 1, and for delta == 0 -- the circle passes exactly through the
+tail's singularity, the only singular case -- a Gauss-Jacobi head carrying
+the t^(-rho) weight.
 Batched averages split their rows into these three cases, each on the rule
 of its own smallest delta.  Integrands even in t are averaged on the half
 circle; the others as the mean of f(t) and f(-t) about the angle nearest the
@@ -30,11 +34,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import AccuracyError, QuadratureError
 from .specfun import panel_rule
 
 __all__ = [
@@ -317,41 +321,155 @@ def _angle_rule_groups(delta: np.ndarray, rho: float):
     0 < delta < 1 and with delta >= 1, each group on the angle rule of its
     smallest delta, so that one near-singular row does not put every row on
     the graded rule."""
+    if not np.all(delta >= 0.0):
+        raise ValueError("angle rule: every delta must be >= 0")
     for rows in (delta == 0.0, (delta > 0.0) & (delta < 1.0), delta >= 1.0):
         if np.any(rows):
             t, w = _angle_rule(float(np.min(delta[rows])), rho)
             yield rows, t, w
 
 
+# ---------------------------------------------------------------------------
+# the power-cosine average as a Gauss hypergeometric series
+# ---------------------------------------------------------------------------
+
+_SERIES_TERMS = 64
+_SERIES_TOL = 2.0 ** -56
+# up to this many values a Python loop beats the numpy checks and Horner
+# pass, whose cost of a few us per term and operation does not shrink with
+# the array
+_SCALAR_LOOP_MAX = 32
+
+
+class _PowerCosSeries(NamedTuple):
+    """The series behind `power_cos_average` for one rho, highest order
+    first."""
+
+    nu: float
+    near: tuple  # c_k of F(nu, 1/2; 1; z)
+    far: tuple   # (A1 d_k, A2 e_k), the two series of the connection formula
+
+
+@functools.cache
+def _power_cos_series(rho: float) -> _PowerCosSeries:
+    """Coefficients of F(nu, 1/2; 1; z) and of the two series of its
+    connection formula at 1 - z (A&S 15.3.6), nu = rho/2, built on first
+    use.  Every coefficient lies in (0, 1]; the build certifies that the
+    first omitted term at argument 1/2 stays below 2^-56 of the sum."""
+    nu = 0.5 * rho
+    tables = []
+    for p, c in ((nu, 1.0), (nu, nu + 0.5), (1.0 - nu, 1.5 - nu)):
+        coef = [1.0]
+        for k in range(_SERIES_TERMS):
+            coef.append(coef[-1] * (p + k) * (0.5 + k) / ((c + k) * (k + 1.0)))
+        head = sum(ck * 0.5 ** k for k, ck in enumerate(coef[:-1]))
+        if not coef[-1] * 0.5 ** _SERIES_TERMS < _SERIES_TOL * head:
+            raise AccuracyError(
+                f"hypergeometric series for rho={rho} not converged in "
+                f"{_SERIES_TERMS} terms at argument 1/2")
+        tables.append(coef[-2::-1])
+    near, d, e = tables
+    a1 = math.gamma(0.5 - nu) / (math.sqrt(math.pi) * math.gamma(1.0 - nu))
+    a2 = math.gamma(nu - 0.5) / (math.sqrt(math.pi) * math.gamma(nu))
+    return _PowerCosSeries(nu, tuple(near),
+                           tuple((a1 * dk, a2 * ek) for dk, ek in zip(d, e)))
+
+
+def _series_terms(x: float) -> int:
+    """Terms of a series with coefficients in (0, 1] whose first omitted
+    term at argument 0 <= x <= 1/2 is below 2^-56 (of a sum >= 1)."""
+    if x <= 0.0:
+        return 1
+    return min(_SERIES_TERMS, int(math.log(_SERIES_TOL) / math.log(x)) + 1)
+
+
+def _near_sum(z, n: int, ser: _PowerCosSeries):
+    """F(nu, 1/2; 1; z) by Horner on n terms, for a float or an array z."""
+    acc = 0.0
+    for c in ser.near[_SERIES_TERMS - n:]:
+        acc = acc * z + c
+    return acc
+
+
+def _far_sum(w, n: int, ser: _PowerCosSeries):
+    """F(nu, 1/2; 1; 1 - w) by the connection formula, both of its series
+    in one Horner pass on n terms, for a float or an array w."""
+    p = q = 0.0
+    for c1, c2 in ser.far[_SERIES_TERMS - n:]:
+        p = p * w + c1
+        q = q * w + c2
+    return p + w ** (0.5 - ser.nu) * q
+
+
+def _power_cos_value(a: float, b: float, gap: float, ser: _PowerCosSeries) -> float:
+    """One value of `power_cos_average`, checks included, in Python floats."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(gap)):
+        raise ValueError("power_cos_average requires finite a, b and gap")
+    if not b >= 0.0:
+        raise ValueError("power_cos_average requires b >= 0")
+    if gap < -1e-12 * abs(a):
+        raise ValueError("power_cos_average requires a >= b")
+    gap = max(gap, 0.0)
+    s = gap + 2.0 * b
+    if s == 0.0:
+        raise ValueError("power_cos_average diverges at a = b = 0")
+    z = 2.0 * b / s
+    if z <= 0.5:
+        return _near_sum(z, _series_terms(z), ser) * s ** -ser.nu
+    w = gap / s
+    return _far_sum(w, _series_terms(w), ser) * s ** -ser.nu
+
+
 def power_cos_average(a, b, rho: float, *, gap=None):
-    """(1/pi) int_0^pi (a - b cos t)^(-rho/2) dt, broadcast over a, b >= 0.
+    """(1/pi) int_0^pi (a - b cos t)^(-rho/2) dt, broadcast over a >= b >= 0.
 
     This is the circle average of |.|^(-rho)-type kernels; a = b is the
-    on-circle singular case (finite for rho < 1).  The kernel is evaluated
-    as ((a-b) + 2 b sin^2(t/2))^(-rho/2), which does not cancel near t = 0;
-    callers that know a - b in a cancellation-free form (for instance
-    (r-1)^2 for the radial profile) should pass it as `gap`.
+    on-circle singular case (finite for 0 < rho < 1).  With nu = rho/2,
+    s = a + b and z = 2b/s it equals s^(-nu) F(nu, 1/2; 1; z): the power
+    series in z for z <= 1/2, above that the connection formula in
+    w = 1 - z = (a-b)/s (A&S 15.3.6), each summed to below 2^-56 relative.
+    s, z and w are formed from b and gap = a - b, which does not cancel
+    near the circle if the caller knows it in a cancellation-free form (for
+    instance (r-1)^2 for the radial profile) and passes it as `gap`.
     """
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
+    ser = _power_cos_series(float(rho))
+    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(gap) == 0:
+        a, b = float(a), float(b)
+        return _power_cos_value(a, b, a - b if gap is None else float(gap), ser)
     a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                        np.atleast_1d(np.asarray(b, dtype=float)))
     if gap is None:
         gap = a_arr - b_arr
     else:
         gap = np.broadcast_to(np.asarray(gap, dtype=float), a_arr.shape)
-    if np.any(gap < -1e-12 * np.abs(a_arr)):
-        raise ValueError("power_cos_average requires a >= b")
-    gap = np.maximum(gap, 0.0)
-    out = np.empty(a_arr.shape)
-    trivial = b_arr <= 1e-300
-    out[trivial] = a_arr[trivial] ** (-rho / 2.0)
-    gv, bv = gap[~trivial][:, None], b_arr[~trivial][:, None]
-    vals = np.empty(len(gv))
-    for rows, t, w in _angle_rule_groups(np.sqrt(2.0 * gv / bv).ravel(), rho):
-        vals[rows] = (gv[rows] + 2.0 * bv[rows] * np.sin(0.5 * t) ** 2) ** (-rho / 2.0) @ w
-    out[~trivial] = vals
+    if a_arr.size <= _SCALAR_LOOP_MAX:
+        out = np.array([_power_cos_value(*abg, ser) for abg in
+                        zip(a_arr.ravel().tolist(), b_arr.ravel().tolist(),
+                            gap.ravel().tolist())])
+    else:
+        if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()
+                and np.isfinite(gap).all()):
+            raise ValueError("power_cos_average requires finite a, b and gap")
+        if not (b_arr >= 0.0).all():
+            raise ValueError("power_cos_average requires b >= 0")
+        if np.any(gap < -1e-12 * np.abs(a_arr)):
+            raise ValueError("power_cos_average requires a >= b")
+        gap, b_arr = np.maximum(gap, 0.0).ravel(), b_arr.ravel()
+        s = gap + 2.0 * b_arr
+        if not (s > 0.0).all():
+            raise ValueError("power_cos_average diverges at a = b = 0")
+        z, w = 2.0 * b_arr / s, gap / s
+        out = np.empty(s.shape)
+        near = z <= 0.5
+        for rows, x, series in ((near, z, _near_sum), (~near, w, _far_sum)):
+            if rows.any():
+                out[rows] = series(x[rows], _series_terms(float(x[rows].max())), ser)
+        out *= s ** -ser.nu
     if np.ndim(a) == 0 and np.ndim(b) == 0:
-        return float(out.reshape(-1)[0])
-    return out
+        return float(out[0])
+    return out.reshape(a_arr.shape)
 
 
 def mean_value_radial_profile(rho: float, r):
@@ -363,8 +481,8 @@ def mean_value_radial_profile(rho: float, r):
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("r must be >= 0")
+    if not np.all(np.isfinite(r_arr) & (r_arr >= 0)):
+        raise ValueError("r must be finite and >= 0")
     return power_cos_average(r_arr * r_arr + 1.0, 2.0 * r_arr, rho,
                              gap=(r_arr - 1.0) ** 2)
 
@@ -376,8 +494,8 @@ def mean_value_mode_profile(rho: float, m: int, r):
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r_arr < 0):
-        raise ValueError("r must be >= 0")
+    if not np.all(np.isfinite(r_arr) & (r_arr >= 0)):
+        raise ValueError("r must be finite and >= 0")
     out = np.empty_like(r_arr)
     delta = np.abs(r_arr - 1.0) / np.sqrt(np.maximum(r_arr, 1e-2))
     for rows, t, w in _angle_rule_groups(delta, rho):
@@ -460,6 +578,6 @@ def mean_value_transform(u, x, *, tol: float = 1e-10) -> float:
 def orbit_average(model: PotentialModel, c, E: float, B: float) -> float:
     """Average of V along the projected cyclotron orbit: circle of radius
     sqrt(E)/B centered at c."""
-    if E <= 0 or B <= 0:
-        raise ValueError("E and B must be positive")
+    if not (math.isfinite(E) and E > 0 and math.isfinite(B) and B > 0):
+        raise ValueError("E and B must be finite and positive")
     return circle_average(model, c, math.sqrt(E) / B)

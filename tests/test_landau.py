@@ -45,6 +45,18 @@ def test_landau_level_gaps():
     assert np.all(gaps > 0)
 
 
+@pytest.mark.parametrize("B", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda B: landau_level(B, 2),
+    lambda B: LandauConfig(B=B, q=1, k_max=3),
+    lambda B: radial_basis(BasisIndex(2, 1), B, 0.5),
+], ids=["landau_level", "LandauConfig", "radial_basis"])
+def test_field_strength_must_be_finite_and_positive(call, B):
+    with pytest.raises(ValueError, match="B must be finite and positive"):
+        call(B)
+
+
 def test_basis_index_validation():
     with pytest.raises(ValueError):
         BasisIndex(3, -4)

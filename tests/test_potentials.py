@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl.potentials import (PotentialModel, TailField, _angle_rule, _gauss_jacobi01,
-                            circle_average,
+from lcl import potentials
+from lcl.errors import AccuracyError
+from lcl.potentials import (PotentialModel, TailField, _angle_rule, _angle_rule_groups,
+                            _gauss_jacobi01, _power_cos_series, circle_average,
                             evaluate, evaluate_tail, mean_value_mode_profile,
                             mean_value_radial_profile, mean_value_transform,
-                            orbit_average)
+                            orbit_average, power_cos_average)
 from lcl.specfun import panel_rule
 
 mp.mp.dps = 30
@@ -124,10 +126,126 @@ def test_profile_at_zero_and_monotone_tail():
 @pytest.mark.parametrize("rho, r, match", [
     (1.5, 0.5, "rho"), (0.0, 0.5, "rho"), (float("nan"), 0.5, "rho"),
     (0.5, -0.5, "r must"), (0.5, [1.0, -0.5], "r must"),
-], ids=["rho-above-1", "rho-zero", "rho-nan", "r-negative", "r-array-negative"])
+    (0.5, float("nan"), "r must be finite"), (0.5, float("inf"), "r must be finite"),
+    (0.5, [float("nan"), 0.5], "r must be finite"),
+    (0.5, [0.5, float("inf")], "r must be finite"),
+], ids=["rho-above-1", "rho-zero", "rho-nan", "r-negative", "r-array-negative",
+        "r-nan", "r-inf", "r-array-nan", "r-array-inf"])
 def test_profiles_check_rho_and_r(profile, rho, r, match):
     with pytest.raises(ValueError, match=match):
         profile(rho, r)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("a, b, gap, rho, match", [
+    ([NAN, 2.0, 5.0], [1.0, 1.0, 1.0], None, 0.5, "finite"),
+    (2.0, NAN, None, 0.5, "finite"),
+    (INF, 1.0, None, 0.5, "finite"),
+    ([2.0, 3.0], 1.0, [1.0, INF], 0.5, "finite"),
+    (2.0, 1.0, NAN, 0.5, "finite"),
+    (2.0, -1.0, None, 0.5, "b >= 0"),
+    (1.0, 2.0, None, 0.5, "a >= b"),
+    (0.0, 0.0, None, 0.5, "diverges"),
+    (2.0, 1.0, None, 1.0, "rho"),
+    (2.0, 1.0, None, NAN, "rho"),
+], ids=["a-nan-row", "b-nan", "a-inf", "gap-inf", "gap-nan", "b-negative",
+        "a-below-b", "a-b-zero", "rho-one", "rho-nan"])
+def test_power_cos_average_checks_its_inputs(a, b, gap, rho, match):
+    # as given, and stacked 40 deep: short inputs are checked value by
+    # value, long ones by the vectorized checks
+    tall = lambda v: None if v is None else np.broadcast_to(v, (40, 1) + np.shape(v)[-1:])
+    for args in ((a, b, gap), (tall(a), tall(b), tall(gap))):
+        with pytest.raises(ValueError, match=match):
+            power_cos_average(*args[:2], rho, gap=args[2])
+
+
+def test_angle_rule_groups_reject_rows_in_no_group():
+    for delta in ([NAN, 0.5], [0.5, -1e-3]):
+        with pytest.raises(ValueError, match="delta"):
+            list(_angle_rule_groups(np.array(delta), 0.5))
+
+
+def _power_cos_oracle(a, b, rho):
+    """(1/pi) int_0^pi ((a - b) + 2 b sin^2(t/2))^(-rho/2) dt in mpmath, from
+    the floats a and b taken as exact.  t = u^m, m = 1/(1-rho), makes the
+    on-circle singularity t^-rho bounded; the breakpoints follow the angular
+    scale sqrt((a-b)/b) near t = 0."""
+    a, b, nu = mp.mpf(a), mp.mpf(b), mp.mpf(rho) / 2
+    with mp.workdps(40):
+        g, m = a - b, 1 / (1 - mp.mpf(rho))
+        e = mp.sqrt(g / b) if b > 0 and g > 0 else mp.mpf(10) ** -3
+        br = [mp.mpf(0)]
+        while e < mp.pi:
+            br.append(e ** (1 / m))
+            e *= 8
+        br.append(mp.pi ** (1 / m))
+        f = lambda u: m * u ** (m - 1) * (g + 2 * b * mp.sin(u ** m / 2) ** 2) ** -nu
+        return mp.quad(f, br) / mp.pi
+
+
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.9, 0.99])
+def test_power_cos_average_against_mpmath(rho):
+    # the series switch at z = 2b/(a+b) = 1/2 (a = 3b), b = 0, the circle
+    # a = b, and a far from b; 1e-13 at rho = 0.99, where the two terms of
+    # the connection formula cancel
+    tol = 1e-13 if rho == 0.99 else 1e-14
+    points = [(2.0 / z - 1.0, 1.0) for z in (0.5 - 1e-12, 0.5, 0.5 + 1e-12)]
+    points += [(2.5, 0.0), (1e12, 0.0), (1.0, 1.0), (7.0, 7.0), (1e12, 1e12),
+               (1e12, 1.0), (1e12, 9e11), (1.0 + 1e-9, 1.0), (40.0, 3.0)]
+    for a, b in points:
+        want = _power_cos_oracle(a, b, rho)
+        got = power_cos_average(a, b, rho)
+        assert abs(got - want) <= tol * want, (a, b, got, float(want))
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+def test_radial_profile_against_the_angle_rule(rho):
+    # the series against the quadrature of the tail's mean-value transform
+    tail = PotentialModel.isotropic(rho).tail_field()
+    for r in (0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 2.0, 50.0):
+        want = mean_value_transform(tail, (r, 0.0))
+        assert abs(mean_value_radial_profile(rho, r) - want) <= 1e-13 * want, r
+
+
+def test_power_cos_average_batch_matches_scalar_calls():
+    # one batched call over both series branches, the circle and b = 0,
+    # large enough for the numpy pass, against one scalar call per value
+    rng = np.random.default_rng(7)
+    b = np.concatenate([[0.0, 1.0, 3.0], 10.0 ** rng.uniform(-3, 3, 120)])
+    gap = np.concatenate([[1.0, 0.0, 6.0], b[3:] * 10.0 ** rng.uniform(-9, 2, 120)])
+    a = b + gap
+    for rho in (0.1, 0.5, 0.95):
+        batch = power_cos_average(a, b, rho, gap=gap)
+        single = np.array([power_cos_average(ai, bi, rho, gap=gi)
+                           for ai, bi, gi in zip(a, b, gap)])
+        assert batch.shape == a.shape
+        assert np.max(np.abs(batch - single) / single) <= 1e-15
+    r = np.linspace(0.0, 3.0, 301)
+    assert np.max(np.abs(mean_value_radial_profile(0.5, r)
+                         - [mean_value_radial_profile(0.5, x) for x in r])) <= 1e-15
+
+
+def test_power_cos_series_cached_and_read_only():
+    ser = _power_cos_series(0.5)
+    assert _power_cos_series(0.5) is ser
+    fresh = _power_cos_series.__wrapped__(0.5)
+    assert fresh.near == ser.near and fresh.far == ser.far
+    assert len(ser.near) == len(ser.far) == potentials._SERIES_TERMS
+    with pytest.raises(TypeError):
+        ser.near[0] = 0.0
+    with pytest.raises(TypeError):
+        ser.far[0] = (0.0, 0.0)
+    with pytest.raises(AttributeError):
+        ser.near = ()
+
+
+def test_power_cos_series_certifies_its_truncation(monkeypatch):
+    # eight terms leave 2^-8-sized terms at argument 1/2: the build refuses
+    monkeypatch.setattr(potentials, "_SERIES_TERMS", 8)
+    with pytest.raises(AccuracyError, match="not converged"):
+        _power_cos_series.__wrapped__(0.5)
 
 
 def test_profile_tail_normalization():
@@ -233,6 +351,14 @@ def test_transform_profile_identity_isotropic():
     for r in (0.4, 0.999, 1.0, 2.5, 10.0):
         direct = mean_value_transform(ISO.tail_field(), (r * math.cos(1.1), r * math.sin(1.1)))
         assert abs(direct - mean_value_radial_profile(0.5, r)) < 1e-8
+
+
+@pytest.mark.parametrize("E, B", [(NAN, 1.0), (4.0, NAN), (INF, 1.0), (4.0, INF),
+                                  (0.0, 1.0), (4.0, -1.0)],
+                         ids=["E-nan", "B-nan", "E-inf", "B-inf", "E-zero", "B-negative"])
+def test_orbit_average_requires_finite_positive_energy_and_field(E, B):
+    with pytest.raises(ValueError, match="E and B must be finite and positive"):
+        orbit_average(ISO, (1.0, 0.0), E, B)
 
 
 def test_orbit_average_constant_potential():

@@ -137,6 +137,30 @@ def test_hs_distance_requires_isotropic():
         hs_distance(ISO, 1.0, 64)
 
 
+@pytest.mark.parametrize("B", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda B: v_B(ISO, B, (1.0, 0.0)),
+    lambda B: laguerre_smoothing(ISO, B, 2, (0.0, 0.0)),
+    lambda B: hs_distance(ISO, B, 2),
+], ids=["v_B", "laguerre_smoothing", "hs_distance"])
+def test_field_strength_must_be_finite_and_positive(call, B):
+    with pytest.raises(ValueError, match="B must be finite and positive"):
+        call(B)
+
+
+# hs_distance(ISO, 1.0, q) as the angle-rule quadrature of the circle
+# averages computed it, before they became a hypergeometric series
+HS_DISTANCE_PINNED = {1: 0.00453905861746269, 4: 0.00198947788102898,
+                      8: 0.00124416475062109, 16: 0.000760149430649094,
+                      32: 0.000458236344596083}
+
+
+@pytest.mark.parametrize("q", sorted(HS_DISTANCE_PINNED))
+def test_hs_distance_pinned_values(q):
+    want = HS_DISTANCE_PINNED[q]
+    assert abs(hs_distance(ISO, 1.0, q) - want) <= 1e-11 * want
+
+
 def test_hs_distance_amplitude_linearity():
     scaled = PotentialModel.isotropic(0.5, amplitude=-2.0)
     a = hs_distance(scaled, 1.0, 2)
