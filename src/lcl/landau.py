@@ -52,7 +52,8 @@ from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 from .eigen import _check_dense_cap
 from .errors import CapacityError, ContractError
 from .potentials import PotentialModel
-from .specfun import _lgamma_arr, laguerre_function, laguerre_function_multi, legendre_rule
+from .specfun import (_lgamma_arr, laguerre_function, laguerre_function_multi,
+                      legendre_rule, panel_rule)
 
 __all__ = [
     "LandauConfig",
@@ -141,17 +142,17 @@ def radial_basis(idx: BasisIndex, B: float, r):
     return math.sqrt(B) * laguerre_function(idx.n, float(idx.alpha), xi)
 
 
-def eigen_residual_check(idx: BasisIndex, B: float, *, operator_k: int | None = None,
-                         r_window=(0.2, 6.0), step: float = 1e-3) -> float:
+def eigen_residual_check(idx: BasisIndex, B: float, *,
+                         operator_k: int | None = None) -> float:
     """Max-norm residual of the radial Landau operator on R_{k,q}.
 
     Applies -R'' - R'/r + (k/r - Br/2)^2 R - B(2q+1) R with 8th-order central
-    differences on a uniform grid over `r_window`.  A small residual certifies
+    differences on the grid of step 1e-3 over [0.2, 6].  A small residual certifies
     the (n, alpha) = (q + min(k,0), |k|) convention; passing `operator_k` with
     the opposite sign is the negative control and yields an O(1) residual.
     """
     k_op = idx.k if operator_k is None else operator_k
-    r0, r1 = r_window
+    r0, r1, step = 0.2, 6.0, 1e-3
     n_grid = int(round((r1 - r0) / step)) + 1
     r = r0 + step * np.arange(-4, n_grid + 4)
     R = radial_basis(idx, B, r)
@@ -423,14 +424,12 @@ def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
     Integrated in s = sqrt(xi) where the Laguerre oscillations are uniform;
     the quadrature never crosses the indicator kink at r = radius.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     s_max = math.sqrt(0.5 * B) * radius
     _, hi = _xi_window(idx.n, float(idx.alpha))
     M = 64 + int(math.ceil(1.8 * s_max * math.sqrt(float(hi[0]))))
-    x, w = legendre_rule(M)
-    s = 0.5 * s_max * (x + 1.0)
-    ws = 0.5 * s_max * w
+    s, ws = panel_rule([0.0, s_max], M)
     psi = laguerre_function(idx.n, float(idx.alpha), s * s)
     return float(np.dot(ws, 2.0 * s * psi * psi))
 
@@ -456,8 +455,8 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
     delta below the scaled support edge of every registered test function,
     eigenvalues of the discarded tail cannot meet that support.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     if rho_scale is None:
         if not model.long_range:
             raise ValueError("rho_scale is required for compactly supported models")

@@ -18,6 +18,7 @@ isotropic model) and a radial quadrature (density).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,7 @@ from .landau import (LandauConfig, landau_level, truncation_bound, _block_summar
                      _level_bands, _row_bound)
 from .potentials import (PotentialModel, mean_value_mode_profile,
                          mean_value_radial_profile)
-from .specfun import legendre_rule, panel_rule
+from .specfun import panel_rule
 
 __all__ = [
     "TestFunction",
@@ -150,6 +151,7 @@ _METHODS = ("radial-inversion", "grid-2d", "monte-carlo")
 _TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
 _GRID_RADII = 4000  # grid-2d midpoint cells in r
 _GRID_ANGLES = 720  # ... and in theta (anisotropic model only)
+_SCAN_RADII = 5001  # the envelope scan: radii 0, 0.01, ..., 50
 
 
 @dataclass(frozen=True)
@@ -193,24 +195,36 @@ class LimitingMeasure:
             base = base + self.model.epsilon * np.abs(self.mode_profile(r))
         return abs(self.model.amplitude) * base
 
-    def envelope_peak(self) -> float:
-        return float(np.max(self.envelope(np.linspace(0.0, 3.0, 301))))
+    @functools.cached_property
+    def _scan(self):
+        """(radii, envelope, peak index) on the 0.01 grid of [0, 50], built
+        once; the peak must lie inside the grid."""
+        r = np.linspace(0.0, 50.0, _SCAN_RADII)
+        env = self.envelope(r)
+        i = int(np.argmax(env))
+        if i == _SCAN_RADII - 1:
+            raise MethodError("the envelope is still rising at r = 50")
+        return r, env, i
 
-    def _envelope_radius(self, level: float) -> float:
-        """Largest radius where the envelope still reaches `level`."""
-        r = 2.0
-        while float(self.envelope(r)) >= level:
-            r *= 2.0
-            if r > 1e9:
+    def envelope_peak(self) -> float:
+        _, env, i = self._scan
+        return float(env[i])
+
+    def _level_radius(self, levels) -> list[float]:
+        """Largest radius where the envelope still reaches each level (none
+        above the peak): each level doubles its own bracket out from the
+        scanned peak radius, then all are bisected at once to adjacent floats."""
+        r, _, i = self._scan
+        t = np.asarray(levels, dtype=float)
+        lo, hi = np.full(t.shape, r[i]), np.full(t.shape, max(2.0 * r[i], 1.0))
+        while np.any(up := self.envelope(hi) >= t):
+            if hi.max() > 1e9:
                 raise MethodError("level set unbounded; lower edge too close to 0")
-        lo, hi = r / 2.0, r
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if float(self.envelope(mid)) >= level:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+            lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
+        while np.any(((mid := 0.5 * (lo + hi)) > lo) & (mid < hi)):
+            up = self.envelope(mid) >= t
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        return hi.tolist()
 
     def _tables(self, r_out: float):
         r = np.linspace(0.0, r_out, _TABLE_POINTS)
@@ -241,41 +255,20 @@ class LimitingMeasure:
             return 0.0
         if method == "radial-inversion":
             return self._mu_radial_inversion(t_lo, t_hi)
-        return self._integral(lambda v: (v >= t_lo) & (v <= t_hi),
-                              self._envelope_radius(t_lo), method)
-
-    def _decreasing_branch(self):
-        """(r_peak, profile function) with a verified decreasing tail."""
-        if self.model.kind != "isotropic-long-range":
-            raise MethodError(
-                "radial-inversion applies to the isotropic model; use grid-2d")
-        rs = np.linspace(0.0, 3.0, 601)
-        prof = self.model.amplitude * self.base_profile(rs)
-        i_peak = int(np.argmax(prof))
-        r_peak = rs[i_peak]
-        check = self.model.amplitude * self.base_profile(np.linspace(r_peak, 50.0, 400))
-        if np.any(np.diff(check) >= 0.0):
-            raise MethodError(
-                "profile not monotone beyond its peak; use grid-2d")
-        return r_peak, prof[: i_peak + 1]
+        r_out, = self._level_radius([t_lo])
+        return self._integral(lambda v: (v >= t_lo) & (v <= t_hi), r_out, method)
 
     def _mu_radial_inversion(self, t_lo: float, t_hi: float) -> float:
-        r_peak, inner = self._decreasing_branch()
-        if t_hi >= float(np.min(inner)):
-            raise MethodError(
-                "interval reaches the non-monotone inner region; use grid-2d")
-
-        # the unique roots of amplitude*m0(r) = t on the decreasing branch,
-        # both levels bisected at once, each in its own doubling bracket
-        t = np.array([t_lo, t_hi])
-        lo, hi = np.full(2, r_peak), np.full(2, 2.0)
-        while np.any(above := self.model.amplitude * self.base_profile(hi) > t):
-            hi = np.where(above, 2.0 * hi, hi)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            above = self.model.amplitude * self.base_profile(mid) > t
-            lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
-        r_lo, r_hi = (0.5 * (lo + hi)).tolist()  # outer radius (lower level), inner (upper)
+        if self.model.kind != "isotropic-long-range":
+            raise MethodError("radial-inversion applies to the isotropic model; use grid-2d")
+        _, env, i = self._scan
+        if np.any(np.diff(env[i:]) >= 0.0):
+            raise MethodError("profile not monotone beyond its peak; use grid-2d")
+        if t_hi >= float(np.min(env[:i + 1])):
+            raise MethodError("interval reaches the non-monotone inner region; use grid-2d")
+        # the unique roots of amplitude*m0(r) = t on the decreasing branch:
+        # the outer radius (lower level) and the inner one (upper level)
+        r_lo, r_hi = self._level_radius([t_lo, t_hi])
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
 
     def _grid(self, r_out: float):
@@ -342,17 +335,18 @@ class LimitingMeasure:
         level = phi.support_abs_low * self.B ** (-self.rho)
         if level > self.envelope_peak():
             return 0.0
-        r_hi = self._envelope_radius(level) * 1.02
+        r_hi = self._level_radius([level])[0] * 1.02
         scale = self.B ** self.rho
         if method == "radial":
             rr, wr = panel_rule(np.linspace(0.0, r_hi, 96 + 1), 12)
             base = self.model.amplitude * self.base_profile(rr)
             if self.model.kind == "anisotropic-long-range":
                 mode = self.model.amplitude * self.model.epsilon * self.mode_profile(rr)
-                xt, wt = legendre_rule(48)
-                psi = math.pi * (xt + 1.0) * 0.5  # half period, integrand even in psi
-                vals = base[:, None] + mode[:, None] * np.cos(psi)[None, :]
-                angular = phi(scale * vals) @ (wt * 0.5)  # mean over the circle
+                # the mean over the circle is the mean over the half period
+                # psi = pi s, s in [0, 1], as the integrand is even in psi
+                s, wt = panel_rule([0.0, 1.0], 48)
+                vals = base[:, None] + mode[:, None] * np.cos(math.pi * s)[None, :]
+                angular = phi(scale * vals) @ wt
             else:
                 angular = phi(scale * base)
             return float(np.dot(wr, angular * rr)) / self.B

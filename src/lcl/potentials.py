@@ -150,9 +150,9 @@ class PotentialModel:
             return 0.5 * a * eps * r ** m * (1.0 + r * r) ** (-(rho + m) / 2.0)
         return (v0, AngularModeProfile(m, vm), AngularModeProfile(-m, vm))
 
-    def sup_abs(self, grid: int = 20001, rmax: float = 60.0) -> float:
-        """Numerical sup of |V| (scanned along the extremal rays)."""
-        r = np.linspace(0.0, rmax, grid)
+    def sup_abs(self) -> float:
+        """Numerical sup of |V| (scanned along the extremal rays, r <= 60)."""
+        r = np.linspace(0.0, 60.0, 20001)
         if self.kind == "anisotropic-long-range":
             base = (1.0 + r * r) ** (-self.rho / 2.0)
             bump = self.epsilon * r ** self.mode * (1.0 + r * r) ** (-(self.rho + self.mode) / 2.0)
@@ -513,9 +513,9 @@ def mean_value_mode_profile(rho: float, m: int, r):
 # circle averages
 # ---------------------------------------------------------------------------
 
-def _adaptive_circle_average(f, cx: float, cy: float, radius: float,
-                             tol: float = 1e-10, max_rounds: int = 10) -> float:
-    """Panel-doubling average for arbitrary callables, with error control."""
+def _adaptive_circle_average(f, cx: float, cy: float, radius: float, tol: float) -> float:
+    """Panel-doubling average for arbitrary callables, with error control:
+    8 panels, doubled at most 10 times."""
 
     def eval_panels(n_panels: int) -> float:
         t, w = panel_rule(np.linspace(0.0, 2.0 * math.pi, n_panels + 1), 16)
@@ -524,7 +524,7 @@ def _adaptive_circle_average(f, cx: float, cy: float, radius: float,
 
     n = 8
     prev = eval_panels(n)
-    for _ in range(max_rounds):
+    for _ in range(10):
         n *= 2
         cur = eval_panels(n)
         est = abs(cur - prev)
@@ -543,8 +543,8 @@ def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
     point of the circle nearest the origin; any other callable u(x1, x2),
     broadcasting over arrays, adaptively to `tol`.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     cx, cy = float(center[0]), float(center[1])
     if not isinstance(u, (PotentialModel, TailField)):
         return _adaptive_circle_average(u, cx, cy, radius, tol=tol)

@@ -20,6 +20,7 @@ is built on the four families here:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -236,11 +237,9 @@ def _j0_series(x: float) -> float:
 
 
 def _j0_integral(r):
-    order = int(64 + 1.5 * float(np.max(r)))
-    x, w = legendre_rule(order)
-    t = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * w  # includes the 1/pi of the representation
-    return np.cos(np.multiply.outer(r, np.sin(t))) @ wt
+    # t = pi s: the weights of s on [0, 1] carry the 1/pi of the representation
+    s, w = panel_rule([0.0, 1.0], int(64 + 1.5 * float(np.max(r))))
+    return np.cos(np.multiply.outer(r, np.sin(math.pi * s))) @ w
 
 
 @dataclass(frozen=True)
@@ -256,9 +255,6 @@ class QuadratureRule:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
-_rule_cache: dict = {}
-
-
 def gauss_nodes(kind: str, order: int) -> QuadratureRule:
     """Build a Gaussian rule by Newton iteration on the recurrence values.
 
@@ -267,21 +263,19 @@ def gauss_nodes(kind: str, order: int) -> QuadratureRule:
     """
     if order < 1:
         raise ConfigurationError(f"quadrature order must be >= 1, got {order}")
-    key = (kind, order)
-    if key in _rule_cache:
-        return _rule_cache[key]
-    if kind == "legendre":
-        x, w = _newton_legendre(order)
-    elif kind == "laguerre":
-        x, w = _newton_laguerre(order)
-    else:
+    if kind not in ("legendre", "laguerre"):
         raise ConfigurationError(f"unknown quadrature kind {kind!r}")
+    return _gauss_rule(kind, order)
+
+
+@functools.cache
+def _gauss_rule(kind: str, order: int) -> QuadratureRule:
+    """The rule of a checked kind and order, built on first use."""
+    x, w = (_newton_legendre if kind == "legendre" else _newton_laguerre)(order)
     # every caller shares the cached arrays, so none may write into them
     x.flags.writeable = False
     w.flags.writeable = False
-    rule = QuadratureRule(kind, order, x, w)
-    _rule_cache[key] = rule
-    return rule
+    return QuadratureRule(kind, order, x, w)
 
 
 def legendre_rule(order: int):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AccuracyError, MethodError
 from .potentials import (PotentialModel, TailField, circle_average,
                          mean_value_transform, power_cos_average)
-from .specfun import bessel_j0, laguerre_weighted, legendre_rule, panel_rule
+from .specfun import bessel_j0, laguerre_weighted, panel_rule
 from .landau import landau_level
 
 __all__ = [
@@ -63,12 +63,12 @@ def psi_q(q: int, x, xi):
 
 def circle_convolution(f, k: float, z, *, tol: float = 1e-10) -> float:
     """(f * delta_k)(z): the average of f over the circle of radius k at z."""
-    if k <= 0:
-        raise ValueError("k must be positive")
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be positive and finite, got {k!r}")
     return circle_average(f, z, k, tol=tol)
 
 
-def _psi_q_radial_rule(q: int, B: float = 1.0):
+def _psi_q_radial_rule(q: int):
     """Quadrature in the kernel radius t for int 2 t |Psi_q|-type integrals.
 
     Nodes cover the support of L_q(2t^2) e^{-t^2} up to where the envelope
@@ -82,9 +82,7 @@ def _psi_q_radial_rule(q: int, B: float = 1.0):
         hi += 10.0
     t_max = math.sqrt(0.5 * float(hi))
     M = 64 + int(math.ceil(4.0 * math.sqrt(8.0 * q + 4.0) * t_max / math.pi))
-    x, w = legendre_rule(M)
-    t = 0.5 * t_max * (x + 1.0)
-    wt = 0.5 * t_max * w
+    t, wt = panel_rule([0.0, t_max], M)
     sign = -1.0 if q % 2 else 1.0
     kern = 2.0 * t * sign * laguerre_weighted(q, 2.0 * t * t)
     return t, wt, kern
@@ -116,21 +114,17 @@ def i_rho(k: float, rho: float) -> float:
     Geometric panels from the bend scale 1/k; the rho = 2 case has the
     closed form arctan(k)/k used as a test oracle.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be finite and >= 0, got {k!r}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
     if k == 0.0:
         return 1.0
-    x, w = legendre_rule(32)
     edges = [0.0, min(1.0 / k, 1.0)]
     while edges[-1] < 1.0:
         edges.append(min(2.0 * edges[-1], 1.0))
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        t = 0.5 * (b - a) * (x + 1.0) + a
-        total += 0.5 * (b - a) * float(np.dot(w, (k * k * t * t + 1.0) ** (-rho / 2.0)))
-    return total
+    t, w = panel_rule(edges, 32)
+    return float(np.dot(w, (k * k * t * t + 1.0) ** (-rho / 2.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +157,6 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
     rho = model.rho
     k = math.sqrt(2.0 * q + 1.0)
     t, wt, kern = _psi_q_radial_rule(q)
-    xg, wg = legendre_rule(16)
     tt = np.append(t, k)  # the kernel radii, then the circle radius k
 
     def difference_profile(s_nodes: np.ndarray) -> np.ndarray:
@@ -178,9 +171,9 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
     h = 0.5
     max_abs_last = 0.0
     while True:
-        s_nodes = s_edge + 0.5 * h * (xg + 1.0)
+        s_nodes, ws = panel_rule([s_edge, s_edge + h], 16)
         D = difference_profile(s_nodes)
-        total += 0.5 * h * float(np.dot(wg, D * D * s_nodes))
+        total += float(np.dot(ws, D * D * s_nodes))
         max_abs_last = float(np.max(np.abs(D)))
         s_edge += h
         if s_edge > max(3.0 * k, 10.0):
@@ -222,8 +215,7 @@ def _fourier_transform_radial(model: PotentialModel, zeta: np.ndarray) -> np.nda
     return vals / (2.0 * math.gamma(rho / 2.0))
 
 
-def hs_distance_fourier(model: PotentialModel, B: float, q: int,
-                        zeta_max: float | None = None) -> float:
+def hs_distance_fourier(model: PotentialModel, B: float, q: int) -> float:
     """Fourier-side evaluation of the same Hilbert-Schmidt distance:
 
     hs^2 = int_0^inf (L_q(z^2/2) e^{-z^2/4} - J_0(k z))^2 |vhat_B(z)|^2 z dz,
@@ -234,8 +226,7 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int,
     if model.kind != "isotropic-long-range":
         raise MethodError("hs_distance_fourier implements the isotropic model only")
     k = math.sqrt(2.0 * q + 1.0)
-    if zeta_max is None:
-        zeta_max = 45.0 / math.sqrt(B)
+    zeta_max = 45.0 / math.sqrt(B)
     h = math.pi / (2.0 * k) if k > 0 else 0.5
     h = min(h, 0.25)
     z, wz = panel_rule(np.arange(0.0, zeta_max + h, h), 12)

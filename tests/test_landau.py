@@ -328,3 +328,14 @@ def test_exports(tmp_path):
     summary = json.loads(js.read_text())
     assert summary["q"] == 1 and summary["bandwidth"] == 2
     assert summary["dimension"] == blk.dimension
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: truncation_bound(ISO, 1.0, 8, float("nan")), "delta"),
+    (lambda: truncation_bound(ISO, 1.0, 8, float("inf")), "delta"),
+    (lambda: indicator_basis_mass(BasisIndex(2, 1), 1.0, float("nan")), "radius"),
+], ids=["truncation-delta-nan", "truncation-delta-inf", "indicator-radius-nan"])
+def test_nan_and_inf_are_refused(call, name):
+    # each used to pass its check: k_max = 1, or an unrelated conversion error
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()

@@ -246,7 +246,7 @@ def test_table_lookup_matches_np_interp(model, level):
     # rounds below a node's index on the level-0.2 tables and above it on
     # the level-0.5 ones, so each bracket correction is exercised.
     lim = LimitingMeasure(model, 1.0)
-    r_out = lim._envelope_radius(level)
+    r_out, = lim._level_radius([level])
     tables = lim._tables(r_out)
     rt, base, mode = tables
     rng = np.random.default_rng(7)
@@ -261,6 +261,40 @@ def test_table_lookup_matches_np_interp(model, level):
     got = lim._interp_transform(r, th, tables)
     assert rt[-1] == r_out
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# the envelope m0 + eps |g_3| of this model peaks at r ~ 4.66 (value 1.5503),
+# past the r <= 3 a scan once covered
+LATE_PEAK = PotentialModel.anisotropic(0.1, 0.9, 3)
+
+
+def test_envelope_peak_past_r3():
+    assert LimitingMeasure(LATE_PEAK, 1.0).envelope_peak() > 1.55
+
+
+def test_mu_interval_near_a_late_peak():
+    lim = LimitingMeasure(LATE_PEAK, 1.0, samples=2_000_000)
+    grid = lim.mu_interval(1.52, 1.6, "grid-2d")
+    mc = lim.mu_interval(1.52, 1.6, "monte-carlo")
+    assert grid > 0.0
+    assert abs(grid - mc) / mc < 1e-2
+
+
+def test_density_integral_near_a_late_peak():
+    lim = LimitingMeasure(LATE_PEAK, 1.0)
+    phi = TestFunction(1.56, 0.03)
+    radial = lim.density_integral(phi, "radial")
+    grid = lim.density_integral(phi, "grid-2d")
+    assert radial > 0.0
+    assert abs(radial - grid) / radial < 5e-3
+
+
+def test_envelope_rising_at_scan_end_raises():
+    lim = LimitingMeasure(PotentialModel.anisotropic(0.01, 0.99, 20), 1.0)
+    with pytest.raises(MethodError, match="still rising"):
+        lim.envelope_peak()
+    with pytest.raises(MethodError, match="still rising"):
+        lim.mu_interval(0.5, 0.6, "grid-2d")
 
 
 @pytest.mark.parametrize("kwargs", [

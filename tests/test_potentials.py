@@ -483,3 +483,10 @@ def test_jacobi_head_cached_read_only():
     for arr in head:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+@pytest.mark.parametrize("u", [ISO, ISO.tail_field(), lambda x1, x2: x1 * x1 + x2 * x2],
+                         ids=["model", "tail", "callable"])
+def test_circle_average_refuses_nan_radius(u):
+    with pytest.raises(ValueError, match="^radius must be"):
+        circle_average(u, (1.0, 0.0), NAN)

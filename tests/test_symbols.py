@@ -250,3 +250,16 @@ def test_smoothed_profile_tracks_circle_profile():
     ci = circle_symbol_profile(ISO, 1.0, 12, radii)
     rel = np.abs(sm.values - ci.values) / np.abs(ci.values)
     assert np.max(rel) < 0.05
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: i_rho(math.inf, 0.5), "k"),
+    (lambda: i_rho(float("nan"), 0.5), "k"),
+    (lambda: i_rho(2.0, float("nan")), "rho"),
+    (lambda: circle_convolution(ISO, float("nan"), (1.0, 0.0)), "k"),
+], ids=["i_rho-k-inf", "i_rho-k-nan", "i_rho-rho-nan", "circle_convolution-k-nan"])
+def test_nan_and_inf_are_refused(call, name):
+    # i_rho(inf, .) used to loop for ever (its panel edges stayed at 0), and
+    # NaN used to pass each check and come back as NaN
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
