@@ -354,7 +354,7 @@ def _selfchecks(cfg: RunConfig):
         ok = (spec.residual_bound < 1e-12 and gap < 1e-10
               and chain.residual_bound < 1e-12 and miss == 0)
         return ok, (f"residual {spec.residual_bound:.2e}, permutation gap {gap:.2e}, "
-                    f"chain enclosure radius {chain.residual_bound:.2e}, "
+                    f"chain bracket radius {chain.residual_bound:.2e}, "
                     f"Sturm-count misses {miss} of 199")
 
     def gap_scan():

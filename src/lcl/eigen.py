@@ -3,18 +3,19 @@
 ``sym_eig`` takes a dense matrix to LAPACK's `numpy.linalg.eigh`, every
 eigenvector included, and certifies it by sampled eigenpair residuals.
 ``tridiagonal_eig`` takes a symmetric tridiagonal matrix as its diagonal d and
-off-diagonal e (each residue chain of a level block) to `numpy.linalg.eigvalsh`
-for eigenvalues only, and certifies every eigenvalue by Sturm counts at both
-ends of an enclosure (Barth, Martin and Wilkinson, *Numer. Math.* 9 (1967);
-Demmel, *Applied Numerical Linear Algebra*, §5.3), so no eigenvector is
-formed.  This module owns the contract around both: finite and well-shaped
-input, the dense dimension cap (``eigvalsh`` too needs dense storage), and one
-certificate block (trace and Frobenius identities, the eigenvalue error bound)
-that raises NumericalError.
+off-diagonal e (each residue chain of a level block) to Sturm-count
+multisection and bisection (Barth, Martin and Wilkinson, *Numer. Math.* 9
+(1967); Demmel, *Applied Numerical Linear Algebra*, §5.3), with no matrix
+formed: every eigenvalue, or only those in a window, each proven to lie in its
+final bracket by counts at both ends.  This module owns the contract around
+both: finite and well-shaped input, the dense dimension cap (``eigh`` and a
+full tridiagonal spectrum), and one certificate block (the eigenvalue error
+bound, then the trace and Frobenius identities) that raises NumericalError.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,15 +28,17 @@ _SYM_RTOL = 1e-12
 _IDENT_RTOL = 1e-9
 _N_RESIDUAL_SAMPLES = 8
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
-_TIGHT_RTOL = 2.0 ** 10 * _EPS
+_TIGHT_RTOL = 2.0 ** 10 * _EPS  # final bracket width, relative to the Gershgorin norm
+_BLOCK = 32  # rows of a Sturm count between sign tallies and early-exit tests
+_PASS_SHIFTS = 2048  # shifts per refinement pass: below this, a count costs mostly per row
 
 
 @dataclass(frozen=True)
 class EigenSpectrum:
-    """Sorted eigenvalues and `residual_bound`, their certified error relative
-    to max |lambda|: the Sturm enclosure radius of every eigenvalue from
-    ``tridiagonal_eig``, the worst sampled eigenpair residual from
-    ``sym_eig``."""
+    """Sorted eigenvalues and `residual_bound`, their certified error: the
+    half-width of the widest Sturm-count bracket from ``tridiagonal_eig``,
+    relative to the Gershgorin bound on max |lambda|, or the worst sampled
+    eigenpair residual from ``sym_eig``, relative to max |lambda|."""
 
     values: np.ndarray = field(repr=False)
     residual_bound: float
@@ -52,59 +55,111 @@ def _check_dense_cap(n: int) -> None:
         raise CapacityError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
 
 
-def _sturm_count(d, e, x):
+def _gershgorin(d, e):
+    """Each row's Gershgorin disc [low_i, top_i], and max_i |d_i| + r_i, a
+    bound on max |lambda|."""
+    a = np.abs(e)
+    r = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], a])
+    return d - r, d + r, float(np.max(np.abs(d) + r, initial=0.0))
+
+
+def _sturm_count(d, e, x, early_exit=False):
     """Eigenvalues of the symmetric tridiagonal (d, e) strictly below x: the
-    negative pivots of the LDL^T factorization of T - x, vectorized over
-    shifts x.  A pivot smaller than LAPACK dstebz's pivmin = tiny max(1, e^2)
-    becomes +pivmin, so no division overflows and an eigenvalue at x is not
-    counted."""
+    negative pivots q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} of the LDL^T
+    factorization of T - x, vectorized over shifts x in O(shifts) memory.
+
+    IEEE arithmetic stands in for a pivot guard (Marques, Riedy and Vömel,
+    *SIAM J. Sci. Comput.* 28 (2006)): d is taken with +0 for -0, so a zero
+    pivot is +0, not counted, and the next one is -inf, counted; e_i = 0
+    restarts the recurrence, so no 0/0 arises.  Signs are tallied once per
+    _BLOCK rows.
+
+    With `early_exit`, the rows past the last one whose Gershgorin disc
+    reaches min(x), less a rounding margin, lie below every shift.  Once
+    every pivot there is <= -|e_i|, so is every later one (-e_i^2 / q_i <=
+    |e_i| and the next disc lies below x), and the rows left are counted
+    without being factored.
+    """
     x = np.asarray(x, dtype=float)
-    e2 = np.square(np.asarray(e, dtype=float))
-    pivmin = _TINY * max(1.0, float(np.max(e2, initial=0.0)))
-    count, q, nx = np.zeros(x.size, dtype=int), np.ones(x.size), -x.reshape(-1)
-    for di, e2i in zip(np.asarray(d, dtype=float).tolist(), [0.0] + e2.tolist()):
-        q = (nx + di) - e2i / q
-        q[np.abs(q) < pivmin] = pivmin
-        count += q < 0.0
+    d, e = np.asarray(d, dtype=float) + 0.0, np.asarray(e, dtype=float)
+    n, nx = len(d), -x.reshape(-1)
+    stop = n
+    if early_exit and nx.size:
+        _, top, norm = _gershgorin(d, e)
+        margin = 16.0 * _EPS * (norm + float(np.max(np.abs(nx))))
+        reach = np.flatnonzero(top >= -float(np.max(nx)) - margin)
+        stop = int(reach[-1]) + 1 if reach.size else 0
+    e2 = np.square(np.concatenate([[0.0], e]))  # e2[i] couples rows i - 1 and i
+    count = np.zeros(nx.size, dtype=np.intp)
+    block, shifted, q = np.empty((_BLOCK, nx.size)), np.empty(nx.size), None
+    rows = list(block)
+    with np.errstate(divide="ignore", over="ignore"):
+        for start in range(0, n, _BLOCK):
+            end = min(start + _BLOCK, n)
+            for q_new, di, e2i in zip(rows, d[start:end].tolist(), e2[start:end].tolist()):
+                if e2i:
+                    np.divide(e2i, q, out=q_new)
+                    np.subtract(np.add(nx, di, out=shifted), q_new, out=q_new)
+                else:
+                    np.add(nx, di, out=q_new)
+                q = q_new
+            count += np.count_nonzero(block[:end - start] < 0.0, axis=0)
+            if stop <= end < n and np.all(q <= -abs(e[end - 1])):
+                count += n - end
+                break
     return count.reshape(x.shape)
 
 
-def _enclosure(d, e, vals):
-    """The first rung rtol of (_TIGHT_RTOL, _IDENT_RTOL) at which every computed
-    vals[i] lies within tau = rtol max|lambda| of the i-th eigenvalue of the
-    tridiagonal (d, e), proved by Sturm counts at the 2n shifts vals -+ tau:
-    count(vals[i] - tau) <= i < count(vals[i] + tau).  Returns (rtol, 0), or
-    (inf, first index outside the wider rung).  max|lambda| is floored at
-    tiny/eps so that tau stays above the count's pivot guard."""
-    n = len(vals)
-    norm = max(float(np.max(np.abs(vals), initial=0.0)), _TINY / _EPS)
-    index = np.arange(n)
-    for rtol in (_TIGHT_RTOL, _IDENT_RTOL):
-        tau = rtol * norm
-        counts = _sturm_count(d, e, np.concatenate([vals - tau, vals + tau]))
-        bad = (counts[:n] > index) | (counts[n:] <= index)
-        if not bad.any():
-            return rtol, 0
-    return np.inf, int(np.argmax(bad))
+def _bisect(d, e, lo: float, hi: float, index, norm: float):
+    """Eigenvalues `index` (ascending) of (d, e), all in [lo, hi], and their
+    radii relative to `norm`.
+
+    One multisection pass of four cells per eigenvalue brackets each; each
+    later pass splits every bracket into 2^b cells, with (2^b - 1) k <=
+    _PASS_SHIFTS shifts in all, until the width is _TIGHT_RTOL norm.  The ends
+    a_i, b_i of the final brackets are then counted afresh:
+    count(a_i) <= i < count(b_i) proves eigenvalue i in [a_i, b_i]; a bracket
+    that fails it has radius inf.
+    """
+    k = len(index)
+    grid = np.linspace(lo, hi, 4 * k + 1)
+    j = np.searchsorted(_sturm_count(d, e, grid, True), index, side="right") - 1
+    j = np.clip(j, 0, 4 * k - 1)
+    a, b = grid[j], grid[j + 1]
+    bits = max(0, math.ceil(math.log2((hi - lo) / (4 * k) / (_TIGHT_RTOL * norm))))
+    per_pass, rows = max(1, int(math.log2(1 + _PASS_SHIFTS / k))), np.arange(k)
+    while bits > 0:
+        m = 2 ** min(per_pass, bits)
+        bits -= per_pass
+        cells = a[:, None] + (b - a)[:, None] * (np.arange(m + 1) / m)
+        cells[:, -1] = b
+        counts = _sturm_count(d, e, cells[:, 1:-1], True)
+        j = np.count_nonzero(counts <= index[:, None], axis=1)
+        a, b = cells[rows, j], cells[rows, j + 1]
+    counts = _sturm_count(d, e, np.concatenate([a, b]), True)
+    proven = (counts[:k] <= index) & (index < counts[k:])
+    return 0.5 * (a + b), np.where(proven, 0.5 * (b - a), np.inf) / norm
 
 
-def _certify(vals, trace, frob, scale, bound, worst) -> EigenSpectrum:
-    """The certificate block of every solve: trace and Frobenius identities,
-    and the eigenvalue error `bound` relative to max |lambda|, which must not
-    exceed _IDENT_RTOL (`worst` is the index it was found at)."""
-    n = len(vals)
-    tol = _IDENT_RTOL * max(n * scale, 1e-300)
-    tr_err = abs(float(np.sum(vals)) - trace)
-    if not tr_err <= tol:
-        raise NumericalError(f"trace identity violated by {tr_err:.3e}")
-    fr_err = abs(float(np.sum(vals * vals)) - frob)
-    if not fr_err <= tol * max(scale, 1.0):
-        raise NumericalError(f"Frobenius identity violated by {fr_err:.3e}")
+def _certify(vals, bound, worst, n, identities=None) -> EigenSpectrum:
+    """The certificate block of every solve: the eigenvalue error `bound`,
+    which must not exceed _IDENT_RTOL (`worst` is the index it was found at,
+    n the dimension), then, for a full spectrum, the trace and Frobenius
+    identities given as (trace, Frobenius norm^2, max |entry|)."""
     if not bound <= _IDENT_RTOL:
         raise NumericalError(
             f"eigen-residual: eigenvalue {worst} of dimension {n} is certified "
             f"only to {bound:.3e} max|lambda| > {_IDENT_RTOL:g}")
-    return EigenSpectrum(values=vals, residual_bound=bound, dimension=n)
+    if identities is not None:
+        trace, frob, scale = identities
+        tol = _IDENT_RTOL * max(n * scale, 1e-300)
+        tr_err = abs(float(np.sum(vals)) - trace)
+        if not tr_err <= tol:
+            raise NumericalError(f"trace identity violated by {tr_err:.3e}")
+        fr_err = abs(float(np.sum(vals * vals)) - frob)
+        if not fr_err <= tol * max(scale, 1.0):
+            raise NumericalError(f"Frobenius identity violated by {fr_err:.3e}")
+    return EigenSpectrum(values=vals, residual_bound=bound, dimension=len(vals))
 
 
 def sym_eig(matrix) -> EigenSpectrum:
@@ -113,8 +168,8 @@ def sym_eig(matrix) -> EigenSpectrum:
     Solved by a dense ``eigh`` and certified by sampled eigenpair residuals.
     Raises ContractError for non-finite or asymmetric input, CapacityError
     above the dense cap, NumericalError if LAPACK fails to converge or the
-    trace/Frobenius identities or the residual certificate
-    (``eigen-residual``) are violated.
+    residual certificate (``eigen-residual``) or the trace/Frobenius
+    identities are violated.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -137,33 +192,55 @@ def sym_eig(matrix) -> EigenSpectrum:
                  for j in samples]
     worst = samples[int(np.argmax(residuals))]
     bound = max(residuals) / max(float(np.max(np.abs(vals))), 1e-300)
-    return _certify(vals, float(np.trace(A)), float(np.sum(A * A)), scale, bound, worst)
+    return _certify(vals, bound, worst, n,
+                    (float(np.trace(A)), float(np.sum(A * A)), scale))
 
 
-def tridiagonal_eig(d, e) -> EigenSpectrum:
-    """All eigenvalues of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, ascending, each certified by a Sturm-count enclosure.
+def tridiagonal_eig(d, e, window=None) -> EigenSpectrum:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, ascending: all n of them, or with window=(lo, hi) and
+    0 < lo < hi only those in [lo, hi).  A window lo < hi < 0 is solved as
+    (-hi, -lo) on (-d, e) and mirrored back, so its values lie in (lo, hi].
 
-    Raises ContractError for ill-shaped or non-finite input, CapacityError
-    above the dense cap (``eigvalsh`` stores the matrix), and NumericalError
-    as ``sym_eig`` does.
+    The full spectrum is held to the dense cap and, after the bracket
+    certificate, to the trace and Frobenius identities.  A window has no cap:
+    its counts early-exit past the last row whose Gershgorin disc reaches lo.
+    Raises ContractError for ill-shaped or non-finite input or a window that
+    straddles 0, CapacityError for a full spectrum above the dense cap, and
+    NumericalError (``eigen-residual`` naming the index and n) for a bracket
+    wider than 1e-9 of the Gershgorin norm or not proven by its counts.
     """
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
         raise ContractError(f"expected d of length n and e of length n - 1, got "
                             f"shapes {d.shape} and {e.shape}")
     n = len(d)
-    _check_dense_cap(n)
+    if window is None:
+        _check_dense_cap(n)
     scale = float(np.max(np.abs(np.concatenate([d, e])), initial=0.0))
     if not np.isfinite(scale):
         raise ContractError("tridiagonal matrix has a non-finite entry")
-    A = np.diag(d)
-    i = np.arange(n - 1)
-    A[i, i + 1] = A[i + 1, i] = e
-    try:
-        vals = np.linalg.eigvalsh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    bound, worst = _enclosure(d, e, vals)
-    frob = float(np.sum(d * d) + 2.0 * np.sum(e * e))
-    return _certify(vals, float(np.sum(d)), frob, scale, bound, worst)
+    low, top, norm = _gershgorin(d, e)
+    norm = max(norm, _TINY / _EPS)
+    if window is None:
+        if scale == 0.0:
+            return EigenSpectrum(values=np.zeros(n), residual_bound=0.0, dimension=n)
+        pad = 16.0 * _EPS * norm  # the disc ends, rounded, still bound the spectrum
+        lo, hi, index = float(np.min(low)) - pad, float(np.max(top)) + pad, np.arange(n)
+    else:
+        lo, hi = (float(w) for w in window)
+        if not (math.isfinite(hi - lo) and lo < hi and (lo > 0.0 or hi < 0.0)):
+            raise ContractError(f"window must be finite (lo, hi) with 0 < lo < hi "
+                                f"or lo < hi < 0, got {window!r}")
+        if hi < 0.0:
+            spec = tridiagonal_eig(-d, e, (-hi, -lo))
+            return replace(spec, values=-spec.values[::-1])
+        index = np.arange(*_sturm_count(d, e, [lo, hi], True))
+    if not len(index):
+        return EigenSpectrum(values=np.empty(0), residual_bound=0.0, dimension=0)
+    vals, radius = _bisect(d, e, lo, hi, index, norm)
+    worst = int(np.argmax(radius))
+    identities = None
+    if window is None:
+        identities = (float(np.sum(d)), float(np.sum(d * d) + 2.0 * np.sum(e * e)), scale)
+    return _certify(vals, float(radius[worst]), int(index[worst]), n, identities)

@@ -390,18 +390,20 @@ class ConvergenceRow:
 
 
 def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
-                   rho: float):
+                   rho: float, window=None):
     """Sorted spectrum of the level-q block truncated where entries drop
-    below `delta` (exponent `rho`).
+    below `delta` (exponent `rho`): all of it, or with window=(lo, hi) on one
+    side of 0 only the eigenvalues between lo and hi.
 
     Returns (values, k_max, tail bound, eigen residual bound, block summary
-    dict).  Radial models skip the matrix and have residual 0.  A model has
-    at most one positive mode m, so an anisotropic block is the direct sum of
-    m tridiagonal residue chains, positions i = r (mod m): each goes to
-    ``tridiagonal_eig`` as (diag[r::m], band[r::m]), for eigenvalues only,
-    every one certified by a Sturm-count enclosure.  The values are merged and
-    the largest chain certificate reported; the dense cap applies per chain,
-    first to the largest, r = 0, and the whole block is never stored.
+    dict).  Radial models skip the matrix, return every value whatever the
+    window, and have residual 0.  A model has at most one positive mode m, so
+    an anisotropic block is the direct sum of m tridiagonal residue chains,
+    positions i = r (mod m): each goes to ``tridiagonal_eig`` as
+    (diag[r::m], band[r::m]) with the window, for eigenvalues only, found and
+    certified by Sturm counts.  The values are merged and the largest chain
+    certificate reported; a full spectrum is held to the dense cap per chain,
+    first the largest, r = 0, and the whole block is never stored.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
@@ -410,7 +412,7 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
         values = np.sort(diag)
         return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
     (m, band), = bands.items()
-    specs = [tridiagonal_eig(diag[r::m], band[r::m]) for r in range(m)]
+    specs = [tridiagonal_eig(diag[r::m], band[r::m], window) for r in range(m)]
     values = np.sort(np.concatenate([s.values for s in specs]))
     return (values, k_max, tail, max(s.residual_bound for s in specs),
             _block_summary(q, B, k_max, max(bands), diag, tail))
@@ -418,7 +420,9 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
 
 def _study_row(model, B, rho, phi, delta, q, rhs) -> ConvergenceRow:
     lam = landau_level(B, q)
-    values, k_max, tail, _, _ = level_spectrum(model, B, q, delta, rho)
+    # only eigenvalues inside phi's support, scaled back, enter the trace
+    window = tuple(s * lam ** (-rho / 2.0) for s in phi.support)
+    values, k_max, tail, _, _ = level_spectrum(model, B, q, delta, rho, window)
     lhs = trace_functional(values, lam, rho, phi, tail_bound=tail) / lam
     gap = abs(lhs - rhs) / max(abs(rhs), 1e-12)
     return ConvergenceRow(q=q, lambda_q=lam, k_max=k_max, lhs=lhs, rhs=rhs,
@@ -435,6 +439,8 @@ def convergence_study(model: PotentialModel, B: float, rho: float,
         raise ValueError("q_list must be nonempty and strictly ascending")
     if delta >= phi.support_abs_low:
         raise ValueError("delta must stay below the support edge of phi")
+    if not math.isfinite(rho):
+        raise ValueError(f"rho must be finite, got {rho!r}")
     if model.long_range and abs(rho - model.rho) > 1e-12:
         raise ValueError("rho must match the model's decay order")
     if model.long_range and model.amplitude != 0.0:

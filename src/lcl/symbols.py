@@ -124,7 +124,8 @@ def i_rho(k: float, rho: float) -> float:
     while edges[-1] < 1.0:
         edges.append(min(2.0 * edges[-1], 1.0))
     t, w = panel_rule(edges, 32)
-    return float(np.dot(w, (k * k * t * t + 1.0) ** (-rho / 2.0)))
+    # hypot(k t, 1)^-rho: k * k would overflow for k above about 1e154
+    return float(np.dot(w, np.hypot(k * t, 1.0) ** -rho))
 
 
 # ---------------------------------------------------------------------------

@@ -272,3 +272,18 @@ def test_10_infrastructure_oracles(tmp_path):
             f"basis residual {resid:.1e} (< 1e-5); Gram {gram_err:.1e} (< 1e-8); "
             f"quadrature exactness {quad_err:.1e} (< 1e-12); "
             f"byte-identical reruns: {reproducible}")
+
+
+def test_11_anisotropic_paper_delta():
+    # criterion 09's model at the paper's delta = 0.19: two residue chains of
+    # about 9,700 and 18,900 rows, above the dense cap, of which only the
+    # eigenvalues inside phi's support are found; gated like criterion 09
+    phi = TestFunction(0.65, 0.15)
+    rows = convergence_study(ANISO, 1.0, 0.5, phi, [8, 16], 0.19,
+                             rhs_method="grid-2d")
+    gaps = {r.q: r.relative_gap for r in rows}
+    dims = {r.q: r.k_max + r.q + 1 for r in rows}
+    ok = gaps[16] <= 0.25 and gaps[16] <= gaps[8] and min(dims.values()) > 2 * 4096
+    _report("11 anisotropic trace at the paper's delta", ok,
+            f"rel gap q=8: {gaps[8]:.2e} -> q=16: {gaps[16]:.2e} (<= 0.25); "
+            f"dimensions {dims[8]} and {dims[16]} (> 2 x 4096)")

@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from lcl import eigen
 from lcl.eigen import EigenSpectrum, _sturm_count, sym_eig, tridiagonal_eig
 from lcl.errors import CapacityError, ContractError, NumericalError
+from lcl.landau import LandauConfig, _level_bands, truncation_bound
+from lcl.potentials import PotentialModel
 
 
 def test_diagonal_matrix():
@@ -140,16 +143,14 @@ def test_dense_input_keeps_the_eigh_path_bit_for_bit():
 
 def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
     d, e = _chain(300)
-    T = _tridiag(d, e)
-    want = np.linalg.eigh(T)[0]
-    values_only = np.linalg.eigvalsh(T)
+    want = np.linalg.eigh(_tridiag(d, e))[0]
 
-    def no_eigh(*args, **kwargs):
-        raise AssertionError("eigh called on a tridiagonal matrix")
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense solver called on a tridiagonal matrix")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
     spec = tridiagonal_eig(d, e)
-    assert np.array_equal(spec.values, values_only)
     assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert spec.residual_bound <= 1e-12
     # shifts at the gap midpoints: Sturm counts agree with the spectrum
@@ -159,18 +160,25 @@ def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
 
 @pytest.mark.parametrize("moved", [0, 1, 1001])
 def test_residual_certificate_fails_loudly(monkeypatch, moved):
-    # one eigenvalue moved by 1e-7 max|lambda| stays inside the trace and
-    # Frobenius tolerances and inside its neighbours' gaps; only the Sturm
-    # enclosure of that index sees it, whichever index it is
-    n, b = 2000, 1.0
-    d, e = np.zeros(n), np.full(n - 1, b)
-    exact = np.sort(2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
-    shifted = exact.copy()
-    shifted[moved] += 1e-7 * np.max(np.abs(exact))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: shifted.copy())
+    # eigenvalue i of this chain lies within 0.13 of i; the multisection pass
+    # does not count eigenvalue `moved` until moved + 0.7, so it is bracketed
+    # above itself and bisected there; only the fresh counts at the ends of its
+    # final bracket see it, whichever index it is
+    n = 2000
+    d, e = np.arange(n, dtype=float), np.full(n - 1, 0.25)
+    real, calls = eigen._sturm_count, []
+
+    def miscount(d, e, x, early_exit=False):
+        counts = real(d, e, x, early_exit)
+        if not calls:
+            counts = counts - ((x < moved + 0.7) & (counts == moved + 1))
+        calls.append(np.size(x))
+        return counts
+
+    monkeypatch.setattr(eigen, "_sturm_count", miscount)
     with pytest.raises(NumericalError, match=rf"eigen-residual.*\b{moved}\b.*\b2000\b"):
         tridiagonal_eig(d, e)
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: exact.copy())
+    monkeypatch.setattr(eigen, "_sturm_count", real)
     assert tridiagonal_eig(d, e).residual_bound <= 1e-12
 
 
@@ -219,8 +227,14 @@ def test_tridiagonal_edge_cases(d, e):
     (lambda: tridiagonal_eig([1.0, 2.0], [np.inf]), "non-finite"),
     (lambda: tridiagonal_eig([1.0, 2.0], [0.5, 0.5]), "length n - 1"),
     (lambda: tridiagonal_eig(np.eye(2), [0.5]), "length n - 1"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5], (-1.0, 1.0)), "window"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5], (0.0, 1.0)), "window"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5], (2.0, 1.0)), "window"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5], (1.0, np.nan)), "window"),
+    (lambda: tridiagonal_eig([1.0, 2.0], [0.5], (1.0, np.inf)), "window"),
 ], ids=["nan", "nan-band", "inf", "tridiagonal-nan", "tridiagonal-inf",
-        "length-mismatch", "two-dimensional-diagonal"])
+        "length-mismatch", "two-dimensional-diagonal", "window-straddles-0",
+        "window-at-0", "window-reversed", "window-nan", "window-inf"])
 def test_non_finite_input_rejected(solve, match):
     with pytest.raises(ContractError, match=match):
         solve()
@@ -233,3 +247,48 @@ def test_sturm_count_pivot_guard_does_not_overflow():
         warnings.simplefilter("error", RuntimeWarning)
         counts = _sturm_count(np.zeros(3), [2e4, 2e4], [-1.0, 0.0, 1.0, 3e4])
     assert counts.tolist() == [1, 1, 2, 3]
+
+
+def _criterion_09_chains(q, amplitude):
+    # the two residue chains of the criterion-09 level q (delta = 0.47)
+    model = PotentialModel.anisotropic(0.5, 0.3, 2, amplitude=amplitude)
+    k_max = truncation_bound(model, 1.0, q, 0.47, rho_scale=0.5)
+    diag, bands = _level_bands(model, LandauConfig(B=1.0, q=q, k_max=k_max))
+    return [(diag[r::2], bands[2][r::2]) for r in range(2)]
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0])
+@pytest.mark.parametrize("q", [8, 16, 32])
+def test_window_matches_eigvalsh_on_criterion_09_chains(q, amplitude):
+    # phi = (0.65, 0.15) scaled back by lambda_q^(-1/4), mirrored with the
+    # amplitude; the oracle is a dense eigvalsh, in tests only
+    lo, hi = sorted(amplitude * s * (2 * q + 1) ** -0.25 for s in (0.5, 0.8))
+    for d, e in _criterion_09_chains(q, amplitude):
+        ref = np.linalg.eigvalsh(_tridiag(d, e))
+        want = ref[(ref > lo) & (ref < hi)]
+        spec = tridiagonal_eig(d, e, (lo, hi))
+        assert spec.dimension == len(want) > 50
+        assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
+        assert spec.residual_bound <= 1e-12
+
+
+def test_early_exit_count_matches_full_count():
+    d, e = _criterion_09_chains(16, 1.0)[0]
+    top = float(np.max(d)) + 2.0 * float(np.max(np.abs(e)))
+    rng = np.random.Generator(np.random.Philox(17))
+    x = rng.uniform(0.5 * 33 ** -0.25, 1.2 * top, 512)
+    full = _sturm_count(d, e, x)
+    assert np.array_equal(_sturm_count(d, e, x, early_exit=True), full)
+    # the exit fires before the last rows: NaN there is never read
+    poisoned = e.copy()
+    poisoned[-8:] = np.nan
+    assert np.array_equal(_sturm_count(d, poisoned, x, early_exit=True), full)
+
+
+def test_window_outside_the_spectrum_is_empty():
+    d, e = _chain(50)
+    top = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
+    for window in [(top, 2.0 * top), (-2.0 * top, -top)]:
+        spec = tridiagonal_eig(d, e, window)
+        assert spec.dimension == 0 and spec.residual_bound == 0.0
+    assert tridiagonal_eig(np.zeros(4), np.zeros(3), (1e-300, 1.0)).dimension == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -377,6 +378,10 @@ def test_convergence_study_validation():
         convergence_study(ISO, 1.0, 0.5, PHI, [2, 4], 0.3)
     with pytest.raises(ValueError):
         convergence_study(ISO, 1.0, 0.7, PHI, [2], 0.1)
+    # NaN used to pass the rho check; only the trace's certificate stopped it
+    for model in (ISO, PotentialModel.gaussian_bump()):
+        with pytest.raises(ValueError, match="^rho must be finite"):
+            convergence_study(model, 1.0, float("nan"), PHI, [2], 0.1)
 
 
 @pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2), (2, 32)])
@@ -402,6 +407,49 @@ def test_chain_solve_keeps_anisotropic_sweep_lhs():
                              [8, 16, 32], 0.47)
     for r in rows:
         assert abs(r.lhs - want[r.q]) <= 1e-9 * want[r.q], (r.q, r.lhs)
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0])
+def test_level_spectrum_window_is_the_full_spectrum_inside_it(amplitude):
+    model = PotentialModel.anisotropic(0.5, 0.3, 2, amplitude=amplitude)
+    lo, hi = sorted(amplitude * s * 17 ** -0.25 for s in (0.5, 0.8))
+    full, k_max, tail, _, summary = level_spectrum(model, 1.0, 8, 0.47, 0.5)
+    values, k_w, tail_w, residual, summary_w = level_spectrum(
+        model, 1.0, 8, 0.47, 0.5, (lo, hi))
+    want = full[(full > lo) & (full < hi)]
+    assert len(values) == len(want) > 100
+    assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(full))
+    assert (k_w, tail_w, summary_w) == (k_max, tail, summary)
+    assert residual <= 1e-12
+
+
+def test_sweep_and_spectrum_need_no_dense_solver(monkeypatch, tmp_path):
+    # the criterion-09 sweep and `lcl spectrum` solve every chain by Sturm
+    # counts; neither dense LAPACK solver is called.  The limiting side's
+    # Gauss-Jacobi head (Golub-Welsch, 24 x 24 eigh) is built and cached first
+    from lcl.cli import main
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    phi = TestFunction(0.65, 0.15)
+    LimitingMeasure(ANISO, 1.0).density_integral(phi)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_dense)
+    monkeypatch.setattr(np.linalg, "eigh", no_dense)
+    want = {8: 4.569056824386879, 16: 4.562647548508397}
+    rows = convergence_study(ANISO, 1.0, 0.5, phi, [8, 16], 0.47)
+    for r in rows:
+        assert abs(r.lhs - want[r.q]) <= 1e-9 * want[r.q], (r.q, r.lhs)
+    cfg = {"model": {"kind": "anisotropic-long-range", "rho": 0.5, "epsilon": 0.3,
+                     "mode": 2, "amplitude": 1.0},
+           "B": 1.0, "rho": 0.5, "q_list": [8, 16, 32, 48],
+           "phi": {"center": 0.65, "half_width": 0.15}, "delta": 0.47,
+           "seed": 20240801, "output_dir": "out"}
+    path = tmp_path / "aniso.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "spectrum"
+    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "8"]) == 0
+    assert len((out / "spectrum_q8.csv").read_text().splitlines()) == 1 + 636
 
 
 def test_level_spectrum_dense_cap_is_per_chain():

@@ -178,6 +178,12 @@ def test_i_rho_arctan_closed_form():
         assert abs(i_rho(k, 2.0) - math.atan(k) / k) < 1e-12
 
 
+def test_i_rho_keeps_its_limit_where_k_squared_overflows():
+    # k^rho I_rho(k) -> 1 / (1 - rho) = 2, up to O(k^(rho - 1))
+    for k in (1e100, 1e160, 1e300):
+        assert abs(k ** 0.5 * i_rho(k, 0.5) - 2.0) <= 1e-12 * 2.0
+
+
 def test_i_rho_hypergeometric_oracle():
     # I_rho(k) = 2F1(1/2, rho/2; 3/2; -k^2); and, from mpmath alone, the
     # Gamma form of D_rho = int_0^inf [(1+u^2)^(-rho/2) - u^-rho] du that
