@@ -220,6 +220,10 @@ def tridiagonal_eig(d, e, window=None) -> EigenSpectrum:
     scale = float(np.max(np.abs(np.concatenate([d, e])), initial=0.0))
     if not np.isfinite(scale):
         raise ContractError("tridiagonal matrix has a non-finite entry")
+    # one power of two takes max|entry| into [1/2, 1), exactly, so that the
+    # squares of e in the Sturm count neither overflow nor underflow
+    p = math.frexp(scale)[1]
+    d, e, scale = np.ldexp(d, -p), np.ldexp(e, -p), math.ldexp(scale, -p)
     low, top, norm = _gershgorin(d, e)
     norm = max(norm, _TINY / _EPS)
     if window is None:
@@ -232,9 +236,10 @@ def tridiagonal_eig(d, e, window=None) -> EigenSpectrum:
         if not (math.isfinite(hi - lo) and lo < hi and (lo > 0.0 or hi < 0.0)):
             raise ContractError(f"window must be finite (lo, hi) with 0 < lo < hi "
                                 f"or lo < hi < 0, got {window!r}")
+        lo, hi = math.ldexp(lo, -p), math.ldexp(hi, -p)
         if hi < 0.0:
             spec = tridiagonal_eig(-d, e, (-hi, -lo))
-            return replace(spec, values=-spec.values[::-1])
+            return replace(spec, values=-np.ldexp(spec.values[::-1], p))
         index = np.arange(*_sturm_count(d, e, [lo, hi], True))
     if not len(index):
         return EigenSpectrum(values=np.empty(0), residual_bound=0.0, dimension=0)
@@ -243,4 +248,5 @@ def tridiagonal_eig(d, e, window=None) -> EigenSpectrum:
     identities = None
     if window is None:
         identities = (float(np.sum(d)), float(np.sum(d * d) + 2.0 * np.sum(e * e)), scale)
-    return _certify(vals, float(radius[worst]), int(index[worst]), n, identities)
+    spec = _certify(vals, float(radius[worst]), int(index[worst]), n, identities)
+    return replace(spec, values=np.ldexp(spec.values, p))

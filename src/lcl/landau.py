@@ -426,6 +426,8 @@ def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
     Integrated in s = sqrt(xi) where the Laguerre oscillations are uniform;
     the quadrature never crosses the indicator kink at r = radius.
     """
+    if not (math.isfinite(B) and B > 0):
+        raise ValueError("B must be finite and positive")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     s_max = math.sqrt(0.5 * B) * radius

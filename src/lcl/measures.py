@@ -12,9 +12,10 @@ the built-in models T reduces to two radial profiles,
     T(r, th) = a [ m0(r) + eps cos(m th) g_m(r) ].
 
 Both are (1/2piB) int f(T(x)) dx, f the indicator of [a, b] B^-rho or
-phi(B^rho .): one integrator takes either on a 2-d midpoint grid or by
-counter-based Monte Carlo over profile tables, beside radial inversion (mu,
-isotropic model) and a radial quadrature (density).
+phi(B^rho .): one integrator takes either on a polar rule (the 2-d midpoint
+grid, or Gauss-Legendre panels in r and half-period angles for the density)
+or by counter-based Monte Carlo over profile tables, beside radial inversion
+(mu, isotropic model).
 """
 from __future__ import annotations
 
@@ -151,7 +152,9 @@ _METHODS = ("radial-inversion", "grid-2d", "monte-carlo")
 _TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
 _GRID_RADII = 4000  # grid-2d midpoint cells in r
 _GRID_ANGLES = 720  # ... and in theta (anisotropic model only)
+_RADIAL_PANELS = 96  # 12-point Gauss-Legendre panels in r of the radial rule
 _SCAN_RADII = 5001  # the envelope scan: radii 0, 0.01, ..., 50
+_LEVEL_CUTS = 64  # cells per bracket and pass of the level-radius search
 
 
 @dataclass(frozen=True)
@@ -212,19 +215,36 @@ class LimitingMeasure:
 
     def _level_radius(self, levels) -> list[float]:
         """Largest radius where the envelope still reaches each level (none
-        above the peak): each level doubles its own bracket out from the
-        scanned peak radius, then all are bisected at once to adjacent floats."""
+        above the peak): the upper end of `_level_bracket`."""
+        return self._level_bracket(levels)[1].tolist()
+
+    def _level_bracket(self, levels):
+        """Adjacent floats lo < hi per level, the envelope reaching the level
+        at lo and not at hi.  The first bracket is read off one envelope call
+        on the doubling ladder h_k = max(2 r_peak, 1) 2^k, k = 0..30, above
+        the scanned peak radius: [h_(k-1), h_k] for the first rung h_k it
+        misses ([r_peak, h_0] for k = 0), and a level still reached at the
+        first rung past 1e9 is unbounded.  Each pass then cuts every bracket
+        into _LEVEL_CUTS cells, all levels in one envelope call, and keeps
+        the cell after the last cut that the envelope reaches."""
         r, _, i = self._scan
         t = np.asarray(levels, dtype=float)
-        lo, hi = np.full(t.shape, r[i]), np.full(t.shape, max(2.0 * r[i], 1.0))
-        while np.any(up := self.envelope(hi) >= t):
-            if hi.max() > 1e9:
-                raise MethodError("level set unbounded; lower edge too close to 0")
-            lo, hi = np.where(up, hi, lo), np.where(up, 2.0 * hi, hi)
-        while np.any(((mid := 0.5 * (lo + hi)) > lo) & (mid < hi)):
-            up = self.envelope(mid) >= t
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        return hi.tolist()
+        ladder = max(2.0 * r[i], 1.0) * 2.0 ** np.arange(31)
+        below = self.envelope(ladder)[None, :] < t[:, None]
+        k = np.argmax(below, axis=1)
+        if not np.all(below.any(axis=1) & (k <= np.argmax(ladder > 1e9))):
+            raise MethodError("level set unbounded; lower edge too close to 0")
+        lo, hi = np.where(k > 0, ladder[k - 1], r[i]), ladder[k]
+        frac, rows = np.arange(_LEVEL_CUTS + 1) / _LEVEL_CUTS, np.arange(len(t))
+        while np.any(np.nextafter(lo, np.inf) < hi):
+            cuts = np.minimum(lo[:, None] + (hi - lo)[:, None] * frac, hi[:, None])
+            cuts[:, -1] = hi
+            up = self.envelope(cuts.ravel()).reshape(cuts.shape) >= t[:, None]
+            # a cut on an end keeps that end's side, whatever the envelope reads
+            up = (up & (cuts < hi[:, None])) | (cuts == lo[:, None])
+            j = _LEVEL_CUTS - np.argmax(up[:, ::-1], axis=1)  # the last cut reached
+            lo, hi = cuts[rows, j], cuts[rows, j + 1]
+        return lo, hi
 
     def _tables(self, r_out: float):
         r = np.linspace(0.0, r_out, _TABLE_POINTS)
@@ -271,19 +291,27 @@ class LimitingMeasure:
         r_lo, r_hi = self._level_radius([t_lo, t_hi])
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
 
-    def _grid(self, r_out: float):
-        """T at the midpoints of the polar cells of the disc of radius r_out
-        (one angle for the isotropic model), and each radius row's cell area."""
-        dr = r_out / _GRID_RADII
-        rc = (np.arange(_GRID_RADII) + 0.5) * dr
-        base = self.model.amplitude * self.base_profile(rc)
-        if self.model.kind == "anisotropic-long-range":
+    def _grid(self, r_out: float, method: str):
+        """T at the nodes of a polar rule on the disc of radius r_out (one
+        angle for the isotropic model) and each node's area: midpoint cells
+        ("grid-2d"), or Gauss-Legendre panels in r and, as T is even in the
+        mode's angle psi = m theta, Gauss-Legendre in psi over a half period
+        ("radial")."""
+        if method == "grid-2d":
+            dr = r_out / _GRID_RADII
+            r, wr = (np.arange(_GRID_RADII) + 0.5) * dr, dr
             dth = 2.0 * math.pi / _GRID_ANGLES
-            thc = (np.arange(_GRID_ANGLES) + 0.5) * dth
-            mode = self.model.amplitude * self.model.epsilon * self.mode_profile(rc)
-            vals = base[:, None] + mode[:, None] * np.cos(self.model.mode * thc)[None, :]
-            return vals, rc * dr * dth
-        return base[:, None], (rc * dr * 2.0 * math.pi)
+            psi, wpsi = self.model.mode * ((np.arange(_GRID_ANGLES) + 0.5) * dth), dth
+        else:
+            r, wr = panel_rule(np.linspace(0.0, r_out, _RADIAL_PANELS + 1), 12)
+            s, ws = panel_rule([0.0, 1.0], 48)
+            psi, wpsi = math.pi * s, 2.0 * math.pi * ws
+        area = (r * wr)[:, None]
+        base = self.model.amplitude * self.base_profile(r)
+        if self.model.kind == "anisotropic-long-range":
+            mode = self.model.amplitude * self.model.epsilon * self.mode_profile(r)
+            return base[:, None] + mode[:, None] * np.cos(psi)[None, :], area * wpsi
+        return base[:, None], area * (2.0 * math.pi)
 
     def _interp_transform(self, r, th, tables):
         """Linear in r >= 0 between the uniform table's nodes: the bracket
@@ -312,11 +340,12 @@ class LimitingMeasure:
 
     def _integral(self, f, r_out: float, method: str) -> float:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
-        r_out: midpoint cells ("grid-2d") or self.samples uniform Philox(seed)
-        points ("monte-carlo"); f is vectorised."""
-        if method == "grid-2d":
-            vals, area_row = self._grid(r_out)
-            return float(np.sum(f(vals) * area_row[:, None])) / (2.0 * math.pi * self.B)
+        r_out: a polar rule ("grid-2d" or "radial", see `_grid`) or
+        self.samples uniform Philox(seed) points ("monte-carlo"); f is
+        vectorised."""
+        if method != "monte-carlo":
+            vals, area = self._grid(r_out, method)
+            return float(np.sum(f(vals) * area)) / (2.0 * math.pi * self.B)
         rng = np.random.Generator(np.random.Philox(self.seed))
         r = r_out * np.sqrt(rng.random(self.samples))
         th = 2.0 * math.pi * rng.random(self.samples)
@@ -337,19 +366,6 @@ class LimitingMeasure:
             return 0.0
         r_hi = self._level_radius([level])[0] * 1.02
         scale = self.B ** self.rho
-        if method == "radial":
-            rr, wr = panel_rule(np.linspace(0.0, r_hi, 96 + 1), 12)
-            base = self.model.amplitude * self.base_profile(rr)
-            if self.model.kind == "anisotropic-long-range":
-                mode = self.model.amplitude * self.model.epsilon * self.mode_profile(rr)
-                # the mean over the circle is the mean over the half period
-                # psi = pi s, s in [0, 1], as the integrand is even in psi
-                s, wt = panel_rule([0.0, 1.0], 48)
-                vals = base[:, None] + mode[:, None] * np.cos(math.pi * s)[None, :]
-                angular = phi(scale * vals) @ wt
-            else:
-                angular = phi(scale * base)
-            return float(np.dot(wr, angular * rr)) / self.B
         return self._integral(lambda v: phi(scale * v), r_hi, method)
 
 
@@ -366,8 +382,8 @@ def limiting_density_integral(lim: LimitingMeasure, phi: TestFunction,
 def schatten_norm(spec, ell: float | None = None, *, weak: bool = False) -> float:
     """(sum |e_j|^ell)^(1/ell), or the weak quasinorm sup_j j^(1/ell) |e|_(j)."""
     values = np.abs(_values_of(spec))
-    if ell is None or ell < 1.0:
-        raise ValueError("ell must be >= 1")
+    if ell is None or not (math.isfinite(ell) and ell >= 1.0):
+        raise ValueError(f"ell must be finite and >= 1, got {ell!r}")
     if weak:
         dec = np.sort(values)[::-1]
         j = np.arange(1, len(dec) + 1, dtype=float)

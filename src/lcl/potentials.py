@@ -14,7 +14,8 @@ difference V - tail decays two orders faster than the tail itself.
 
 The power-cosine average (1/pi) int_0^pi (a - b cos t)^(-rho/2) dt behind
 the radial profile m0 and the Hilbert-Schmidt distance is a Gauss
-hypergeometric function, summed as a series (`power_cos_average`).  The
+hypergeometric function, summed as a series (`power_cos_average`) in one
+vectorized pass whatever the size of its input, so callers pass batches.  The
 mean-value transform (average over the unit circle centered at x), the mode
 profile g_m and every other circle average of a model or tail run on one
 angle rule, `_angle_rule(delta, rho)`, for (1/pi) int_0^pi f(t) dt where f
@@ -335,10 +336,6 @@ def _angle_rule_groups(delta: np.ndarray, rho: float):
 
 _SERIES_TERMS = 64
 _SERIES_TOL = 2.0 ** -56
-# up to this many values a Python loop beats the numpy checks and Horner
-# pass, whose cost of a few us per term and operation does not shrink with
-# the array
-_SCALAR_LOOP_MAX = 32
 
 
 class _PowerCosSeries(NamedTuple):
@@ -384,7 +381,7 @@ def _series_terms(x: float) -> int:
 
 
 def _near_sum(z, n: int, ser: _PowerCosSeries):
-    """F(nu, 1/2; 1; z) by Horner on n terms, for a float or an array z."""
+    """F(nu, 1/2; 1; z) by Horner on n terms."""
     acc = 0.0
     for c in ser.near[_SERIES_TERMS - n:]:
         acc = acc * z + c
@@ -393,31 +390,12 @@ def _near_sum(z, n: int, ser: _PowerCosSeries):
 
 def _far_sum(w, n: int, ser: _PowerCosSeries):
     """F(nu, 1/2; 1; 1 - w) by the connection formula, both of its series
-    in one Horner pass on n terms, for a float or an array w."""
+    in one Horner pass on n terms."""
     p = q = 0.0
     for c1, c2 in ser.far[_SERIES_TERMS - n:]:
         p = p * w + c1
         q = q * w + c2
     return p + w ** (0.5 - ser.nu) * q
-
-
-def _power_cos_value(a: float, b: float, gap: float, ser: _PowerCosSeries) -> float:
-    """One value of `power_cos_average`, checks included, in Python floats."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(gap)):
-        raise ValueError("power_cos_average requires finite a, b and gap")
-    if not b >= 0.0:
-        raise ValueError("power_cos_average requires b >= 0")
-    if gap < -1e-12 * abs(a):
-        raise ValueError("power_cos_average requires a >= b")
-    gap = max(gap, 0.0)
-    s = gap + 2.0 * b
-    if s == 0.0:
-        raise ValueError("power_cos_average diverges at a = b = 0")
-    z = 2.0 * b / s
-    if z <= 0.5:
-        return _near_sum(z, _series_terms(z), ser) * s ** -ser.nu
-    w = gap / s
-    return _far_sum(w, _series_terms(w), ser) * s ** -ser.nu
 
 
 def power_cos_average(a, b, rho: float, *, gap=None):
@@ -435,38 +413,30 @@ def power_cos_average(a, b, rho: float, *, gap=None):
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     ser = _power_cos_series(float(rho))
-    if np.ndim(a) == 0 and np.ndim(b) == 0 and np.ndim(gap) == 0:
-        a, b = float(a), float(b)
-        return _power_cos_value(a, b, a - b if gap is None else float(gap), ser)
     a_arr, b_arr = np.broadcast_arrays(np.atleast_1d(np.asarray(a, dtype=float)),
                                        np.atleast_1d(np.asarray(b, dtype=float)))
     if gap is None:
         gap = a_arr - b_arr
     else:
         gap = np.broadcast_to(np.asarray(gap, dtype=float), a_arr.shape)
-    if a_arr.size <= _SCALAR_LOOP_MAX:
-        out = np.array([_power_cos_value(*abg, ser) for abg in
-                        zip(a_arr.ravel().tolist(), b_arr.ravel().tolist(),
-                            gap.ravel().tolist())])
-    else:
-        if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()
-                and np.isfinite(gap).all()):
-            raise ValueError("power_cos_average requires finite a, b and gap")
-        if not (b_arr >= 0.0).all():
-            raise ValueError("power_cos_average requires b >= 0")
-        if np.any(gap < -1e-12 * np.abs(a_arr)):
-            raise ValueError("power_cos_average requires a >= b")
-        gap, b_arr = np.maximum(gap, 0.0).ravel(), b_arr.ravel()
-        s = gap + 2.0 * b_arr
-        if not (s > 0.0).all():
-            raise ValueError("power_cos_average diverges at a = b = 0")
-        z, w = 2.0 * b_arr / s, gap / s
-        out = np.empty(s.shape)
-        near = z <= 0.5
-        for rows, x, series in ((near, z, _near_sum), (~near, w, _far_sum)):
-            if rows.any():
-                out[rows] = series(x[rows], _series_terms(float(x[rows].max())), ser)
-        out *= s ** -ser.nu
+    if not (np.isfinite(a_arr).all() and np.isfinite(b_arr).all()
+            and np.isfinite(gap).all()):
+        raise ValueError("power_cos_average requires finite a, b and gap")
+    if not (b_arr >= 0.0).all():
+        raise ValueError("power_cos_average requires b >= 0")
+    if np.any(gap < -1e-12 * np.abs(a_arr)):
+        raise ValueError("power_cos_average requires a >= b")
+    gap, b_arr = np.maximum(gap, 0.0).ravel(), b_arr.ravel()
+    s = gap + 2.0 * b_arr
+    if not (s > 0.0).all():
+        raise ValueError("power_cos_average diverges at a = b = 0")
+    z, w = 2.0 * b_arr / s, gap / s
+    out = np.empty(s.shape)
+    near = z <= 0.5
+    for rows, x, series in ((near, z, _near_sum), (~near, w, _far_sum)):
+        if rows.any():
+            out[rows] = series(x[rows], _series_terms(float(x[rows].max())), ser)
+    out *= s ** -ser.nu
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out[0])
     return out.reshape(a_arr.shape)

@@ -13,8 +13,8 @@ is built on the four families here:
   :func:`laguerre_function`, :func:`laguerre_function_multi`, the damped
   polynomial :func:`laguerre_weighted` (``L_q(t) e^{-t/2} = psi_q^(0)(t)``)
   and the Newton iteration of the Gauss-Laguerre rule,
-* the Bessel function ``J_0`` (power series below the switchover, quadrature
-  of the cosine integral representation above it),
+* the Bessel function ``J_0``, by one midpoint rule on its integral
+  representation, written as ``1 - mean(2 sin^2(r sin t / 2))``,
 * Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration (the
   Legendre one on the half rule in [-1, 0], mirrored: exactly symmetric).
 """
@@ -40,9 +40,6 @@ __all__ = [
     "panel_rule",
     "laguerre_bessel_gap",
 ]
-
-# Switch between the J0 power series and the integral representation.
-_J0_SWITCH = 12.0
 
 # Overflow guard of the normalized recurrence: a starting value below
 # e^_LOG_FLOOR starts near e^_LOG_FLOOR with the rest in a binary exponent,
@@ -200,46 +197,24 @@ def _lgamma_arr(x):
     return np.vectorize(math.lgamma, otypes=[float])(x)
 
 
-# J0 power-series coefficients (-x/4)^k / (k!)^2, enough terms for r <= 12.
-_J0_TERMS = 44
-
-
 def bessel_j0(r):
-    """J_0(r) for r >= 0 to ~1e-13 absolute accuracy.
+    """J_0(r) for finite r >= 0, to about 1.5e-15 absolute accuracy on [0, 300].
 
-    Power series up to the switchover (compensated summation; the series at
-    r = 12 cancels by ~4e3), quadrature of (1/pi) int_0^pi cos(r sin t) dt
-    beyond it.
+    J_0(r) = (2/pi) int_0^(pi/2) cos(r sin t) dt (DLMF 10.9.1), written as
+    1 - mean(2 sin^2(r sin t / 2)) over N midpoints of [0, pi/2]: the terms
+    are >= 0, so nothing cancels near r = 0 and J_0(0) = 1 exactly.  By the
+    symmetries of sin, these are the trapezoidal rule of the periodic
+    integrand on 4N points of the whole circle, whose error is about
+    2 |J_4N(r)|; N = 64 + 2 max(r) puts that far below rounding, and the
+    extra nodes average down the rounding of the arguments r sin t.
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r < 0):
-        raise ValueError("r must be >= 0")
-    out = np.empty_like(r)
-    small = r <= _J0_SWITCH
-    if np.any(small):
-        out[small] = [_j0_series(x) for x in r[small]]
-    if np.any(~small):
-        out[~small] = _j0_integral(r[~small])
-    return float(out[0]) if scalar else out
-
-
-def _j0_series(x: float) -> float:
-    q = -0.25 * x * x
-    term, terms = 1.0, [1.0]
-    for k in range(1, _J0_TERMS):
-        term *= q / (k * k)
-        terms.append(term)
-        if abs(term) < 1e-18:
-            break
-    return math.fsum(terms)
-
-
-def _j0_integral(r):
-    # t = pi s: the weights of s on [0, 1] carry the 1/pi of the representation
-    s, w = panel_rule([0.0, 1.0], int(64 + 1.5 * float(np.max(r))))
-    return np.cos(np.multiply.outer(r, np.sin(math.pi * s))) @ w
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValueError("r must be finite and >= 0")
+    n = 64 + int(2.0 * float(np.max(r, initial=0.0)))
+    t = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
+    out = 1.0 - np.mean(2.0 * np.sin(0.5 * np.multiply.outer(r, np.sin(t))) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -370,8 +345,8 @@ def laguerre_bessel_gap(q: int, r):
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
-    if np.any(r < 0):
-        raise ValueError("r must be >= 0")
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValueError("r must be finite and >= 0")
     gap = np.abs(laguerre_weighted(q, r) - bessel_j0(np.sqrt((4.0 * q + 2.0) * r)))
     denom = (q + 1.0) ** (-0.75) * r ** 1.25 + (q + 1.0) ** (-1.0) * r ** 3
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -96,8 +96,8 @@ def laguerre_smoothing(model: PotentialModel, B: float, q: int, z) -> float:
     circle-average engine applies directly.  Cost grows with q; the contract
     caps q at 64.
     """
-    if q > 64:
-        raise ValueError("laguerre_smoothing is limited to q <= 64")
+    if not 0 <= q <= 64:
+        raise ValueError(f"q must lie in [0, 64] for laguerre_smoothing, got {q!r}")
     if not (math.isfinite(B) and B > 0):
         raise ValueError("B must be finite and positive")
     t, wt, kern = _psi_q_radial_rule(q)
@@ -151,8 +151,8 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
     """
     if model.kind != "isotropic-long-range":
         raise MethodError("hs_distance implements the radial isotropic fast path only")
-    if q > _HS_MAX_Q:
-        raise ValueError(f"hs_distance is limited to q <= {_HS_MAX_Q}")
+    if not 0 <= q <= _HS_MAX_Q:
+        raise ValueError(f"q must lie in [0, {_HS_MAX_Q}] for hs_distance, got {q!r}")
     if not (math.isfinite(B) and B > 0):
         raise ValueError("B must be finite and positive")
     rho = model.rho

@@ -249,6 +249,28 @@ def test_sturm_count_pivot_guard_does_not_overflow():
     assert counts.tolist() == [1, 1, 2, 3]
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e200, 1e300])
+@pytest.mark.parametrize("window", [None, "positive", "negative"])
+def test_tridiagonal_extreme_scales(scale, window):
+    # the Sturm count squares e: at these scales e^2 underflows (the chain
+    # decoupled, both values read about 1e-184 at 1e-170) or overflows (no
+    # value in a window, eigen-residual for the whole spectrum).  One power
+    # of two brings the chain to unit scale and back, exactly.
+    d, e = scale * np.array([0.0, 0.5, 0.0]), scale * np.array([1.0, 0.25])
+    want = np.linalg.eigvalsh(np.diag(d / scale) + np.diag(e / scale, 1)
+                              + np.diag(e / scale, -1)) * scale
+    bounds = {None: None, "positive": (1e-3 * scale, 2.0 * scale),
+              "negative": (-2.0 * scale, -1e-3 * scale)}[window]
+    if bounds is not None:
+        want = want[(want > bounds[0]) & (want < bounds[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = tridiagonal_eig(d, e, bounds)
+    assert len(spec.values) == len(want) > 0
+    assert np.all(np.abs(spec.values - want) <= 1e-12 * scale)
+    assert spec.residual_bound <= 1e-12
+
+
 def _criterion_09_chains(q, amplitude):
     # the two residue chains of the criterion-09 level q (delta = 0.47)
     model = PotentialModel.anisotropic(0.5, 0.3, 2, amplitude=amplitude)

@@ -334,9 +334,11 @@ def test_exports(tmp_path):
     (lambda: truncation_bound(ISO, 1.0, 8, float("nan")), "delta"),
     (lambda: truncation_bound(ISO, 1.0, 8, float("inf")), "delta"),
     (lambda: indicator_basis_mass(BasisIndex(2, 1), 1.0, float("nan")), "radius"),
+    (lambda: indicator_basis_mass(BasisIndex(2, 1), float("nan"), 0.5), "B"),
     (lambda: truncation_bound(ISO, 1.0, 8, 0.2, rho_scale=float("nan")), "rho_scale"),
     (lambda: truncation_bound(ISO, 1.0, 8, 0.2, rho_scale=float("inf")), "rho_scale"),
 ], ids=["truncation-delta-nan", "truncation-delta-inf", "indicator-radius-nan",
+        "indicator-B-nan",
         "truncation-rho-scale-nan", "truncation-rho-scale-inf"])
 def test_nan_and_inf_are_refused(call, name):
     # each used to pass its check: k_max = 1, or an unrelated conversion error

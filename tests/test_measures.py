@@ -298,6 +298,55 @@ def test_envelope_rising_at_scan_end_raises():
         lim.mu_interval(0.5, 0.6, "grid-2d")
 
 
+def _level_radius_oracle(lim, level):
+    """The level radius by plain scalar bisection: double out from the scanned
+    peak radius until the envelope misses the level, then halve the bracket
+    one envelope value at a time until its ends are adjacent floats."""
+    r, _, i = lim._scan
+    lo, hi = float(r[i]), max(2.0 * float(r[i]), 1.0)
+    while lim.envelope(hi) >= level:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if lim.envelope(mid) >= level:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("model, levels", [
+    (ISO, [0.5, 0.2, 0.05, 0.01]),
+    (ANISO, [0.5, 0.2, 0.05, 0.01]),
+    (LATE_PEAK, [1.5, 1.0, 0.5]),
+], ids=["isotropic", "anisotropic", "late-peak"])
+def test_level_radius_matches_scalar_bisection(model, levels):
+    # levels near the peak, on the first rungs of the ladder and past r = 50
+    # (0.01, or 0.5 at rho = 0.1), all in one call.  The kernels' last bit
+    # depends on the batch (its term count, its angle rule), so the two
+    # searches may see level crossings a rounding of the envelope apart:
+    # 1 ulp plus 2 eps of the level, carried through the envelope's slope.
+    lim = LimitingMeasure(model, 1.0)
+    levels = [0.9 * lim.envelope_peak()] + levels
+    lo, hi = lim._level_bracket(levels)
+    assert np.array_equal(np.nextafter(lo, np.inf), hi)
+    assert lim._level_radius(levels) == hi.tolist()
+    assert hi[-1] > 50.0
+    for level, got in zip(levels, hi):
+        _, want = _level_radius_oracle(lim, level)
+        slope = abs(lim.envelope(want * (1 + 1e-6)) - lim.envelope(want * (1 - 1e-6))) / (
+            2e-6 * want)
+        tol = np.spacing(want) + 2.0 * np.finfo(float).eps * level / slope
+        assert abs(got - want) <= tol, (level, got, want)
+
+
+def test_level_radius_unbounded_raises():
+    # m0(r) r^rho -> 1: a level below about (1e9)^-rho is still reached past 1e9
+    lim = LimitingMeasure(ISO, 1.0)
+    lim._level_radius([1e-4])  # reached out to about 1e8: bounded
+    with pytest.raises(MethodError, match="unbounded"):
+        lim._level_radius([0.3, 1e-5])
+
+
 @pytest.mark.parametrize("kwargs", [
     {"samples": 0}, {"samples": -5}, {"samples": 2.5}, {"samples": True},
     {"seed": -1}, {"seed": 2 ** 64}, {"seed": 1.0}, {"seed": False},
@@ -347,6 +396,13 @@ def test_schatten_norm_examples():
     assert abs(schatten_norm(e, ell, weak=True) - ref) < 1e-15
     with pytest.raises(ValueError):
         schatten_norm(vals, 0.5)
+
+
+@pytest.mark.parametrize("ell", [math.inf, -math.inf, math.nan])
+def test_schatten_norm_refuses_non_finite_ell(ell):
+    # inf used to return max |e_j| and nan a NaN
+    with pytest.raises(ValueError, match="ell"):
+        schatten_norm([0.5, -0.25], ell)
 
 
 def test_convergence_study_zero_potential():

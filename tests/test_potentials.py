@@ -153,8 +153,7 @@ NAN, INF = float("nan"), float("inf")
 ], ids=["a-nan-row", "b-nan", "a-inf", "gap-inf", "gap-nan", "b-negative",
         "a-below-b", "a-b-zero", "rho-one", "rho-nan"])
 def test_power_cos_average_checks_its_inputs(a, b, gap, rho, match):
-    # as given, and stacked 40 deep: short inputs are checked value by
-    # value, long ones by the vectorized checks
+    # as given, and stacked 40 deep
     tall = lambda v: None if v is None else np.broadcast_to(v, (40, 1) + np.shape(v)[-1:])
     for args in ((a, b, gap), (tall(a), tall(b), tall(gap))):
         with pytest.raises(ValueError, match=match):

@@ -189,6 +189,31 @@ def test_bessel_j0_matches_oracle_across_switchover():
         assert abs(bessel_j0(r) - _j0_integral_oracle(r)) < 1e-12
 
 
+def test_bessel_j0_matches_mpmath():
+    # one batch over [0, 300] and each value alone, around the old switch
+    # at 12 too: the midpoint rule stays within rounding of the arguments
+    r = np.concatenate([np.linspace(0.0, 300.0, 3001), [12.0 - 1e-9, 12.0, 12.0 + 1e-9],
+                        np.random.default_rng(3).uniform(0.0, 300.0, 1000)])
+    want = np.array([float(mp.besselj(0, mp.mpf(x))) for x in r])
+    assert np.max(np.abs(bessel_j0(r) - want)) <= 2e-15
+    alone = np.array([bessel_j0(x) for x in r])
+    assert np.max(np.abs(alone - want)) <= 2e-15
+    assert bessel_j0(0.0) == 1.0 and bessel_j0(np.zeros(3)).tolist() == [1.0] * 3
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bessel_j0(float("nan")),
+    lambda: bessel_j0([1.0, float("inf")]),
+    lambda: bessel_j0(-1.0),
+    lambda: laguerre_bessel_gap(4, float("nan")),
+    lambda: laguerre_bessel_gap(4, [0.5, -0.5]),
+], ids=["j0-nan", "j0-inf", "j0-negative", "gap-nan", "gap-negative"])
+def test_bessel_arguments_name_r(call):
+    # NaN used to fail on an integer conversion of the node count
+    with pytest.raises(ValueError, match="^r must be finite and >= 0"):
+        call()
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.floats(min_value=0.0, max_value=500.0, allow_nan=False))
 def test_bessel_j0_bounded(r):

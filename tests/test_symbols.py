@@ -148,6 +148,17 @@ def test_field_strength_must_be_finite_and_positive(call, B):
         call(B)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: psi_q(q, 0.5, 0.5),
+    lambda q: laguerre_smoothing(ISO, 1.0, q, (0.0, 0.0)),
+    lambda q: hs_distance(ISO, 1.0, q),
+], ids=["psi_q", "laguerre_smoothing", "hs_distance"])
+def test_negative_level_names_q(call):
+    # laguerre_smoothing and hs_distance used to fail with a math domain error
+    with pytest.raises(ValueError, match="^q must"):
+        call(-1)
+
+
 # hs_distance(ISO, 1.0, q) as the angle-rule quadrature of the circle
 # averages computed it, before they became a hypergeometric series
 HS_DISTANCE_PINNED = {1: 0.00453905861746269, 4: 0.00198947788102898,
