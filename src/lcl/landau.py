@@ -15,23 +15,34 @@ Matrix elements of a potential with angular modes v_j couple k' = k + j:
     entries[k, k'] = int_0^inf v_{k-k'}(r) R_{k,q} R_{k',q} r dr
                    = int_0^inf v_{k-k'}(sqrt(2 xi / B)) psi psi' d xi.
 
-Entries are integrated by Gauss-Legendre on the classical support window of
-the Laguerre pair (turning points padded by eight Airy widths), which stays
-accurate at any angular index; plain Gauss-Laguerre of the matching degree
-would overflow beyond |k| ~ 1e3.  Every entry goes through one batched
-quadrature, `_band_batch`, with one rule of 80 + 2.8 max(n) nodes per batch:
-the diagonal and each off-diagonal band put all k < 0 rows (whose degrees
-n = q + k differ; the one Laguerre recurrence reads each row off at its own
-degree) in one batch, then the k >= 0 rows in chunks of 128.  A non-finite
-entry raises ContractError naming the stage, q, the band and the first bad k.
+The diagonal of a built-in model needs no grid in xi.  For a Gaussian
+profile e^(-c xi) the entry is the Laplace transform E_{n,alpha}(c) of
+psi^2, a finite sum of positive terms (Laguerre multiplication theorem,
+`specfun.laguerre_laplace`).  The bump is a E(1/(B w^2)); by Euler's integral
+the long-range profile (1+r^2)^(-rho/2) is a mixture of Gaussians, summed on
+one fixed rule of 200 Gauss-Legendre nodes in log s.  Every long-range call
+evaluates its first, last and largest-alpha rows again by the band
+quadrature below, on a rule of 400 2^j >= 400 + 2.8 max(n) nodes; a relative
+gap above 1e-12 (plus 8 eps lgamma(alpha+1), the quadrature's own rounding
+at large alpha) raises ContractError naming the stage, q and k.
+
+Off-diagonal bands, and the generic profiles of the basis selfcheck, are
+integrated by Gauss-Legendre on the classical support window of the Laguerre
+pair (turning points padded by eight Airy widths), which stays accurate at
+any angular index; plain Gauss-Laguerre of the matching degree would
+overflow beyond |k| ~ 1e3.  They go through one batched quadrature,
+`_band_batch`, with one rule of 80 + 2.8 max(n) nodes per batch: all k < 0
+rows (whose degrees n = q + k differ; the one Laguerre recurrence reads each
+row off at its own degree) in one batch, then the k >= 0 rows in chunks of
+128.  A non-finite entry, on either path, raises ContractError naming the
+stage, q, the band and the first bad k.
 
 For long-range models the diagonal rows k >= max(4q, 32), when there are more
 than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
-entry (k+q+1)^(rho/2) d_k in u = log(k+q+1): node values from the same
-quadrature at continuous alpha, Clenshaw evaluation at every integer k.  Each
-fit is checked against exact entries at the window's 25 second-kind Chebyshev
-points; a relative error above 1e-9 max(1, q/128), the quadrature's own jitter
-between neighbouring k, raises ContractError.
+entry (k+q+1)^(rho/2) d_k in u = log(k+q+1): node values from the same sum
+at continuous alpha, Clenshaw evaluation at every integer k.  Each fit is
+checked against exact entries at the window's 25 second-kind Chebyshev
+points; a relative error above 1e-9 max(1, q/128) raises ContractError.
 
 A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
@@ -55,7 +66,7 @@ from .eigen import _check_dense_cap
 from .errors import CapacityError, ContractError
 from .potentials import PotentialModel
 from .specfun import (_lgamma_arr, laguerre_function, laguerre_function_multi,
-                      legendre_rule, panel_rule)
+                      laguerre_laplace, legendre_rule, panel_rule)
 
 __all__ = [
     "LandauConfig",
@@ -77,6 +88,12 @@ _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
 _CHUNK = 128
 _CHEB_NODES = 24
+# Euler's integral of the long-range profile: Gauss-Legendre in u = log s on
+# [log _EULER_S[0], log _EULER_S[1]], certified against quadrature in xi
+_EULER_S = (1e-16, 50.0)
+_EULER_NODES = 200
+_CERT_NODES = 400
+_CERT_TOL = 1e-12
 
 
 def landau_level(B: float, q: int) -> float:
@@ -222,9 +239,14 @@ def _band_batch(vfun, B: float, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.nd
     """
     n1 = np.broadcast_to(np.asarray(n1, dtype=int), np.shape(a1))
     n2 = np.broadcast_to(np.asarray(n2, dtype=int), np.shape(a2))
-    same = np.array_equal(n1, n2) and np.array_equal(a1, a2)
     M = _QUAD_BASE + math.ceil(_NODES_PER_N * int(max(n1.max(), n2.max())))
-    x, w = legendre_rule(M)
+    return _window_quadrature(vfun, B, n1, a1, n2, a2, *legendre_rule(M))
+
+
+def _window_quadrature(vfun, B: float, n1: np.ndarray, a1: np.ndarray, n2: np.ndarray,
+                       a2: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The entries of _band_batch on the rule (x, w), mapped to each row's window."""
+    same = np.array_equal(n1, n2) and np.array_equal(a1, a2)
     lo, hi = _xi_window(n1, a1)
     if not same:
         lo2, hi2 = _xi_window(n2, a2)
@@ -262,26 +284,92 @@ def _mode_map(model: PotentialModel) -> dict:
     return {p.mode: p.radial for p in model.angular_modes()}
 
 
+def _subordinated_diagonal(model: PotentialModel, B: float, q: int, ks: np.ndarray,
+                           nodes: int) -> np.ndarray:
+    """v0's diagonal entries at the rows ks (real for k >= 0) from the Laplace
+    transform E(c) of psi^2: the bump is a E(1/(B w^2)), and by Euler's
+    integral (1+r^2)^(-nu) = Gamma(nu)^(-1) int s^(nu-1) e^(-s(1+r^2)) ds, a
+    long-range profile is the Gaussian mixture a/Gamma(nu) int s^nu e^-s
+    E(2s/B) d(log s), nu = rho/2, on `nodes` Gauss-Legendre nodes in log s;
+    below s0 = _EULER_S[0], E(c) = 1 - (2n+alpha+1) c + O(c^2) in closed form."""
+    n, alpha = q + np.minimum(ks, 0.0).astype(np.int64), np.abs(ks)
+    a = model.amplitude
+    if not model.long_range:
+        return a * laguerre_laplace(n, alpha, [1.0 / (B * model.width ** 2)])[:, 0]
+    nu = 0.5 * model.rho
+    s0, s1 = _EULER_S
+    u, w = panel_rule([math.log(s0), math.log(s1)], nodes)
+    s = np.exp(u)
+    mean_c = 1.0 + 2.0 * (2.0 * n + alpha + 1.0) / B  # d/ds of 1 - e^-s E(2s/B) at 0
+    head = s0 ** nu / nu - mean_c * s0 ** (nu + 1.0) / (nu + 1.0)
+    # a row-wise sum, so a row's bits do not depend on the rows beside it
+    body = (laguerre_laplace(n, alpha, 2.0 * s / B) * (w * np.exp(nu * u - s))).sum(axis=1)
+    return a / math.gamma(nu) * (head + body)
+
+
+def _certificate_order(n_max: int) -> int:
+    """The rule of the diagonal's quadrature certificate: the smallest
+    _CERT_NODES 2^j with at least _CERT_NODES + _NODES_PER_N n_max nodes,
+    so that a few rules serve every level."""
+    need = _CERT_NODES + math.ceil(_NODES_PER_N * n_max)
+    order = _CERT_NODES
+    while order < need:
+        order *= 2
+    return order
+
+
+def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
+    """v0's diagonal entries at the rows ks, with the quadrature certificate
+    of a long-range model: the first, the last and the largest-alpha row again
+    by Gauss-Legendre quadrature of v0 psi^2 on the classical window (an
+    independent path through the Laguerre recurrence) must agree within
+    _CERT_TOL plus the quadrature's own rounding at large alpha, relative."""
+    ks = np.asarray(ks, dtype=float)
+    vals = _subordinated_diagonal(model, B, q, ks, _EULER_NODES)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ContractError(
+            f"entry-quadrature: non-finite entry at q={q}, band j=0, "
+            f"first at k={ks[np.argmin(finite)]:.10g}")
+    if model.long_range and len(ks):
+        i = np.unique([0, len(ks) - 1, int(np.argmax(np.abs(ks)))])
+        n, a = q + np.minimum(ks[i], 0.0).astype(np.int64), np.abs(ks[i])
+        order = _certificate_order(int(n.max()))
+        check = _window_quadrature(_mode_map(model)[0], B, n, a, n, a, *legendre_rule(order))
+        gap = np.abs(vals[i] - check) / np.maximum(np.abs(check), np.finfo(float).tiny)
+        # psi's normalization enters the quadrature through lgamma(alpha + 1),
+        # whose rounding scales every node of the row alike
+        tol = _CERT_TOL + 8.0 * np.finfo(float).eps * _lgamma_arr(a + 1.0)
+        if not np.all(gap <= tol):
+            worst = int(np.argmax(gap / tol))  # a NaN counts as the largest
+            raise ContractError(
+                f"diagonal-sum: quadrature certificate failed at q={q}, k={ks[i][worst]:.10g}: "
+                f"the sum and {order}-node quadrature differ by {gap[worst]:.3e} "
+                f"relative > {tol[worst]:.3e}")
+    return vals
+
+
 def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
                      k_hi: int) -> np.ndarray:
     """Diagonal entries for k in [k_lo, k_hi]; the far window of a long-range
     model is a certified Chebyshev fit."""
-    v0 = _mode_map(model)[0]
     k_split = max(k_lo, 4 * q, 32)
     if not model.long_range or k_hi - k_split + 1 <= 8 * _CHEB_NODES:
         k_split = k_hi + 1
-    exact = _band_rows(v0, B, q, np.arange(k_lo, k_split), 0)
+    exact = _diagonal_rows(model, B, q, np.arange(k_lo, k_split))
     if k_split > k_hi:
         return exact
-    return np.concatenate([exact, _chebyshev_tail(v0, B, q, k_split, k_hi, model.rho)])
+    return np.concatenate([exact, _chebyshev_tail(model, B, q, k_split, k_hi)])
 
 
-def _chebyshev_tail(v0, B: float, q: int, k_a: int, k_b: int,
-                    rho: float) -> np.ndarray:
+def _chebyshev_tail(model: PotentialModel, B: float, q: int, k_a: int,
+                    k_b: int) -> np.ndarray:
     """Diagonal entries for k in [k_a, k_b] by the certified Chebyshev fit."""
+    rho = model.rho
+
     def scaled(u):
         m = np.exp(u)
-        return m ** (0.5 * rho) * _band_batch(v0, B, q, m - q - 1.0, q, m - q - 1.0)
+        return m ** (0.5 * rho) * _diagonal_rows(model, B, q, m - q - 1.0)
 
     u_a, u_b = math.log(k_a + q + 1.0), math.log(k_b + q + 1.0)
     fit = Chebyshev.interpolate(scaled, _CHEB_NODES - 1, domain=[u_a, u_b])
@@ -317,11 +405,14 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
 
 def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) -> float:
     """Single matrix element <V phi_{k2,q}, phi_{k1,q}>: one row of band
-    |k1 - k2|, through the same quadrature and check as the block."""
+    |k1 - k2|, through the same path and checks as the block (the sum on the
+    diagonal, the quadrature on a band), so with the same bits."""
     modes = _mode_map(model)
     if k1 - k2 not in modes:
         return 0.0
     k = np.array([BasisIndex(q, min(k1, k2)).k])  # rejects k < -q
+    if k1 == k2:
+        return float(_diagonal_rows(model, B, q, k)[0])
     return float(_band_rows(modes[k1 - k2], B, q, k, abs(k1 - k2))[0])
 
 

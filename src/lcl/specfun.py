@@ -1,7 +1,7 @@
 """Numerically stable special functions and Gaussian quadrature rules.
 
 Everything downstream (basis functions, matrix elements, symbol integrals)
-is built on the four families here:
+is built on the five families here:
 
 * Laguerre polynomials ``L_n^(a)`` by the plain three-term recurrence
   (:func:`assoc_laguerre`, with :func:`laguerre` its ``a = 0`` case),
@@ -13,6 +13,9 @@ is built on the four families here:
   :func:`laguerre_function`, :func:`laguerre_function_multi`, the damped
   polynomial :func:`laguerre_weighted` (``L_q(t) e^{-t/2} = psi_q^(0)(t)``)
   and the Newton iteration of the Gauss-Laguerre rule,
+* the Laplace transform ``int e^{-ct} psi_n^(a)(t)^2 dt`` of a squared
+  Laguerre function (:func:`laguerre_laplace`), a finite sum of positive
+  terms summed by a rescaled Horner scheme,
 * the Bessel function ``J_0``, by one midpoint rule on its integral
   representation, written as ``1 - mean(2 sin^2(r sin t / 2))``,
 * Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration (the
@@ -33,6 +36,7 @@ __all__ = [
     "laguerre_weighted",
     "assoc_laguerre",
     "laguerre_function",
+    "laguerre_laplace",
     "bessel_j0",
     "QuadratureRule",
     "gauss_nodes",
@@ -195,6 +199,114 @@ def _laguerre_function_core(n, a, t):
 def _lgamma_arr(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return np.vectorize(math.lgamma, otypes=[float])(x)
+
+
+def laguerre_laplace(n, alpha, c):
+    """E_{n_i,alpha_i}(c) = int_0^inf e^{-ct} psi_{n_i}^(alpha_i)(t)^2 dt, as an
+    array of rows i (integer n_i >= 0, real alpha_i >= 0) by ascending nodes
+    c >= 0.
+
+    By the Laguerre multiplication theorem (DLMF 18.18), with l = 1/(1+c),
+
+        E = l^(alpha+1) sum_j C(n,j) C(n+alpha,n-j) l^(2j) (1-l)^(2(n-j)),
+
+    a sum of positive terms, i.e. 2F1(-n,-n;alpha+1;c^-2) times its j = 0
+    term.  Nodes c >= 1 sum the series forward in c^-2 from j = 0; nodes
+    c < 1 sum it reversed in c^2 from j = n, whose term is l^(2n).  Either
+    way the term ratio is at most n(n+alpha), so the Horner sum of a row
+    carries a power-of-two exponent checked every few steps, as in the
+    Laguerre recurrence, and the prefactor goes in through logarithms.
+    """
+    n, a = np.broadcast_arrays(np.atleast_1d(np.asarray(n)),
+                               np.atleast_1d(np.asarray(alpha, dtype=float)))
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    if n.ndim != 1 or c.ndim != 1:
+        raise ValueError("n, alpha and c must be one-dimensional")
+    if not np.all(np.isfinite(a) & (a >= 0)) or np.any(n < 0) or np.any(n != np.floor(n)):
+        raise ValueError("n must be integers >= 0 and alpha finite and >= 0")
+    if not (np.all(np.isfinite(c) & (c >= 0)) and np.all(c[1:] >= c[:-1])):
+        raise ValueError("c must be finite, >= 0 and ascending")
+    n = n.astype(np.int64)
+    if np.any(n[1:] < n[:-1]):
+        order = np.argsort(n, kind="stable")
+        out = np.empty((n.size, c.size))
+        out[order] = laguerre_laplace(n[order], a[order], c)
+        return out
+    split = int(np.searchsorted(c, 1.0))
+    cr, cf = c[:split], c[split:]
+    nf = n.astype(float)
+    nn, aa = nf[:, None], a[:, None]
+    # step j multiplies the tail sum of every row with n_i > j by ratio[j, i] x
+    j = np.arange(int(n.max(initial=0)), dtype=float)[:, None]
+    out = np.empty((n.size, c.size))
+    if split:
+        ratio = (nf - j) * (nf - j + a) / np.square(j + 1.0)
+        logs = _scaled_horner(n, ratio, np.square(cr))
+        out[:, :split] = np.exp(logs - (2.0 * nn + aa + 1.0) * np.log1p(cr))
+    if split < c.size:
+        ratio = np.square(nf - j) / ((j + 1.0) * (j + 1.0 + a))
+        logs = _scaled_horner(n, ratio, np.square(1.0 / cf))
+        out[:, split:] = np.exp(logs + _log_binomial(nf, a)[:, None]
+                                - 2.0 * nn * np.log1p(1.0 / cf) - (aa + 1.0) * np.log1p(cf))
+    return out
+
+
+def _scaled_horner(n, ratio, x):
+    """log of S_i = sum_{j <= n_i} prod_{l < j} ratio[l, i] x, for rows of
+    ascending degree n_i and nodes x <= 1, by Horner from j = n_i down.
+
+    S = m 2^e is carried as a mantissa and an integer exponent.  A step takes
+    S to 1 + ratio x S <= (1 + max(ratio)) max(S, 1), so from below
+    2^_RESCALE_EXP at a check no node overflows before the next check, where
+    the large mantissas are scaled back into [1/2, 1).  Powers of two are
+    exact, so a row's bits do not depend on the other rows of the call.
+    """
+    m = np.ones((n.size, x.size))
+    one = np.ones_like(m)
+    e = np.zeros(m.shape, dtype=np.int64)
+    start = np.searchsorted(n, np.arange(ratio.shape[0] + 1), side="right").tolist()
+    growth = 2.0 + float(np.max(ratio, initial=0.0))
+    every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
+    hi = 2.0 ** _RESCALE_EXP
+    for j in range(ratio.shape[0] - 1, -1, -1):
+        r = slice(start[j], None)  # the rows with n_i > j
+        mr, onr = m[r], one[r]
+        mr *= ratio[j, r, None]
+        mr *= x
+        mr += onr
+        if j % every == 0 and mr.max() > hi:
+            s = np.where(mr > hi, np.frexp(mr)[1], 0)
+            np.ldexp(mr, -s, out=mr)
+            np.ldexp(onr, -s, out=onr)
+            e[r] += s
+    return np.log(m) + e * math.log(2.0)
+
+
+def _log_binomial(n, a):
+    """log C(n + a, n) for real n, a >= 0, to a few ulp of the result.
+
+    lgamma(n + a + 1) - lgamma(n + 1) - lgamma(a + 1) cancels terms of size
+    (n + a) log(n + a), so past 20 the log-gamma ratios go through Stirling's
+    series with the leading terms as log1p, which cancel nothing.
+    """
+    lo, hi = np.minimum(n, a), np.maximum(n, a)
+    both = lo >= 20.0
+    mixed = (hi >= 20.0) & ~both
+    out = _lgamma_arr(n + a + 1.0) - _lgamma_arr(n + 1.0) - _lgamma_arr(a + 1.0)
+    lo1, hi1 = lo[mixed], hi[mixed]
+    out[mixed] = ((hi1 + 0.5) * np.log1p(lo1 / hi1) + lo1 * np.log(hi1 + lo1) - lo1
+                + _stirling_tail(hi1 + lo1) - _stirling_tail(hi1) - _lgamma_arr(lo1 + 1.0))
+    n2, a2 = n[both], a[both]
+    out[both] = (n2 * np.log1p(a2 / n2) + a2 * np.log1p(n2 / a2)
+                 + 0.5 * np.log((n2 + a2) / (2.0 * math.pi * n2 * a2))
+                 + _stirling_tail(n2 + a2) - _stirling_tail(n2) - _stirling_tail(a2))
+    return out
+
+
+def _stirling_tail(y):
+    """log y! - (y + 1/2) log y + y - log(2 pi)/2, to 2e-15 for y >= 20."""
+    y2 = 1.0 / np.square(y)
+    return (1.0 / 12.0 - y2 * (1.0 / 360.0 - y2 * (1.0 / 1260.0 - y2 / 1680.0))) / y
 
 
 def bessel_j0(r):

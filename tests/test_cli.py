@@ -169,13 +169,26 @@ def test_spectrum_anisotropic_block_summary(tmp_path):
 
 
 def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    # the diagonal comes from the Laplace-transform kernel
+    monkeypatch.setattr(landau, "laguerre_laplace",
+                        lambda n, a, c: np.full((len(n), len(c)), np.nan))
     path = _write_config(tmp_path, **SMALL)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "2"]) == 1
     err = capsys.readouterr().err
     assert "entry-quadrature" in err and "q=2" in err
+    assert not (out / "block_q2.json").exists()
+
+
+def test_spectrum_non_finite_band_exit_1(tmp_path, capsys, monkeypatch):
+    # the anisotropic band stays on the batched quadrature
+    monkeypatch.setattr(landau, "_band_batch",
+                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    path = _write_config(tmp_path, model=ANISO_MODEL, **SMALL)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "entry-quadrature" in err and "q=2" in err and "j=2" in err
     assert not (out / "block_q2.json").exists()
 
 

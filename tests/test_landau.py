@@ -1,8 +1,10 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebpts1, chebpts2
 
 from lcl import landau
 from lcl.errors import CapacityError, ContractError
@@ -189,10 +191,124 @@ def test_toeplitz_entry_consistency():
 
 
 def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
-    monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    # the diagonal comes from the Laplace-transform kernel
+    monkeypatch.setattr(landau, "laguerre_laplace",
+                        lambda n, a, c: np.full((len(n), len(c)), np.nan))
     with pytest.raises(ContractError, match=r"entry-quadrature.*q=640\b.*j=0\b.*k=0\b"):
         toeplitz_entry(ISO, 1.0, 640, 0, 0)
+
+
+def test_toeplitz_entry_non_finite_band_fails_loudly(monkeypatch):
+    # the anisotropic band stays on the batched quadrature
+    monkeypatch.setattr(landau, "_band_batch",
+                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    with pytest.raises(ContractError, match=r"entry-quadrature.*q=40\b.*j=2\b.*k=-1\b"):
+        toeplitz_entry(ANISO, 1.0, 40, 1, -1)
+    assert math.isfinite(toeplitz_entry(ANISO, 1.0, 40, 1, 1))
+
+
+def test_diagonal_sum_certificate_fails_loudly(monkeypatch):
+    # 24 nodes in log s cannot resolve the mixture; the quadrature in xi sees it
+    monkeypatch.setattr(landau, "_EULER_NODES", 24)
+    with pytest.raises(ContractError,
+                       match=r"diagonal-sum.*q=8\b.*k=-?\d+:.*800-node quadrature differ by \d"):
+        radial_diagonal(ISO, LandauConfig(B=1.0, q=8, k_max=24))
+
+
+def test_diagonal_sum_certificate_catches_a_kernel_fault(monkeypatch):
+    # a kernel off by 1e-9 passes any node-count comparison of the sum with
+    # itself; the certificate's quadrature does not call the kernel
+    kernel = landau.laguerre_laplace
+    monkeypatch.setattr(landau, "laguerre_laplace",
+                        lambda n, alpha, c: kernel(n, alpha, c) * (1.0 + 1e-9))
+    with pytest.raises(ContractError, match=r"diagonal-sum.*q=8\b.*k=-?\d+:.*differ by \d\.\d+e-(09|10) "):
+        radial_diagonal(ISO, LandauConfig(B=1.0, q=8, k_max=24))
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("B", [1.0, 2.5])
+def test_long_range_ground_entry_matches_mpmath(rho, B):
+    # q = 0, k = 0: psi^2 = e^-t, so d = int e^-t (1 + 2t/B)^(-rho/2) dt
+    with mp.workdps(30):
+        want = float(mp.quad(lambda t: mp.exp(-t) * (1 + 2 * t / B) ** (-mp.mpf(rho) / 2),
+                             [0, 1, 10, mp.inf]))
+    got = toeplitz_entry(PotentialModel.isotropic(rho), B, 0, 0, 0)
+    # measured: at most 4.3e-16
+    assert abs(got - want) <= 1e-15 * want
+
+
+def _diagonal_at_base(model, q, ks, base, monkeypatch):
+    """The quadrature oracle: _band_rows with its rule base raised to `base`."""
+    with monkeypatch.context() as m:
+        m.setattr(landau, "_QUAD_BASE", base)
+        return landau._band_rows(model.angular_modes()[0].radial, 1.0, q, ks, 0)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_diagonal_sum_matches_base_400_quadrature(rho, monkeypatch):
+    # the quadrature at its production base 80 is off by up to ~2e-9 near
+    # k = 0; at base 400 it agrees with the sum to rounding
+    model = PotentialModel.isotropic(rho)
+    worst, gap80 = 0.0, 0.0
+    for q in (0, 1, 64, 256):
+        ks = np.arange(max(-q, -3), 4)
+        got = landau._diagonal_rows(model, 1.0, q, ks)
+        want = _diagonal_at_base(model, q, ks, 400, monkeypatch)
+        base80 = _diagonal_at_base(model, q, ks, landau._QUAD_BASE, monkeypatch)
+        worst = max(worst, _max_rel(got, want))
+        gap80 = max(gap80, _max_rel(base80, want))
+    print(f"[rho={rho}] sum vs base 400: {worst:.2e}; base 80 vs base 400: {gap80:.2e}")
+    assert worst <= 1e-12
+
+
+def test_bump_diagonal_matches_mpmath(monkeypatch):
+    # at B = w = 1 the bump's entry is E(1) = C(2q+k, n) 2^-(2q+k+1) exactly
+    # (Chu-Vandermonde), n = q + min(k, 0); both quadrature bases are off by
+    # up to 1.3e-12 at q = 256
+    worst, gap80, gap400 = 0.0, 0.0, 0.0
+    for q in (0, 1, 64, 256):
+        ks = np.arange(max(-q, -3), 4)
+        with mp.workdps(30):
+            want = np.array([float(mp.binomial(2 * q + k, q + min(k, 0))
+                                   / mp.mpf(2) ** (2 * q + k + 1)) for k in ks])
+        worst = max(worst, _max_rel(landau._diagonal_rows(BUMP, 1.0, q, ks), want))
+        gap80 = max(gap80, _max_rel(_diagonal_at_base(BUMP, q, ks, 80, monkeypatch), want))
+        gap400 = max(gap400, _max_rel(_diagonal_at_base(BUMP, q, ks, 400, monkeypatch), want))
+    print(f"[bump] sum vs mpmath: {worst:.2e}; base 80: {gap80:.2e}; base 400: {gap400:.2e}")
+    # measured: 2.8e-14 at q = 256
+    assert worst <= 5e-14
+
+
+@pytest.mark.parametrize("q", [640, 1024])
+def test_diagonal_sum_finite_at_high_level(q):
+    # no RuntimeWarning either: the suite turns one into an error
+    for model in (PotentialModel.isotropic(0.1), PotentialModel.isotropic(0.9), BUMP):
+        ks = np.concatenate([np.arange(-q, -q + 4), np.arange(0, 4)])
+        d = landau._diagonal_rows(model, 1.0, q, ks)
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.9])
+def test_diagonal_sum_finite_at_tail_nodes_to_the_hard_cap(rho):
+    # the 49 node values of a Chebyshev window [4q, K_HARD_CAP] at q = 256
+    q = 256
+    u_a, u_b = math.log(4 * q + q + 1.0), math.log(landau.K_HARD_CAP + q + 1.0)
+    pts = np.concatenate([chebpts1(landau._CHEB_NODES), chebpts2(landau._CHEB_NODES + 1)])
+    ks = np.exp(0.5 * (u_a + u_b) + 0.5 * (u_b - u_a) * pts) - q - 1.0
+    d = landau._diagonal_rows(PotentialModel.isotropic(rho), 1.0, q, ks)
+    assert np.all(np.isfinite(d)) and np.all(d > 0)
+    assert abs(ks.max() - landau.K_HARD_CAP) < 1e-6 * landau.K_HARD_CAP
+
+
+@pytest.mark.parametrize("model", [ISO, BUMP], ids=["iso", "bump"])
+def test_diagonal_row_alone_equals_row_in_batch(model):
+    # a width-scan level: k = -q .. 24 at q = 256, one batch
+    q = 256
+    ks = np.arange(-q, 25)
+    batch = landau._diagonal_rows(model, 1.0, q, ks)
+    for k in (-q, -q + 1, -37, -1, 0, 7, 24):
+        alone = landau._diagonal_rows(model, 1.0, q, np.array([k]))
+        assert alone[0] == batch[k + q], k
 
 
 def test_dense_cap_enforced():

@@ -9,7 +9,8 @@ from lcl.errors import ConfigurationError
 from lcl.landau import _band_batch, _xi_window
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
-                         laguerre_function_multi, laguerre_weighted, legendre_rule)
+                         laguerre_function_multi, laguerre_laplace, laguerre_weighted,
+                         legendre_rule)
 
 mp.mp.dps = 40
 
@@ -153,6 +154,69 @@ def test_laguerre_function_at_zero():
     assert laguerre_function(3, 0.0, 0.0) == 1.0
     vals = laguerre_function_multi([2, 0, 4], [1.0, 2.0, 0.0], np.zeros((3, 2)))
     assert np.array_equal(vals, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+def _laplace_oracle(n, a, c):
+    """E_{n,a}(c) at 30 digits, from mpmath hyp2f1 in its convergent form:
+    l^(a+1) C(n+a, n) (1-l)^(2n) 2F1(-n, -n; a+1; c^-2) for c >= 1, and the
+    reversed sum l^(2n+a+1) 2F1(-n, -n-a; 1; c^2) for c < 1, l = 1/(1+c)."""
+    with mp.workdps(30):
+        c = mp.mpf(c)
+        lam, one_minus = 1 / (1 + c), c / (1 + c)
+        if c < 1:
+            return lam ** (2 * n + a + 1) * mp.hyp2f1(-n, -n - a, 1, c * c)
+        return (lam ** (a + 1) * mp.binomial(n + mp.mpf(a), n) * one_minus ** (2 * n)
+                * mp.hyp2f1(-n, -n, a + 1, 1 / (c * c)))
+
+
+_LAPLACE_N = [0, 1, 7, 64, 256, 1024]
+_LAPLACE_ALPHA = [0.0, 0.5, 3.0, 24.0, 1e3, 2e5]
+_LAPLACE_C = [1e-16, 1e-6, 0.3, 1.0, 2.0, 1e3]
+
+
+@pytest.mark.parametrize("n", _LAPLACE_N)
+def test_laguerre_laplace_matches_mpmath_hyp2f1(n):
+    # every alpha and c of the grid in one call: rows by nodes
+    got = laguerre_laplace(np.full(len(_LAPLACE_ALPHA), n), _LAPLACE_ALPHA, _LAPLACE_C)
+    worst = 0.0
+    for i, a in enumerate(_LAPLACE_ALPHA):
+        for j, c in enumerate(_LAPLACE_C):
+            ref = _laplace_oracle(n, a, c)
+            if ref < 1e-290:
+                # below the normal range, e.g. 2^-200001 at (0, 2e5, 1)
+                assert 0.0 <= got[i, j] <= 1e-290
+                continue
+            worst = max(worst, float(abs(got[i, j] - ref) / ref))
+    # measured: 2.0e-13 at (1024, 1e3, 1), rounding of logarithms of size ~2n + alpha
+    assert worst <= 3e-13, worst
+
+
+def test_laguerre_laplace_exact_cases():
+    a = np.array([0.0, 0.5, 3.0, 24.0, 1e3, 2e5])
+    assert np.all(laguerre_laplace(np.array([0, 1, 7, 64, 256, 1024]), a, [0.0]) == 1.0)
+    c = np.array([0.0, 1e-16, 1e-6, 0.3, 1.0, 2.0, 1e3])
+    got = laguerre_laplace([0], [0.0], c)[0]
+    assert np.max(np.abs(got * (1.0 + c) - 1.0)) <= 4.5e-16  # two roundings
+
+
+def test_laguerre_laplace_sorts_rows_and_matches_alone():
+    n = np.array([5, 0, 300, 5, 17])
+    a = np.array([2.0, 0.0, 1.5, 40.0, 3.0])
+    c = np.array([1e-4, 0.5, 1.0, 7.0])
+    got = laguerre_laplace(n, a, c)
+    for i in range(len(n)):
+        assert np.array_equal(got[i], laguerre_laplace(n[i:i + 1], a[i:i + 1], c)[0])
+
+
+@pytest.mark.parametrize("n, a, c", [
+    ([-1], [0.0], [1.0]), ([1.5], [0.0], [1.0]), ([1], [-0.5], [1.0]),
+    ([1], [np.nan], [1.0]), ([1], [0.0], [-1.0]), ([1], [0.0], [np.inf]),
+    ([1], [0.0], [2.0, 1.0]),
+], ids=["n-negative", "n-fractional", "alpha-negative", "alpha-nan", "c-negative",
+        "c-inf", "c-descending"])
+def test_laguerre_laplace_rejects_bad_input(n, a, c):
+    with pytest.raises(ValueError):
+        laguerre_laplace(n, a, c)
 
 
 def _j0_integral_oracle(r, order=400):
