@@ -22,7 +22,7 @@ psi^2, a finite sum of positive terms (Laguerre multiplication theorem,
 the long-range profile (1+r^2)^(-rho/2) is a mixture of Gaussians, summed on
 one fixed rule of 200 Gauss-Legendre nodes in log s.  Every long-range call
 evaluates its first, last and largest-alpha rows again by the band
-quadrature below, on a rule of 400 2^j >= 400 + 2.8 max(n) nodes; a relative
+quadrature below, on a rule of 400 2^j >= 400 + 2.8 q nodes; a relative
 gap above 1e-12 (plus 8 eps lgamma(alpha+1), the quadrature's own rounding
 at large alpha) raises ContractError naming the stage, q and k.
 
@@ -31,11 +31,12 @@ integrated by Gauss-Legendre on the classical support window of the Laguerre
 pair (turning points padded by eight Airy widths), which stays accurate at
 any angular index; plain Gauss-Laguerre of the matching degree would
 overflow beyond |k| ~ 1e3.  They go through one batched quadrature,
-`_band_batch`, with one rule of 80 + 2.8 max(n) nodes per batch: all k < 0
-rows (whose degrees n = q + k differ; the one Laguerre recurrence reads each
-row off at its own degree) in one batch, then the k >= 0 rows in chunks of
-128.  A non-finite entry, on either path, raises ContractError naming the
-stage, q, the band and the first bad k.
+`_band_batch`, on the one rule of level q, 80 + 2.8 q nodes, so an entry
+does not depend on its batch: all k < 0 rows (whose degrees n = q + k
+differ; the one Laguerre recurrence reads each row off at its own degree)
+in one batch, then the k >= 0 rows in chunks of 128.  A non-finite entry,
+on either path, raises ContractError naming the stage, q, the band and the
+first bad k.
 
 For long-range models the diagonal rows k >= max(4q, 32), when there are more
 than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
@@ -231,15 +232,15 @@ def _psi_rows(n: np.ndarray, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return laguerre_function_multi(n, a, xi)
 
 
-def _band_batch(vfun, B: float, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.ndarray:
+def _band_batch(vfun, B: float, q: int, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.ndarray:
     """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over rows.
 
-    Degrees are per row (a scalar serves every row); the batch shares one
-    Gauss-Legendre rule, whose order follows its largest degree.
+    Degrees are per row (a scalar serves every row), at most q; every row of
+    level q is integrated on the one Gauss-Legendre rule of 80 + 2.8 q nodes.
     """
     n1 = np.broadcast_to(np.asarray(n1, dtype=int), np.shape(a1))
     n2 = np.broadcast_to(np.asarray(n2, dtype=int), np.shape(a2))
-    M = _QUAD_BASE + math.ceil(_NODES_PER_N * int(max(n1.max(), n2.max())))
+    M = _QUAD_BASE + math.ceil(_NODES_PER_N * q)
     return _window_quadrature(vfun, B, n1, a1, n2, a2, *legendre_rule(M))
 
 
@@ -270,7 +271,7 @@ def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
             n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
             k2 = k1 + j
             n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
-            vals = _band_batch(vfun, B, n1, a1, n2, a2)
+            vals = _band_batch(vfun, B, q, n1, a1, n2, a2)
             finite = np.isfinite(vals)
             if not finite.all():
                 raise ContractError(
@@ -307,11 +308,11 @@ def _subordinated_diagonal(model: PotentialModel, B: float, q: int, ks: np.ndarr
     return a / math.gamma(nu) * (head + body)
 
 
-def _certificate_order(n_max: int) -> int:
-    """The rule of the diagonal's quadrature certificate: the smallest
-    _CERT_NODES 2^j with at least _CERT_NODES + _NODES_PER_N n_max nodes,
-    so that a few rules serve every level."""
-    need = _CERT_NODES + math.ceil(_NODES_PER_N * n_max)
+def _certificate_order(q: int) -> int:
+    """The rule of the diagonal's quadrature certificate at level q: the
+    smallest _CERT_NODES 2^j with at least _CERT_NODES + _NODES_PER_N q
+    nodes, so that a few rules serve every level."""
+    need = _CERT_NODES + math.ceil(_NODES_PER_N * q)
     order = _CERT_NODES
     while order < need:
         order *= 2
@@ -334,7 +335,7 @@ def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
     if model.long_range and len(ks):
         i = np.unique([0, len(ks) - 1, int(np.argmax(np.abs(ks)))])
         n, a = q + np.minimum(ks[i], 0.0).astype(np.int64), np.abs(ks[i])
-        order = _certificate_order(int(n.max()))
+        order = _certificate_order(q)
         check = _window_quadrature(_mode_map(model)[0], B, n, a, n, a, *legendre_rule(order))
         gap = np.abs(vals[i] - check) / np.maximum(np.abs(check), np.finfo(float).tiny)
         # psi's normalization enters the quadrature through lgamma(alpha + 1),
@@ -405,8 +406,9 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
 
 def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) -> float:
     """Single matrix element <V phi_{k2,q}, phi_{k1,q}>: one row of band
-    |k1 - k2|, through the same path and checks as the block (the sum on the
-    diagonal, the quadrature on a band), so with the same bits."""
+    |k1 - k2|, through the same path and checks as the block, so with the
+    same bits, except on a far diagonal window that the block fits: there it
+    is the exact sum, which agrees with the fit within its certificate."""
     modes = _mode_map(model)
     if k1 - k2 not in modes:
         return 0.0

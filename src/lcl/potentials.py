@@ -18,17 +18,17 @@ hypergeometric function, summed as a series (`power_cos_average`) in one
 vectorized pass whatever the size of its input, so callers pass batches.  The
 mean-value transform (average over the unit circle centered at x), the mode
 profile g_m and every other circle average of a model or tail run on one
-angle rule, `_angle_rule(delta, rho)`, for (1/pi) int_0^pi f(t) dt where f
-varies on the angular scale delta near t = 0: one 64-point Gauss-Legendre
-panel for delta >= 1, geometric 24-point panels from delta for
-0 < delta < 1, and for delta == 0 -- the circle passes exactly through the
-tail's singularity, the only singular case -- a Gauss-Jacobi head carrying
-the t^(-rho) weight.
-Batched averages split their rows into these three cases, each on the rule
-of its own smallest delta.  Integrands even in t are averaged on the half
-circle; the others as the mean of f(t) and f(-t) about the angle nearest the
-singularity.  Arbitrary callables get an adaptive panel-doubling average
-instead.
+angle rule, `_angle_rule`, for (1/pi) int_0^pi f(t) dt where f varies on the
+angular scale delta near t = 0.  The rule is keyed by min(2^floor(log2 delta),
+1): one 64-point Gauss-Legendre panel for delta >= 1, geometric 24-point
+panels from the key for 0 < delta < 1, and for delta == 0 -- the circle
+passes exactly through the tail's singularity, the only singular case -- a
+Gauss-Jacobi head carrying the t^(-rho) weight.  Each rule is built once and
+shared read-only; batched averages group their rows by key, so every row is
+averaged on the rule of its own delta.  Integrands even in t are averaged on
+the half circle; the others as the mean of f(t) and f(-t) about the angle
+nearest the singularity.  Arbitrary callables get an adaptive panel-doubling
+average instead.
 """
 from __future__ import annotations
 
@@ -287,47 +287,41 @@ def _gauss_jacobi01(n: int, rho: float):
 
 
 @functools.cache
-def _far_rule():
-    """The delta >= 1 rule: built on first use, then shared read-only."""
-    t, w = panel_rule([0.0, math.pi], 64)
+def _angle_rule(key: float, rho):
+    """Nodes t and weights w with f(t) @ w = (1/pi) int_0^pi f(t) dt, for an
+    f that varies near t = 0 on an angular scale whose key (see
+    `_angle_rule_groups`) is `key`; built on first use, then shared read-only.
+
+    key 1: one 64-point Gauss-Legendre panel.  0 < key < 1: 24-point panels
+    [0, key], [key, 2 key], ... up to pi.  key 0 is the one singular case,
+    f ~ t^(-rho) at 0: the panels start at 0.05 and the first, [0, 0.05], is
+    a Gauss-Jacobi head whose weights carry the factor t^rho.  Only this rule
+    depends on rho; the others take rho = None, so every rho shares them.
+    """
+    edges = [0.0, {0.0: 0.05, 1.0: math.pi}.get(key, key)]
+    while edges[-1] < math.pi:
+        edges.append(min(2.0 * edges[-1], math.pi))
+    t, w = panel_rule(edges, 64 if key == 1.0 else 24)
+    if key == 0.0:
+        xh, wh = _gauss_jacobi01(24, rho)
+        t[:24] = edges[1] * xh
+        w[:24] = wh * edges[1] ** (1.0 - rho) * t[:24] ** rho
     w /= math.pi
     t.flags.writeable = w.flags.writeable = False
     return t, w
 
 
-def _angle_rule(delta: float, rho: float):
-    """Nodes t and weights w with f(t) @ w = (1/pi) int_0^pi f(t) dt, for an
-    f that varies on the angular scale `delta` near t = 0.
-
-    delta >= 1: one 64-point Gauss-Legendre panel.  0 < delta < 1: 24-point
-    panels [0, delta], [delta, 2 delta], ... up to pi.  delta == 0 is the one
-    singular case, f ~ t^(-rho) at 0: the panels start at 0.05 and the first,
-    [0, 0.05], is a Gauss-Jacobi head whose weights carry the factor t^rho.
-    """
-    if delta >= 1.0:
-        return _far_rule()
-    edges = [0.0, delta if delta > 0.0 else 0.05]
-    while edges[-1] < math.pi:
-        edges.append(min(2.0 * edges[-1], math.pi))
-    t, w = panel_rule(edges, 24)
-    if delta == 0.0:
-        xh, wh = _gauss_jacobi01(24, rho)
-        t[:24] = edges[1] * xh
-        w[:24] = wh * edges[1] ** (1.0 - rho) * t[:24] ** rho
-    return t, w / math.pi
-
-
 def _angle_rule_groups(delta: np.ndarray, rho: float):
-    """Yield (rows, t, w) for the rows of `delta` with delta == 0, with
-    0 < delta < 1 and with delta >= 1, each group on the angle rule of its
-    smallest delta, so that one near-singular row does not put every row on
-    the graded rule."""
+    """Yield (rows, t, w) for the rows of `delta` that share an angle rule.
+
+    A row's rule is keyed by its own angular scale: min(2^floor(log2 delta), 1),
+    exact by frexp, and 0 for delta == 0, so no row moves another's rule.
+    """
     if not np.all(delta >= 0.0):
         raise ValueError("angle rule: every delta must be >= 0")
-    for rows in (delta == 0.0, (delta > 0.0) & (delta < 1.0), delta >= 1.0):
-        if np.any(rows):
-            t, w = _angle_rule(float(np.min(delta[rows])), rho)
-            yield rows, t, w
+    keys = np.where(delta > 0.0, np.ldexp(0.5, np.frexp(np.minimum(delta, 1.0))[1]), 0.0)
+    for key in np.unique(keys).tolist():
+        yield (keys == key, *_angle_rule(key, rho if key == 0.0 else None))
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +366,19 @@ def _power_cos_series(rho: float) -> _PowerCosSeries:
                            tuple((a1 * dk, a2 * ek) for dk, ek in zip(d, e)))
 
 
-def _series_terms(x: float) -> int:
-    """Terms of a series with coefficients in (0, 1] whose first omitted
-    term at argument 0 <= x <= 1/2 is below 2^-56 (of a sum >= 1)."""
-    if x <= 0.0:
-        return 1
-    return min(_SERIES_TERMS, int(math.log(_SERIES_TOL) / math.log(x)) + 1)
-
-
-def _near_sum(z, n: int, ser: _PowerCosSeries):
-    """F(nu, 1/2; 1; z) by Horner on n terms."""
+def _near_sum(z, ser: _PowerCosSeries):
+    """F(nu, 1/2; 1; z) by Horner on all _SERIES_TERMS terms."""
     acc = 0.0
-    for c in ser.near[_SERIES_TERMS - n:]:
+    for c in ser.near:
         acc = acc * z + c
     return acc
 
 
-def _far_sum(w, n: int, ser: _PowerCosSeries):
+def _far_sum(w, ser: _PowerCosSeries):
     """F(nu, 1/2; 1; 1 - w) by the connection formula, both of its series
-    in one Horner pass on n terms."""
+    in one Horner pass on all _SERIES_TERMS terms."""
     p = q = 0.0
-    for c1, c2 in ser.far[_SERIES_TERMS - n:]:
+    for c1, c2 in ser.far:
         p = p * w + c1
         q = q * w + c2
     return p + w ** (0.5 - ser.nu) * q
@@ -405,7 +391,8 @@ def power_cos_average(a, b, rho: float, *, gap=None):
     on-circle singular case (finite for 0 < rho < 1).  With nu = rho/2,
     s = a + b and z = 2b/s it equals s^(-nu) F(nu, 1/2; 1; z): the power
     series in z for z <= 1/2, above that the connection formula in
-    w = 1 - z = (a-b)/s (A&S 15.3.6), each summed to below 2^-56 relative.
+    w = 1 - z = (a-b)/s (A&S 15.3.6), each summed on all of its terms (to
+    below 2^-56 relative), so a value does not depend on the rest of the call.
     s, z and w are formed from b and gap = a - b, which does not cancel
     near the circle if the caller knows it in a cancellation-free form (for
     instance (r-1)^2 for the radial profile) and passes it as `gap`.
@@ -433,9 +420,8 @@ def power_cos_average(a, b, rho: float, *, gap=None):
     z, w = 2.0 * b_arr / s, gap / s
     out = np.empty(s.shape)
     near = z <= 0.5
-    for rows, x, series in ((near, z, _near_sum), (~near, w, _far_sum)):
-        if rows.any():
-            out[rows] = series(x[rows], _series_terms(float(x[rows].max())), ser)
+    out[near] = _near_sum(z[near], ser)
+    out[~near] = _far_sum(w[~near], ser)
     out *= s ** -ser.nu
     if np.ndim(a) == 0 and np.ndim(b) == 0:
         return float(out[0])
@@ -475,7 +461,8 @@ def mean_value_mode_profile(rho: float, m: int, r):
         s2 = np.sin(0.5 * t) ** 2
         d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
         ang = np.arctan2(-np.sin(t), (rv - 1.0) + 2.0 * s2)
-        out[rows] = d2 ** (-rho / 2.0) * np.cos(m * ang) @ w
+        # a row-wise sum, not BLAS, so a row's bits do not depend on the others
+        out[rows] = (d2 ** (-rho / 2.0) * (np.cos(m * ang) * w)).sum(axis=1)
     return out if np.ndim(r) else float(out[0])
 
 
@@ -516,6 +503,8 @@ def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     cx, cy = float(center[0]), float(center[1])
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"center must be finite, got {center!r}")
     if not isinstance(u, (PotentialModel, TailField)):
         return _adaptive_circle_average(u, cx, cy, radius, tol=tol)
     # the points c - R omega(arg c + t) pass nearest the origin at t = 0;
@@ -528,7 +517,7 @@ def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
         delta = u.width * math.sqrt(2.0 / sr)
     else:
         delta = math.sqrt((1.0 + (s - radius) ** 2) / sr)
-    t, w = _angle_rule(delta, u.rho)
+    (_, t, w), = _angle_rule_groups(np.array([delta]), u.rho)
     tt = np.stack([t, -t])
     ang = math.atan2(cy, cx) + tt
     x1, x2 = cx - radius * np.cos(ang), cy - radius * np.sin(ang)

@@ -317,16 +317,21 @@ def bessel_j0(r):
     are >= 0, so nothing cancels near r = 0 and J_0(0) = 1 exactly.  By the
     symmetries of sin, these are the trapezoidal rule of the periodic
     integrand on 4N points of the whole circle, whose error is about
-    2 |J_4N(r)|; N = 64 + 2 max(r) puts that far below rounding, and the
-    extra nodes average down the rounding of the arguments r sin t.
+    2 |J_4N(r)|.  Each value takes its own N = 64 + 64 ceil(r/32) >= 64 + 2r:
+    far below rounding, with extra nodes to average the rounding of r sin t.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0)):
         raise ValueError("r must be finite and >= 0")
-    n = 64 + int(2.0 * float(np.max(r, initial=0.0)))
-    t = (np.arange(n) + 0.5) * (0.5 * math.pi / n)
-    out = 1.0 - np.mean(2.0 * np.sin(0.5 * np.multiply.outer(r, np.sin(t))) ** 2, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    flat = r.ravel()
+    nodes = 64 + 64 * np.ceil(flat / 32.0).astype(np.int64)
+    out = np.empty(flat.shape)
+    for n in np.unique(nodes).tolist():
+        sin_t = np.sin((np.arange(n) + 0.5) * (0.5 * math.pi / n))
+        rows = nodes == n
+        out[rows] = 1.0 - np.mean(2.0 * np.sin(0.5 * np.multiply.outer(flat[rows], sin_t)) ** 2,
+                                  axis=-1)
+    return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 
 @dataclass(frozen=True)

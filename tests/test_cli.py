@@ -183,7 +183,7 @@ def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys, monkeypatch):
 def test_spectrum_non_finite_band_exit_1(tmp_path, capsys, monkeypatch):
     # the anisotropic band stays on the batched quadrature
     monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+                        lambda vfun, B, q, n1, a1, n2, a2: np.full(len(a1), np.nan))
     path = _write_config(tmp_path, model=ANISO_MODEL, **SMALL)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "2"]) == 1

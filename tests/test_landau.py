@@ -26,7 +26,7 @@ def _exact_diagonal(model, B, q, ks):
     for the Chebyshev fit of the far window."""
     v0 = model.angular_modes()[0].radial
     ks = np.asarray(ks, dtype=float)
-    return np.concatenate([_band_batch(v0, B, q, c, q, c)
+    return np.concatenate([_band_batch(v0, B, q, q, c, q, c)
                            for c in np.array_split(ks, -(-len(ks) // 1024))])
 
 
@@ -188,6 +188,17 @@ def test_toeplitz_entry_consistency():
         got = toeplitz_entry(ANISO, 1.0, 2, k1, k2)
         assert got == want
     assert toeplitz_entry(ANISO, 1.0, 2, 4, 1) == 0.0
+    # q = 48: every k < 0 row of the band (its degrees q + k and q + k + 2 lie
+    # below q when k < -2) and sampled k >= 0 rows, band and diagonal: the
+    # rule is the level's, not the batch's, so a row alone has the block's bits
+    q = 48
+    diag, bands = landau._level_bands(ANISO, LandauConfig(B=1.0, q=q, k_max=64))
+    ks = list(range(-q, 0)) + [0, 1, 5, 17, 40, 62]
+    got = np.array([toeplitz_entry(ANISO, 1.0, q, k, k + 2) for k in ks])
+    assert np.array_equal(got.view(np.int64), bands[2][np.add(ks, q)].view(np.int64))
+    ks = [-q, -17, -3, -1, 0, 1, 40, 64]
+    got = np.array([toeplitz_entry(ANISO, 1.0, q, k, k) for k in ks])
+    assert np.array_equal(got.view(np.int64), diag[np.add(ks, q)].view(np.int64))
 
 
 def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
@@ -201,7 +212,7 @@ def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
 def test_toeplitz_entry_non_finite_band_fails_loudly(monkeypatch):
     # the anisotropic band stays on the batched quadrature
     monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, n1, a1, n2, a2: np.full(len(a1), np.nan))
+                        lambda vfun, B, q, n1, a1, n2, a2: np.full(len(a1), np.nan))
     with pytest.raises(ContractError, match=r"entry-quadrature.*q=40\b.*j=2\b.*k=-1\b"):
         toeplitz_entry(ANISO, 1.0, 40, 1, -1)
     assert math.isfinite(toeplitz_entry(ANISO, 1.0, 40, 1, 1))

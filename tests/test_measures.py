@@ -321,10 +321,11 @@ def _level_radius_oracle(lim, level):
 ], ids=["isotropic", "anisotropic", "late-peak"])
 def test_level_radius_matches_scalar_bisection(model, levels):
     # levels near the peak, on the first rungs of the ladder and past r = 50
-    # (0.01, or 0.5 at rho = 0.1), all in one call.  The kernels' last bit
-    # depends on the batch (its term count, its angle rule), so the two
-    # searches may see level crossings a rounding of the envelope apart:
-    # 1 ulp plus 2 eps of the level, carried through the envelope's slope.
+    # (0.01, or 0.5 at rho = 0.1), all in one call.  The envelope is not
+    # monotone at the rounding level, so the two searches, which cut their
+    # brackets at different radii, may see level crossings a rounding of the
+    # envelope apart: 1 ulp plus 2 eps of the level, carried through the
+    # envelope's slope.
     lim = LimitingMeasure(model, 1.0)
     levels = [0.9 * lim.envelope_peak()] + levels
     lo, hi = lim._level_bracket(levels)
@@ -337,6 +338,18 @@ def test_level_radius_matches_scalar_bisection(model, levels):
             2e-6 * want)
         tol = np.spacing(want) + 2.0 * np.finfo(float).eps * level / slope
         assert abs(got - want) <= tol, (level, got, want)
+
+
+@pytest.mark.parametrize("model, lowest", [(ISO, 2e-3), (ANISO, 2e-3), (LATE_PEAK, 0.3)],
+                         ids=["isotropic", "anisotropic", "late-peak"])
+def test_level_radius_does_not_depend_on_its_batch(model, lowest):
+    # every envelope value depends on its own radius only, so each level's
+    # cuts and brackets are the same in a batch of 60 levels and alone
+    lim = LimitingMeasure(model, 1.0)
+    levels = lim.envelope_peak() * np.geomspace(0.95, lowest, 60)
+    alone = [lim._level_radius([t])[0] for t in levels]
+    assert lim._level_radius(levels) == alone
+    assert lim._level_radius(levels[::-1]) == alone[::-1]
 
 
 def test_level_radius_unbounded_raises():

@@ -208,9 +208,15 @@ def test_radial_profile_against_the_angle_rule(rho):
         assert abs(mean_value_radial_profile(rho, r) - want) <= 1e-13 * want, r
 
 
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
+                          np.asarray(y, dtype=float).view(np.int64))
+
+
 def test_power_cos_average_batch_matches_scalar_calls():
     # one batched call over both series branches, the circle and b = 0,
-    # large enough for the numpy pass, against one scalar call per value
+    # against one scalar call per value and the reversed batch: every value
+    # sums all of its series terms, so it has the same bits in any batch
     rng = np.random.default_rng(7)
     b = np.concatenate([[0.0, 1.0, 3.0], 10.0 ** rng.uniform(-3, 3, 120)])
     gap = np.concatenate([[1.0, 0.0, 6.0], b[3:] * 10.0 ** rng.uniform(-9, 2, 120)])
@@ -220,10 +226,24 @@ def test_power_cos_average_batch_matches_scalar_calls():
         single = np.array([power_cos_average(ai, bi, rho, gap=gi)
                            for ai, bi, gi in zip(a, b, gap)])
         assert batch.shape == a.shape
-        assert np.max(np.abs(batch - single) / single) <= 1e-15
-    r = np.linspace(0.0, 3.0, 301)
-    assert np.max(np.abs(mean_value_radial_profile(0.5, r)
-                         - [mean_value_radial_profile(0.5, x) for x in r])) <= 1e-15
+        assert _same_bits(batch, single)
+        assert _same_bits(batch[::-1], power_cos_average(a[::-1], b[::-1], rho, gap=gap[::-1]))
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_profiles_do_not_depend_on_their_batch(rho):
+    # the circle and 1 +- 1e-12 (delta 0 and about 1e-12, the finest angle
+    # rules), the radius 0 and both sides of delta = 1, batched, alone and in
+    # the reversed batch
+    r = np.concatenate([[0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-6, 0.4, 2.618, 2.62],
+                        np.random.default_rng(11).uniform(0.0, 60.0, 200)])
+    profiles = [lambda x: mean_value_radial_profile(rho, x)]
+    profiles += [lambda x, m=m: mean_value_mode_profile(rho, m, x) for m in (1, 2, 3)]
+    for f in profiles:
+        batch = f(r)
+        assert _same_bits(batch, [f(x) for x in r])
+        assert _same_bits(batch[::-1], f(r[::-1]))
+        assert _same_bits(batch[:3], f(r[:3]))
 
 
 def test_power_cos_series_cached_and_read_only():
@@ -456,9 +476,14 @@ def test_batched_profiles_give_each_row_its_own_rule():
 
 
 def test_far_rule_built_once_and_read_only():
-    # the delta >= 1 rule depends on neither delta nor rho: one shared object
-    t, w = far = _angle_rule(1.0, 0.5)
-    assert _angle_rule(7.5, 0.1) is far and _angle_rule(1.0, 0.9) is far
+    # the delta >= 1 rule depends on neither delta nor rho: one shared object;
+    # so is every rule of a key in (0, 1), across rho (here the key 1/4)
+    for deltas in ((1.0, 7.5, 1e300), (0.25, 0.3, 0.49)):
+        rules = [next(_angle_rule_groups(np.array([d]), rho))[1:]
+                 for d, rho in zip(deltas, (0.5, 0.1, 0.9))]
+        assert all(r[0] is rules[0][0] and r[1] is rules[0][1] for r in rules)
+    t, w = far = _angle_rule(1.0, None)
+    assert next(_angle_rule_groups(np.array([2.0]), 0.3))[1] is t
     t_ref, w_ref = panel_rule([0.0, math.pi], 64)
     assert np.array_equal(t, t_ref) and np.array_equal(w, w_ref / math.pi)
     for arr in far:
@@ -471,6 +496,7 @@ def test_jacobi_head_cached_read_only():
     # pair per (n, rho), equal to a fresh build, which building the angle
     # rule leaves untouched; the rule is the same cold and warm
     _gauss_jacobi01.cache_clear()
+    _angle_rule.cache_clear()
     t_cold, w_cold = _angle_rule(0.0, 0.5)
     head = _gauss_jacobi01(24, 0.5)
     assert _gauss_jacobi01(24, 0.5) is head
@@ -489,3 +515,17 @@ def test_jacobi_head_cached_read_only():
 def test_circle_average_refuses_nan_radius(u):
     with pytest.raises(ValueError, match="^radius must be"):
         circle_average(u, (1.0, 0.0), NAN)
+
+
+@pytest.mark.parametrize("u", [ISO, ISO.tail_field(), lambda x1, x2: x1 * x1 + x2 * x2],
+                         ids=["model", "tail", "callable"])
+@pytest.mark.parametrize("center", [(NAN, 0.0), (0.0, NAN), (math.inf, 0.0), (0.0, -math.inf)],
+                         ids=["x-nan", "y-nan", "x-inf", "y-minus-inf"])
+def test_circle_average_refuses_non_finite_center(u, center):
+    # a NaN center used to come back as NaN (0.0 for an infinite one on the
+    # tail) and a callable as a non-converged QuadratureError
+    for call in (lambda: circle_average(u, center, 1.0), lambda: mean_value_transform(u, center)):
+        with pytest.raises(ValueError, match="^center must be finite"):
+            call()
+    with pytest.raises(ValueError, match="^center must be finite"):
+        orbit_average(ISO, center, 2.0, 1.0)

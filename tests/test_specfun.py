@@ -113,8 +113,8 @@ def test_laguerre_function_gram_degree_1000(a):
     # <psi_1000, psi_1000> = 1 and <psi_1000, psi_999> = 0 by the entry
     # quadrature with a unit profile
     alpha = np.array([a])
-    norm = _band_batch(np.ones_like, 1.0, 1000, alpha, 1000, alpha)[0]
-    cross = _band_batch(np.ones_like, 1.0, 1000, alpha, 999, alpha)[0]
+    norm = _band_batch(np.ones_like, 1.0, 1000, 1000, alpha, 1000, alpha)[0]
+    cross = _band_batch(np.ones_like, 1.0, 1000, 1000, alpha, 999, alpha)[0]
     assert abs(norm - 1.0) < 1e-10
     assert abs(cross) < 1e-10
 
@@ -263,6 +263,18 @@ def test_bessel_j0_matches_mpmath():
     alone = np.array([bessel_j0(x) for x in r])
     assert np.max(np.abs(alone - want)) <= 2e-15
     assert bessel_j0(0.0) == 1.0 and bessel_j0(np.zeros(3)).tolist() == [1.0] * 3
+
+
+def test_bessel_j0_does_not_depend_on_its_batch():
+    # each value takes its own node count: 0, the first zeros, the rungs of
+    # the node ladder (multiples of 32) and r up to 300, batched and alone
+    zeros = [2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281]
+    r = np.concatenate([[0.0], zeros, [32.0, 32.0 + 1e-12, 64.0, 300.0],
+                        np.random.default_rng(5).uniform(0.0, 300.0, 399)])
+    batch = bessel_j0(r)
+    for other in (np.array([bessel_j0(x) for x in r]), bessel_j0(r[::-1])[::-1],
+                  bessel_j0(r.reshape(3, -1)).ravel()):
+        assert np.array_equal(batch.view(np.int64), other.view(np.int64))
 
 
 @pytest.mark.parametrize("call", [

@@ -274,7 +274,13 @@ def test_smoothed_profile_tracks_circle_profile():
     (lambda: i_rho(float("nan"), 0.5), "k"),
     (lambda: i_rho(2.0, float("nan")), "rho"),
     (lambda: circle_convolution(ISO, float("nan"), (1.0, 0.0)), "k"),
-], ids=["i_rho-k-inf", "i_rho-k-nan", "i_rho-rho-nan", "circle_convolution-k-nan"])
+    (lambda: circle_convolution(ISO, 1.0, (float("nan"), 0.0)), "center"),
+    (lambda: circle_convolution(lambda x1, x2: x1 + x2, 1.0, (0.0, math.inf)), "center"),
+    (lambda: laguerre_smoothing(ISO, 1.0, 2, (math.inf, 0.0)), "center"),
+    (lambda: scaled_symbol_identity(ISO, 1.0, 4, (float("nan"), 0.0)), "center"),
+], ids=["i_rho-k-inf", "i_rho-k-nan", "i_rho-rho-nan", "circle_convolution-k-nan",
+        "circle_convolution-z-nan", "circle_convolution-callable-z-inf",
+        "laguerre_smoothing-z-inf", "scaled_identity-z-nan"])
 def test_nan_and_inf_are_refused(call, name):
     # i_rho(inf, .) used to loop for ever (its panel edges stayed at 0), and
     # NaN used to pass each check and come back as NaN
