@@ -31,11 +31,11 @@ integrated by Gauss-Legendre on the classical support window of the Laguerre
 pair (turning points padded by eight Airy widths), which stays accurate at
 any angular index; plain Gauss-Laguerre of the matching degree would
 overflow beyond |k| ~ 1e3.  They go through one batched quadrature,
-`_band_batch`, on the one rule of level q, 80 + 2.8 q nodes, so an entry
-does not depend on its batch: all k < 0 rows (whose degrees n = q + k
-differ; the one Laguerre recurrence reads each row off at its own degree)
-in one batch, then the k >= 0 rows in chunks of 128.  A non-finite entry,
-on either path, raises ContractError naming the stage, q, the band and the
+`_band_batch`, on the one rule of level q, 80 + 2.8 q nodes, in consecutive
+chunks of 128 rows from k = -q.  An entry does not depend on its batch: the
+degrees n = q + min(k, 0) of a chunk may differ, and the one Laguerre
+recurrence reads each row off at its own degree.  A non-finite entry, on
+either path, raises ContractError naming the stage, q, the band and the
 first bad k.
 
 For long-range models the diagonal rows k >= max(4q, 32), when there are more
@@ -225,13 +225,6 @@ def _xi_window(n, alpha):
     return lo, hi
 
 
-def _psi_rows(n: np.ndarray, a: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    # a batch with one degree needs no per-row read-off
-    if np.all(n == n[0]):
-        return laguerre_function(int(n[0]), a, xi)
-    return laguerre_function_multi(n, a, xi)
-
-
 def _band_batch(vfun, B: float, q: int, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.ndarray:
     """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over rows.
 
@@ -254,30 +247,28 @@ def _window_quadrature(vfun, B: float, n1: np.ndarray, a1: np.ndarray, n2: np.nd
         lo, hi = np.minimum(lo, lo2), np.maximum(hi, hi2)
     xi = 0.5 * (hi - lo)[:, None] * (x[None, :] + 1.0) + lo[:, None]
     ww = 0.5 * (hi - lo)[:, None] * w[None, :]
-    p1 = _psi_rows(n1, a1, xi)
-    p2 = p1 if same else _psi_rows(n2, a2, xi)
+    p1 = laguerre_function_multi(n1, a1, xi)
+    p2 = p1 if same else laguerre_function_multi(n2, a2, xi)
     vals = vfun(np.sqrt(2.0 * xi / B))
     return np.einsum("ij,ij,ij,ij->i", ww, vals, p1, p2)
 
 
 def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
     """Entries between phi_{k,q} and phi_{k+j,q} for the ascending integer rows
-    `ks`: every k < 0 row in one batch, then the k >= 0 rows in chunks."""
+    `ks`, in consecutive chunks of _CHUNK rows."""
     out = np.empty(len(ks))
-    n_neg = int(np.searchsorted(ks, 0))
-    for s in [slice(0, n_neg)] + [slice(i, i + _CHUNK) for i in range(n_neg, len(ks), _CHUNK)]:
-        k1 = ks[s]
-        if len(k1):
-            n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
-            k2 = k1 + j
-            n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
-            vals = _band_batch(vfun, B, q, n1, a1, n2, a2)
-            finite = np.isfinite(vals)
-            if not finite.all():
-                raise ContractError(
-                    f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
-                    f"first at k={int(k1[np.argmin(finite)])}")
-            out[s] = vals
+    for i in range(0, len(ks), _CHUNK):
+        k1 = ks[i:i + _CHUNK]
+        n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
+        k2 = k1 + j
+        n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
+        vals = _band_batch(vfun, B, q, n1, a1, n2, a2)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ContractError(
+                f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
+                f"first at k={int(k1[np.argmin(finite)])}")
+        out[i:i + _CHUNK] = vals
     return out
 
 

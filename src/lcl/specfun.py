@@ -18,8 +18,10 @@ is built on the five families here:
   terms summed by a rescaled Horner scheme,
 * the Bessel function ``J_0``, by one midpoint rule on its integral
   representation, written as ``1 - mean(2 sin^2(r sin t / 2))``,
-* Gauss-Legendre and Gauss-Laguerre rules found by Newton iteration (the
-  Legendre one on the half rule in [-1, 0], mirrored: exactly symmetric).
+* Gauss-Legendre and Gauss-Laguerre rules, their nodes polished together by
+  one Newton iteration: the Legendre one from Tricomi's start on the half
+  rule in [-1, 0], mirrored (exactly symmetric), the Laguerre one from the
+  eigenvalues of its Jacobi matrix.
 """
 from __future__ import annotations
 
@@ -66,8 +68,6 @@ def laguerre_weighted(q: int, t):
     Bounded by 1 for every order and argument (the classical bound), and
     finite at any order through the rescaled normalized recurrence.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("t must be >= 0")
     return laguerre_function(q, 0.0, t)
 
 
@@ -95,14 +95,11 @@ def laguerre_function(n: int, alpha, t):
     of two so it is finite at every (n, alpha, t).  `alpha` may be a vector
     broadcast against `t`.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t2 = np.atleast_2d(t) if t.ndim <= 1 else t
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
-    if np.any(a < 0):
-        raise ValueError("alpha must be >= 0")
+    _check_psi_args(np.asarray(n), a, t)
     a = a.reshape((-1,) + (1,) * (t2.ndim - 1))
     out = _laguerre_function_core(n, a, t2)
     if scalar:
@@ -112,11 +109,22 @@ def laguerre_function(n: int, alpha, t):
 
 def laguerre_function_multi(n_arr, alpha_arr, t):
     """psi_{n_i}^(alpha_i)(t_i) rows with per-row degree n_i; `t` has shape (m, M)."""
-    n_arr = np.asarray(n_arr, dtype=int)
+    n_arr = np.asarray(n_arr)
     a = np.asarray(alpha_arr, dtype=float)[:, None]
-    if np.any(n_arr < 0) or np.any(a < 0):
-        raise ValueError("n and alpha must be >= 0")
-    return _laguerre_function_core(n_arr, a, np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    _check_psi_args(n_arr, a, t)
+    return _laguerre_function_core(n_arr, a, t)
+
+
+def _check_psi_args(n, a, t):
+    """Refuse the degrees, orders and arguments psi_n^(a)(t) is not defined
+    for, naming the argument: min and max propagate NaN, which fails >=."""
+    if not np.issubdtype(n.dtype, np.integer) or np.any(n < 0):
+        raise ValueError("n must be integers >= 0")
+    if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
+        raise ValueError("alpha must be finite and >= 0")
+    if not (t.min(initial=0.0) >= 0.0 and t.max(initial=0.0) < math.inf):
+        raise ValueError("t must be finite and >= 0")
 
 
 def _laguerre_function_core(n, a, t):
@@ -166,15 +174,10 @@ def _laguerre_function_core(n, a, t):
     read_off(p1, 1)
     # Before its division by sqrt((j+1)(j+1+a)) >= 1, a step is at most
     #   (|2j+1+a-t| + sqrt(j(j+a))) max(|p_j|, |p_{j-1}|) <= growth max(...)
-    # with growth = t + 3n + 2a + 1 over the batch.  So from below
-    # 2^_RESCALE_EXP at the start (|psi_0| <= 1) or at a check, the `every`
-    # steps to the next check stay below 2^1023 and cannot overflow (for growth
-    # below 2^511; a window has t, n and a below 2^21).  The check is one
-    # reduction per array; only when it trips are the large nodes' pairs
-    # scaled back into [1/2, 1).
+    # with growth = t + 3n + 2a + 1 over the batch (below 2^511: a window has
+    # t, n and a below 2^21), and |psi_0| <= 1 starts below 2^_RESCALE_EXP.
     growth = float(np.nanmax(t, initial=0.0) + 3.0 * n_max + 2.0 * np.max(a)) + 1.0
-    every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
-    hi = 2.0 ** _RESCALE_EXP
+    carry = _power_of_two_carry(growth)
     buf = np.empty_like(p0)
     for j in range(1, n_max):
         r = slice(start[j + 1], None)  # the rows that reach degree j + 1
@@ -186,14 +189,31 @@ def _laguerre_function_core(n, a, t):
         # divide rather than multiply by the reciprocal: L_q(0) = 1 stays exact
         b /= np.sqrt((j + 1.0) * (j + 1.0 + ar))
         p0, p1, buf = p1, buf, p0
-        if j % every == 0 and max(q1.max(), -q1.min(), b.max(), -b.min()) > hi:
-            mag = np.maximum(np.abs(q1), np.abs(b))
-            s = np.where(mag > hi, np.frexp(mag)[1], 0)
-            np.ldexp(q1, -s, out=q1)
-            np.ldexp(b, -s, out=b)
-            e[r] += s
+        carry(j, e[r], q1, b)
         read_off(p1, j + 1)
     return out
+
+
+def _power_of_two_carry(growth: float):
+    """carry(j, e, *mantissas) for a loop that keeps each node as mantissas
+    times 2^e and whose step multiplies a node's largest |mantissa| by at most
+    `growth`: from below 2^_RESCALE_EXP at a check, the `every` steps to the
+    next check cannot overflow.  Only when a check trips are the large nodes'
+    mantissas scaled back into [1/2, 1), in place, and the shift added to e
+    (a view).  Powers of two are exact, so a node's bits do not depend on
+    the other nodes of the call.
+    """
+    every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
+    hi = 2.0 ** _RESCALE_EXP
+
+    def carry(j: int, e, *mantissas):
+        if j % every == 0 and max(max(m.max(), -m.min()) for m in mantissas) > hi:
+            mag = functools.reduce(np.maximum, map(np.abs, mantissas))
+            s = np.where(mag > hi, np.frexp(mag)[1], 0)
+            for m in mantissas:
+                np.ldexp(m, -s, out=m)
+            e += s
+    return carry
 
 
 def _lgamma_arr(x):
@@ -255,30 +275,22 @@ def _scaled_horner(n, ratio, x):
     """log of S_i = sum_{j <= n_i} prod_{l < j} ratio[l, i] x, for rows of
     ascending degree n_i and nodes x <= 1, by Horner from j = n_i down.
 
-    S = m 2^e is carried as a mantissa and an integer exponent.  A step takes
-    S to 1 + ratio x S <= (1 + max(ratio)) max(S, 1), so from below
-    2^_RESCALE_EXP at a check no node overflows before the next check, where
-    the large mantissas are scaled back into [1/2, 1).  Powers of two are
-    exact, so a row's bits do not depend on the other rows of the call.
+    S = m 2^e is carried as a mantissa m, with the 1 that a step adds held
+    as 2^-e, both under :func:`_power_of_two_carry`: a step takes S to
+    1 + ratio x S <= (1 + max(ratio)) max(S, 1).
     """
     m = np.ones((n.size, x.size))
     one = np.ones_like(m)
     e = np.zeros(m.shape, dtype=np.int64)
     start = np.searchsorted(n, np.arange(ratio.shape[0] + 1), side="right").tolist()
-    growth = 2.0 + float(np.max(ratio, initial=0.0))
-    every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
-    hi = 2.0 ** _RESCALE_EXP
+    carry = _power_of_two_carry(2.0 + float(np.max(ratio, initial=0.0)))
     for j in range(ratio.shape[0] - 1, -1, -1):
         r = slice(start[j], None)  # the rows with n_i > j
         mr, onr = m[r], one[r]
         mr *= ratio[j, r, None]
         mr *= x
         mr += onr
-        if j % every == 0 and mr.max() > hi:
-            s = np.where(mr > hi, np.frexp(mr)[1], 0)
-            np.ldexp(mr, -s, out=mr)
-            np.ldexp(onr, -s, out=onr)
-            e[r] += s
+        carry(j, e[r], mr, onr)
     return np.log(m) + e * math.log(2.0)
 
 
@@ -348,16 +360,16 @@ class QuadratureRule:
 
 
 def gauss_nodes(kind: str, order: int) -> QuadratureRule:
-    """Build a Gaussian rule by Newton iteration on the recurrence values.
+    """Build a Gaussian rule, its nodes polished by Newton's iteration.
 
     `legendre`: weight 1 on [-1, 1].  `laguerre`: weight e^{-t} on [0, inf).
     Nodes ascending, weights strictly positive; the arrays are read-only.
     """
-    if order < 1:
-        raise ConfigurationError(f"quadrature order must be >= 1, got {order}")
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise ConfigurationError(f"quadrature order must be an integer >= 1, got {order!r}")
     if kind not in ("legendre", "laguerre"):
         raise ConfigurationError(f"unknown quadrature kind {kind!r}")
-    return _gauss_rule(kind, order)
+    return _gauss_rule(kind, int(order))
 
 
 @functools.cache
@@ -394,6 +406,17 @@ def _legendre_value_derivative(n, x):
     return p1, dp
 
 
+def _newton(kind: str, n: int, x: np.ndarray, step) -> None:
+    """Newton's iteration x -= step(x) on every node at once, in place, until
+    every |dx| <= 1e-14 max(1, |x|)."""
+    for _ in range(100):
+        dx = step(x)
+        x -= dx
+        if np.all(np.abs(dx) <= 1e-14 * np.maximum(1.0, np.abs(x))):
+            return
+    raise ConfigurationError(f"{kind} Newton iteration failed at order {n}")
+
+
 def _newton_legendre(n):
     # Newton on the ceil(n/2) nodes in [-1, 0] from Tricomi's start; the rest mirror them
     if n == 1:
@@ -402,49 +425,29 @@ def _newton_legendre(n):
     x = -(1.0 - (n - 1.0) / (8.0 * n ** 3)) * np.cos(math.pi * (i - 0.25) / (n + 0.5))
     if n % 2:
         x[-1] = 0.0  # P_n(0) = 0 exactly, so Newton leaves it there
-    for it in range(100):
-        p, dp = _legendre_value_derivative(n, x)
-        dx = p / dp
-        x -= dx
-        if np.max(np.abs(dx)) < 1e-14:
-            break
-    else:
-        raise ConfigurationError(f"Legendre Newton iteration failed at order {n}")
+    _newton("Legendre", n, x, lambda z: np.divide(*_legendre_value_derivative(n, z)))
     _, dp = _legendre_value_derivative(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return np.concatenate([x, -x[n // 2 - 1::-1]]), np.concatenate([w, w[n // 2 - 1::-1]])
 
 
 def _newton_laguerre(n):
+    """Nodes from the eigenvalues of the Jacobi matrix of L_n (diagonal 2i+1,
+    off-diagonal i; Golub-Welsch), polished together by Newton on L_n."""
+    i = np.arange(n, dtype=float)
+    x = np.linalg.eigvalsh(np.diag(2.0 * i + 1.0) + np.diag(i[1:], -1))  # the lower half
     rows = np.array([n - 1, n, n + 1])
 
     def damped(z):
         """(L_{n-1}, L_n, L_{n+1})(z) e^{-z/2}, i.e. psi^(0) at these degrees."""
-        return _laguerre_function_core(rows, np.zeros((3, 1)), np.full((3, 1), z))[:, 0]
+        return _laguerre_function_core(rows, np.zeros((3, 1)), np.broadcast_to(z, (3, n)))
 
-    x = np.empty(n)
-    w = np.empty(n)
-    z = 0.0
-    for i in range(n):
-        if i == 0:
-            z = 3.0 / (1.0 + 2.4 * n)
-        elif i == 1:
-            z += 15.0 / (1.0 + 2.5 * n)
-        else:
-            ai = i - 1.0
-            z += ((1.0 + 2.55 * ai) / (1.9 * ai)) * (z - x[i - 2])
-        for it in range(100):
-            lnm1, ln, _ = damped(z)
-            dl = n * (ln - lnm1) / z  # d/dz of L_n, damped consistently
-            dz = ln / dl
-            z -= dz
-            if abs(dz) <= 1e-14 * max(1.0, abs(z)):
-                break
-        else:
-            raise ConfigurationError(f"Laguerre Newton iteration failed at order {n}")
-        x[i] = z
-        lnp1 = damped(z)[2]
-        w[i] = z * math.exp(-z) / ((n + 1.0) * lnp1) ** 2
+    def step(z):
+        lnm1, ln, _ = damped(z)
+        return ln / (n * (ln - lnm1) / z)  # d/dz of L_n, damped consistently
+
+    _newton("Laguerre", n, x, step)
+    w = x * np.exp(-x) / ((n + 1.0) * damped(x)[2]) ** 2
     if np.any(w <= 0.0) or np.any(~np.isfinite(w)):
         raise ConfigurationError(
             f"Gauss-Laguerre order {n} produced non-positive weights (order too large)"

@@ -199,6 +199,13 @@ def test_toeplitz_entry_consistency():
     ks = [-q, -17, -3, -1, 0, 1, 40, 64]
     got = np.array([toeplitz_entry(ANISO, 1.0, q, k, k) for k in ks])
     assert np.array_equal(got.view(np.int64), diag[np.add(ks, q)].view(np.int64))
+    # q = 130: the band's rows go in chunks of 128 from k = -q, so the first
+    # chunk boundary falls between k = -3 and k = -2, among the k < 0 rows
+    q = 130
+    _, bands = landau._level_bands(ANISO, LandauConfig(B=1.0, q=q, k_max=12))
+    ks = list(range(-q, 0)) + [0, 3, 10]
+    got = np.array([toeplitz_entry(ANISO, 1.0, q, k, k + 2) for k in ks])
+    assert np.array_equal(got.view(np.int64), bands[2][np.add(ks, q)].view(np.int64))
 
 
 def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):

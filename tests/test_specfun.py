@@ -121,13 +121,13 @@ def test_laguerre_function_gram_degree_1000(a):
 
 def test_laguerre_function_multi_rows_match_single_degree():
     # one recurrence to max(n) read off per row must give each row exactly
-    # what the scalar-degree front end gives it
+    # what the scalar-degree front end gives it (NumPy integer degrees)
     rng = np.random.default_rng(7)
-    n = np.array([0, 1, 5, 1, 0, 12, 3, 40])
+    n = np.array([0, 1, 5, 1, 0, 12, 3, 40], dtype=np.int32)
     a = np.array([0.0, 2.0, 1.5, 0.0, 7.0, 3.0, 160.0, 0.5])
     t = np.sort(rng.uniform(0.0, 150.0, (len(n), 33)), axis=1)
     t[:, 0] = 0.0
-    rows = np.array([laguerre_function(int(k), b, x) for k, b, x in zip(n, a, t)])
+    rows = np.array([laguerre_function(k, b, x) for k, b, x in zip(n, a, t)])
     assert np.array_equal(laguerre_function_multi(n, a, t), rows)
 
 
@@ -217,6 +217,35 @@ def test_laguerre_laplace_sorts_rows_and_matches_alone():
 def test_laguerre_laplace_rejects_bad_input(n, a, c):
     with pytest.raises(ValueError):
         laguerre_laplace(n, a, c)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: laguerre_function(2.5, 0.0, 1.0), "n"),
+    (lambda: laguerre_function(-1, 0.0, 1.0), "n"),
+    (lambda: laguerre_function(True, 0.0, 1.0), "n"),
+    (lambda: laguerre_function(2, np.nan, 1.0), "alpha"),
+    (lambda: laguerre_function(2, [0.0, np.inf], [1.0, 2.0]), "alpha"),
+    (lambda: laguerre_function(2, -0.5, 1.0), "alpha"),
+    (lambda: laguerre_function(2, 0.0, np.nan), "t"),
+    (lambda: laguerre_function(2, 0.0, np.inf), "t"),
+    (lambda: laguerre_function(2, 0.0, -1.0), "t"),
+    (lambda: laguerre_weighted(2, -1.0), "t"),
+    (lambda: laguerre_function_multi([1.5, 2.0], [0.0, 0.0], np.ones((2, 3))), "n"),
+    (lambda: laguerre_function_multi([1, -2], [0.0, 0.0], np.ones((2, 3))), "n"),
+    (lambda: laguerre_function_multi([1, 2], [0.0, np.nan], np.ones((2, 3))), "alpha"),
+    (lambda: laguerre_function_multi([1, 2], [0.0, -1.0], np.ones((2, 3))), "alpha"),
+    (lambda: laguerre_function_multi([1, 2], [0.0, 0.0], [[1.0, np.nan], [1.0, 2.0]]), "t"),
+    (lambda: laguerre_function_multi([1, 2], [0.0, 0.0], [[1.0, 2.0], [1.0, np.inf]]), "t"),
+    (lambda: laguerre_function_multi([1, 2], [0.0, 0.0], [[1.0, 2.0], [-1.0, 2.0]]), "t"),
+], ids=["n-fractional", "n-negative", "n-bool", "alpha-nan", "alpha-inf", "alpha-negative",
+        "t-nan", "t-inf", "t-negative", "weighted-t-negative", "multi-n-fractional",
+        "multi-n-negative", "multi-alpha-nan", "multi-alpha-negative", "multi-t-nan",
+        "multi-t-inf", "multi-t-negative"])
+def test_laguerre_function_rejects_bad_input(call, name):
+    # a fractional degree used to be truncated, a NaN alpha failed on an
+    # integer conversion, and t = inf or t < 0 gave NaN or a finite value
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
 
 
 def _j0_integral_oracle(r, order=400):
@@ -370,11 +399,54 @@ def test_legendre_rule_matches_mpmath(order):
         assert abs(float((w[i] - wo) / wo)) <= 2e-12, (i, float((w[i] - wo) / wo))
 
 
+def _laguerre_node_oracle(n, x):
+    """Node of L_n refined at 40 digits from x by two Newton steps, and its
+    Gauss weight x / ((n + 1) L_{n+1}(x))^2."""
+    def values(x):  # L_{n-1}(x), L_n(x), L_{n+1}(x)
+        p0, p1, p2 = mp.mpf(0), mp.mpf(1), 1 - x
+        for k in range(1, n + 1):
+            p0, p1, p2 = p1, p2, ((2 * k + 1 - x) * p2 - k * p1) / (k + 1)
+        return p0, p1, p2
+
+    x = mp.mpf(x)
+    for _ in range(2):
+        lm1, ln, _ = values(x)
+        x -= ln / (n * (ln - lm1) / x)
+    return x, x / ((n + 1) * values(x)[2]) ** 2
+
+
+@pytest.mark.parametrize("order", [34, 100, 160])
+def test_laguerre_rule_matches_mpmath(order):
+    # measured relative errors at orders 34/100/160: nodes 2.9e-15/8.3e-14/
+    # 1.0e-13 from the Jacobi-matrix start (1.7e-14/3.1e-14/1.1e-13 from the
+    # former node-by-node search); weights 8.2e-13/1.4e-11/5.9e-11 (1.3e-12/
+    # 1.3e-11/5.2e-11).  The bounds, 1.5e-15 n and 4e-15 n^2, leave at least
+    # 1.5x headroom over both.
+    rule = gauss_nodes("laguerre", order)
+    ref = [_laguerre_node_oracle(order, x) for x in rule.nodes]
+    node_err = max(abs(float((x - xo) / xo)) for x, (xo, _) in zip(rule.nodes, ref))
+    weight_err = max(abs(float((w - wo) / wo)) for w, (_, wo) in zip(rule.weights, ref))
+    assert node_err <= 1.5e-15 * order, node_err
+    assert weight_err <= 4e-15 * order ** 2, weight_err
+
+
+def test_laguerre_rule_largest_orders():
+    # e^{-x} at the largest node underflows the weights from about order 200
+    assert np.all(gauss_nodes("laguerre", 180).weights > 0.0)
+    for order in (200, 400):
+        with pytest.raises(ConfigurationError):
+            gauss_nodes("laguerre", order)
+
+
 def test_gauss_nodes_rejects_bad_input():
     with pytest.raises(ConfigurationError):
         gauss_nodes("legendre", 0)
     with pytest.raises(ConfigurationError):
         gauss_nodes("chebyshev", 4)
+    # a bool used to build the order-1 rule; a float escaped as NumPy's TypeError
+    for order in (True, 2.5):
+        with pytest.raises(ConfigurationError, match="order must be an integer"):
+            gauss_nodes("legendre", order)
 
 
 def test_rules_are_cached_and_immutable():
