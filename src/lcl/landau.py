@@ -38,12 +38,14 @@ recurrence reads each row off at its own degree.  A non-finite entry, on
 either path, raises ContractError naming the stage, q, the band and the
 first bad k.
 
-For long-range models the diagonal rows k >= max(4q, 32), when there are more
-than 8 x 24 of them, come from a 24-node Chebyshev interpolant of the scaled
-entry (k+q+1)^(rho/2) d_k in u = log(k+q+1): node values from the same sum
-at continuous alpha, Clenshaw evaluation at every integer k.  Each fit is
-checked against exact entries at the window's 25 second-kind Chebyshev
-points; a relative error above 1e-9 max(1, q/128) raises ContractError.
+For long-range models the rows k >= max(4q, 32) of the diagonal and of every
+band, when there are more than 8 x 24 of them, come from a 24-node Chebyshev
+interpolant of the scaled entry (k+q+1)^(rho/2) b_k in u = log(k+q+1): node
+values from the band's own row function at real k (the sum for the diagonal,
+the quadrature for a band), Clenshaw evaluation at every integer k.  One fit
+serves both, and each is checked against exact entries at the window's 25
+second-kind Chebyshev points; a relative error above 1e-9 max(1, q/128)
+raises ContractError naming q, the band and the window.
 
 A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
@@ -59,6 +61,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
@@ -254,8 +257,9 @@ def _window_quadrature(vfun, B: float, n1: np.ndarray, a1: np.ndarray, n2: np.nd
 
 
 def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
-    """Entries between phi_{k,q} and phi_{k+j,q} for the ascending integer rows
-    `ks`, in consecutive chunks of _CHUNK rows."""
+    """Entries between phi_{k,q} and phi_{k+j,q} for the ascending rows `ks`
+    (integer, or real k >= 0 at a Chebyshev fit's nodes), in consecutive
+    chunks of _CHUNK rows."""
     out = np.empty(len(ks))
     for i in range(0, len(ks), _CHUNK):
         k1 = ks[i:i + _CHUNK]
@@ -267,7 +271,7 @@ def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
         if not finite.all():
             raise ContractError(
                 f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
-                f"first at k={int(k1[np.argmin(finite)])}")
+                f"first at k={k1[np.argmin(finite)]:.10g}")
         out[i:i + _CHUNK] = vals
     return out
 
@@ -341,27 +345,33 @@ def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
     return vals
 
 
-def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
-                     k_hi: int) -> np.ndarray:
-    """Diagonal entries for k in [k_lo, k_hi]; the far window of a long-range
-    model is a certified Chebyshev fit."""
+def _entry_window(rows, model: PotentialModel, q: int, j: int, k_lo: int,
+                  k_hi: int) -> np.ndarray:
+    """Band j's entries (j = 0: the diagonal) for k in [k_lo, k_hi] from
+    `rows`, its row function of real k; the far window of a long-range model
+    is a certified Chebyshev fit."""
     k_split = max(k_lo, 4 * q, 32)
     if not model.long_range or k_hi - k_split + 1 <= 8 * _CHEB_NODES:
         k_split = k_hi + 1
-    exact = _diagonal_rows(model, B, q, np.arange(k_lo, k_split))
+    exact = rows(np.arange(k_lo, k_split))
     if k_split > k_hi:
         return exact
-    return np.concatenate([exact, _chebyshev_tail(model, B, q, k_split, k_hi)])
+    return np.concatenate([exact, _chebyshev_tail(rows, model.rho, q, j, k_split, k_hi)])
 
 
-def _chebyshev_tail(model: PotentialModel, B: float, q: int, k_a: int,
-                    k_b: int) -> np.ndarray:
-    """Diagonal entries for k in [k_a, k_b] by the certified Chebyshev fit."""
-    rho = model.rho
+def _diagonal_window(model: PotentialModel, B: float, q: int, k_lo: int,
+                     k_hi: int) -> np.ndarray:
+    """Diagonal entries for k in [k_lo, k_hi]."""
+    return _entry_window(partial(_diagonal_rows, model, B, q), model, q, 0, k_lo, k_hi)
+
+
+def _chebyshev_tail(rows, rho: float, q: int, j: int, k_a: int, k_b: int) -> np.ndarray:
+    """Band j's entries for k in [k_a, k_b] by the certified Chebyshev fit of
+    its scaled row function (k+q+1)^(rho/2) rows(k) in log(k+q+1)."""
 
     def scaled(u):
         m = np.exp(u)
-        return m ** (0.5 * rho) * _diagonal_rows(model, B, q, m - q - 1.0)
+        return m ** (0.5 * rho) * rows(m - q - 1.0)
 
     u_a, u_b = math.log(k_a + q + 1.0), math.log(k_b + q + 1.0)
     fit = Chebyshev.interpolate(scaled, _CHEB_NODES - 1, domain=[u_a, u_b])
@@ -372,7 +382,7 @@ def _chebyshev_tail(model: PotentialModel, B: float, q: int, k_a: int,
     tol = 1e-9 * max(1.0, q / 128.0)
     if not err <= tol:
         raise ContractError(
-            f"radial_diagonal: Chebyshev fit at q={q}, k in [{k_a}, {k_b}] failed "
+            f"entry-fit: Chebyshev fit at q={q}, band j={j}, k in [{k_a}, {k_b}] failed "
             f"its held-out certificate: relative error {err:.3e} > tolerance {tol:.3e}")
     m = np.arange(k_a, k_b + 1) + q + 1.0
     return fit(np.log(m)) / m ** (0.5 * rho)
@@ -398,8 +408,9 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
 def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) -> float:
     """Single matrix element <V phi_{k2,q}, phi_{k1,q}>: one row of band
     |k1 - k2|, through the same path and checks as the block, so with the
-    same bits, except on a far diagonal window that the block fits: there it
-    is the exact sum, which agrees with the fit within its certificate."""
+    same bits, except on a far window that the block fits, of the diagonal
+    or of a band: there it is the exact row, which agrees with the fit within
+    its certificate."""
     modes = _mode_map(model)
     if k1 - k2 not in modes:
         return 0.0
@@ -472,10 +483,13 @@ def _level_bands(model: PotentialModel, cfg: LandauConfig):
 
     Band j > 0 holds the entries (k, k + j) for k = -q .. k_max - j, one per
     positive angular mode; the block is symmetric, so these are all of it.
+    The diagonal and every band share one split: rows k < max(4q, 32) are
+    exact, and a long window past them is a certified Chebyshev fit.
     """
     modes = _mode_map(model)
     diag = radial_diagonal(model, cfg)
-    bands = {j: _band_rows(modes[j], cfg.B, cfg.q, np.arange(-cfg.q, cfg.k_max - j + 1), j)
+    bands = {j: _entry_window(partial(_band_rows, modes[j], cfg.B, cfg.q, j=j), model,
+                              cfg.q, j, -cfg.q, cfg.k_max - j)
              for j in sorted(j for j in modes if j > 0)}
     return diag, bands
 

@@ -436,6 +436,12 @@ def _newton_laguerre(n):
     off-diagonal i; Golub-Welsch), polished together by Newton on L_n."""
     i = np.arange(n, dtype=float)
     x = np.linalg.eigvalsh(np.diag(2.0 * i + 1.0) + np.diag(i[1:], -1))  # the lower half
+    # the largest node's weight carries e^{-x}: once that underflows, no
+    # Newton step can make the weight positive, so refuse before iterating
+    if math.exp(-x[-1]) == 0.0:
+        raise ConfigurationError(
+            f"Gauss-Laguerre order {n}: the weight of its largest node, x = {x[-1]:.1f}, "
+            f"underflows (order too large)")
     rows = np.array([n - 1, n, n + 1])
 
     def damped(z):

@@ -275,15 +275,19 @@ def test_10_infrastructure_oracles(tmp_path):
 
 
 def test_11_anisotropic_paper_delta():
-    # criterion 09's model at the paper's delta = 0.19: two residue chains of
-    # about 9,700 and 18,900 rows, above the dense cap, of which only the
-    # eigenvalues inside phi's support are found; gated like criterion 09
+    # criterion 09's model at the paper's delta = 0.19: two residue chains per
+    # level, from about 9,700 and 18,900 rows at q = 8 to about 74,000 each at
+    # q = 64, above the dense cap, of which only the eigenvalues inside phi's
+    # support are found; gated like criterion 09
     phi = TestFunction(0.65, 0.15)
-    rows = convergence_study(ANISO, 1.0, 0.5, phi, [8, 16], 0.19,
-                             rhs_method="grid-2d")
+    qs = [8, 16, 32, 64]
+    rows = convergence_study(ANISO, 1.0, 0.5, phi, qs, 0.19, rhs_method="grid-2d")
     gaps = {r.q: r.relative_gap for r in rows}
     dims = {r.q: r.k_max + r.q + 1 for r in rows}
-    ok = gaps[16] <= 0.25 and gaps[16] <= gaps[8] and min(dims.values()) > 2 * 4096
+    ok = gaps[64] <= 0.25 and gaps[64] <= gaps[8] and min(dims.values()) > 2 * 4096
+    # reported, not gated: each doubling of q about halves the gap
+    ratios = ", ".join(f"{gaps[b] / gaps[a]:.3f}" for a, b in zip(qs, qs[1:]))
     _report("11 anisotropic trace at the paper's delta", ok,
-            f"rel gap q=8: {gaps[8]:.2e} -> q=16: {gaps[16]:.2e} (<= 0.25); "
-            f"dimensions {dims[8]} and {dims[16]} (> 2 x 4096)")
+            f"rel gap q=8: {gaps[8]:.2e} -> q=64: {gaps[64]:.2e} (<= 0.25); "
+            f"gap ratio per doubling {ratios}; "
+            f"dimensions {dims[8]} to {dims[64]} (> 2 x 4096)")

@@ -206,6 +206,13 @@ def test_toeplitz_entry_consistency():
     ks = list(range(-q, 0)) + [0, 3, 10]
     got = np.array([toeplitz_entry(ANISO, 1.0, q, k, k + 2) for k in ks])
     assert np.array_equal(got.view(np.int64), bands[2][np.add(ks, q)].view(np.int64))
+    # a fitted band window (criterion 09's q = 48, k in [192, 3578]): the
+    # single entry is the exact row, within the fit's certificate
+    q = 48
+    _, bands = landau._level_bands(ANISO, LandauConfig(B=1.0, q=q, k_max=3580))
+    for k in (192, 1000, 3578):
+        want = bands[2][k + q]
+        assert abs(toeplitz_entry(ANISO, 1.0, q, k + 2, k) - want) <= 1e-9 * abs(want), k
 
 
 def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
@@ -401,6 +408,58 @@ def test_chebyshev_certificate_fails_loudly(monkeypatch):
     monkeypatch.setattr(landau, "_CHEB_NODES", 8)
     with pytest.raises(ContractError, match=r"q=32\b.*error \d"):
         radial_diagonal(ISO, LandauConfig(B=1.0, q=32, k_max=26739))
+
+
+def _aniso_band(q, delta):
+    """Band 2 of ANISO's level q at delta as the block assembles it, its rows
+    k, and its exact row function: the one the fit is built from."""
+    K = truncation_bound(ANISO, 1.0, q, delta, rho_scale=0.5)
+    _, bands = landau._level_bands(ANISO, LandauConfig(B=1.0, q=q, k_max=K))
+    v2 = landau._mode_map(ANISO)[2]
+    return bands[2], np.arange(-q, K - 1), lambda ks: landau._band_rows(v2, 1.0, q, ks, 2)
+
+
+def test_chebyshev_band_every_row_q32():
+    # criterion-09 level q = 32: every fitted row k in [4q, k_max - 2] against
+    # the exact rows, and the rows before the split are the exact path's bits
+    q = 32
+    band, ks, exact = _aniso_band(q, 0.47)
+    want = exact(ks)
+    split = 4 * q + q
+    assert len(ks) - split > 8 * landau._CHEB_NODES
+    assert np.array_equal(band[:split].view(np.int64), want[:split].view(np.int64))
+    assert _max_rel(band[split:], want[split:]) <= 1e-9
+
+
+def test_chebyshev_band_geometric_sample_q64():
+    # criterion-11 level q = 64 at the paper's delta, about 147,000 rows
+    q = 64
+    band, ks, exact = _aniso_band(q, 0.19)
+    sample = np.unique(np.rint(np.geomspace(4 * q, ks[-1], 64)).astype(int))
+    assert _max_rel(band[sample + q], exact(sample)) <= 1e-9
+
+
+def test_chebyshev_band_certificate_fails_loudly(monkeypatch):
+    # a diagonal that any fit reproduces exactly, so that the band's fit is
+    # the one that fails, and says which band it is
+    monkeypatch.setattr(landau, "_CHEB_NODES", 8)
+    monkeypatch.setattr(landau, "_diagonal_rows",
+                        lambda model, B, q, ks: (np.asarray(ks) + q + 1.0) ** -0.25)
+    with pytest.raises(ContractError,
+                       match=r"entry-fit.*q=48\b.*band j=2\b.*k in \[192, 3578\].*error \d"):
+        landau._level_bands(ANISO, LandauConfig(B=1.0, q=48, k_max=3580))
+
+
+def test_chebyshev_band_non_finite_node_fails_loudly(monkeypatch):
+    # a non-finite node value of the fit names the node's own real k
+    batch = landau._band_batch
+
+    def far_nan(vfun, B, q, n1, a1, n2, a2):
+        return np.where(a1 > 1000, np.nan, batch(vfun, B, q, n1, a1, n2, a2))
+
+    monkeypatch.setattr(landau, "_band_batch", far_nan)
+    with pytest.raises(ContractError, match=r"entry-quadrature.*q=48\b.*j=2\b.*k=1\d{3}\.\d"):
+        landau._level_bands(ANISO, LandauConfig(B=1.0, q=48, k_max=3580))
 
 
 def test_chebyshev_diagonal_zero_amplitude():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcl import specfun
 from lcl.errors import ConfigurationError
 from lcl.landau import _band_batch, _xi_window
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
@@ -430,11 +431,15 @@ def test_laguerre_rule_matches_mpmath(order):
     assert weight_err <= 4e-15 * order ** 2, weight_err
 
 
-def test_laguerre_rule_largest_orders():
-    # e^{-x} at the largest node underflows the weights from about order 200
-    assert np.all(gauss_nodes("laguerre", 180).weights > 0.0)
-    for order in (200, 400):
-        with pytest.raises(ConfigurationError):
+def test_laguerre_rule_largest_orders(monkeypatch):
+    # e^{-x} at the largest node underflows the weights from order 195 (x =
+    # 748.1; at 194, x = 744.2 and e^{-x} is the smallest subnormal)
+    assert np.all(gauss_nodes("laguerre", 194).weights > 0.0)
+    # such an order is refused from its Golub-Welsch nodes, before Newton
+    # starts; at order 260 and above Newton itself would run out of steps
+    monkeypatch.setattr(specfun, "_newton", lambda *args: pytest.fail("Newton started"))
+    for order in (195, 260, 400):
+        with pytest.raises(ConfigurationError, match=rf"order {order}\b.*order too large"):
             gauss_nodes("laguerre", order)
 
 
