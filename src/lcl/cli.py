@@ -9,16 +9,15 @@ symbol-check  hs-distance slope table, Laguerre-Bessel gap scan, I_rho ratios,
 measure       interval measure and density integral with dual-method cross check
 selfcheck     fast invariant suite; nonzero exit on any failure
 
-All floats are printed with 17 significant digits; files are UTF-8 with LF
-line endings; reruns with the same config and seed are byte-identical (the
-manifest carries no timestamps).
+Every file goes through `lcl._io`: floats at 17 significant digits, UTF-8
+with LF line endings; reruns with the same config and seed are
+byte-identical (the manifest carries no timestamps).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._io import write_csv, write_json
 from .errors import LclError
 from .landau import (BasisIndex, LandauConfig, eigen_residual_check,
                      landau_level, radial_diagonal, truncation_bound)
@@ -33,12 +33,10 @@ from .eigen import _sturm_count, sym_eig, tridiagonal_eig
 from .measures import (LimitingMeasure, TestFunction, convergence_study,
                        level_spectrum, rows_to_csv)
 from .potentials import (PotentialModel, mean_value_radial_profile,
-                         mean_value_transform, _is_number)
+                         mean_value_transform, _is_integer, _is_number)
 from .specfun import (bessel_j0, gauss_nodes, laguerre, laguerre_bessel_gap,
                       laguerre_weighted)
 from .symbols import hs_distance, hs_distance_fourier, i_rho, scaled_symbol_identity
-
-_FMT = "{:.17g}"
 
 
 @dataclass(frozen=True)
@@ -74,8 +72,7 @@ class RunConfig:
             fail("rho", "must mirror model.rho for long-range models")
         q_list = obj.get("q_list")
         if (not isinstance(q_list, list) or not q_list
-                or any(isinstance(q, bool) or not isinstance(q, int) or q < 0
-                       for q in q_list)
+                or any(not _is_integer(q) or q < 0 for q in q_list)
                 or any(b <= a for a, b in zip(q_list, q_list[1:]))):
             fail("q_list", "must be a nonempty ascending list of nonnegative integers")
         phi_obj = obj.get("phi") or {}
@@ -95,7 +92,7 @@ class RunConfig:
         if delta >= phi.support_abs_low:
             fail("delta", "must be below |phi.center| - phi.half_width")
         seed = obj.get("seed", 20240801)
-        if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
+        if not _is_integer(seed) or not 0 <= seed < 2 ** 64:
             fail("seed", "must be an unsigned 64-bit integer")
         out = obj.get("output_dir", "out")
         if not isinstance(out, str):
@@ -119,13 +116,10 @@ class RunConfig:
 
 DEFAULT_CONFIG = {
     "model": {"kind": "isotropic-long-range", "rho": 0.5, "amplitude": 1.0},
-    "B": 1.0,
     "rho": 0.5,
     "q_list": [8, 16, 32],
     "phi": {"center": 0.5, "half_width": 0.3},
     "delta": 0.19,
-    "seed": 20240801,
-    "output_dir": "out",
 }
 
 
@@ -142,34 +136,24 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig,
     }
     if extra:
         manifest.update(extra)
-    path = outdir / "manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    write_json(outdir / "manifest.json", manifest, sort_keys=True)
 
 
-def _csv(path: Path, header: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_FMT.format(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+def _usage_error(msg: str) -> int:
+    print(f"usage error: {msg}", file=sys.stderr)
+    return 2
 
 
 def _cmd_spectrum(cfg: RunConfig, outdir: Path, q: int | None) -> int:
     if q is None or q not in cfg.q_list:
-        print("usage error: --q must name an entry of q_list", file=sys.stderr)
-        return 2
+        return _usage_error("--q must name an entry of q_list")
     values, k_max, tail, residual, summary = level_spectrum(
         cfg.model, cfg.B, q, cfg.delta, cfg.rho)
     lam = landau_level(cfg.B, q)
-    with open(outdir / f"block_q{q}.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(outdir / f"block_q{q}.json", summary)
     scaled = lam ** (cfg.rho / 2.0) * values
-    _csv(outdir / f"spectrum_q{q}.csv", "index,eigenvalue,scaled",
-         [(i, float(v), float(s)) for i, (v, s) in enumerate(zip(values, scaled))])
+    write_csv(outdir / f"spectrum_q{q}.csv", "index,eigenvalue,scaled",
+              [(i, float(v), float(s)) for i, (v, s) in enumerate(zip(values, scaled))])
     _write_manifest(outdir, "spectrum", cfg,
                     {"eig_residual_bound": residual, "truncation_tail_bound": tail},
                     [f"block_q{q}.json", f"spectrum_q{q}.csv"],
@@ -187,9 +171,16 @@ def _cmd_trace_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
+    # the hs-distance slope needs a nonzero isotropic model: the configured
+    # one, or one of the config's decay order
+    iso = cfg.model
+    if iso.kind != "isotropic-long-range":
+        if not 0.0 < cfg.rho < 1.0:
+            return _usage_error("config.rho: symbol-check's isotropic model needs rho in (0, 1)")
+        iso = PotentialModel.isotropic(cfg.rho)
+    if iso.amplitude == 0.0:
+        return _usage_error("config.model.amplitude: symbol-check needs a nonzero amplitude")
     outputs = []
-    iso = (cfg.model if cfg.model.kind == "isotropic-long-range"
-           else PotentialModel.isotropic(cfg.rho))
     hs_rows = []
     for q in (4, 8, 16, 32):
         val = hs_distance(iso, cfg.B, q)
@@ -197,8 +188,8 @@ def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
     lams = np.log([r[1] for r in hs_rows])
     vals = np.log([r[2] for r in hs_rows])
     slope = float(np.polyfit(lams, vals, 1)[0])
-    _csv(outdir / "hs_distance.csv", "q,lambda_q,hs_distance",
-         [(r[0], float(r[1]), r[2]) for r in hs_rows])
+    write_csv(outdir / "hs_distance.csv", "q,lambda_q,hs_distance",
+              [(r[0], float(r[1]), r[2]) for r in hs_rows])
     outputs.append("hs_distance.csv")
     hs_phys = hs_distance(iso, cfg.B, 1)
     hs_four = hs_distance_fourier(iso, cfg.B, 1)
@@ -207,14 +198,14 @@ def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
     for q in range(0, 65, 8):
         _, normed = laguerre_bessel_gap(q, rg)
         gap_rows.append((q, float(np.nanmax(normed))))
-    _csv(outdir / "gap_scan.csv", "q,max_normalized_gap", gap_rows)
+    write_csv(outdir / "gap_scan.csv", "q,max_normalized_gap", gap_rows)
     outputs.append("gap_scan.csv")
     irho_rows = []
     for rho in (0.3, 0.5, 0.7):
         k = 1e4
         irho_rows.append((rho, k, float(k ** rho * i_rho(k, rho)), 1.0 / (1.0 - rho)))
     irho_rows.append((2.0, 1e3, float(1e3 * i_rho(1e3, 2.0)), math.pi / 2.0))
-    _csv(outdir / "i_rho.csv", "rho,k,scaled_value,limit", irho_rows)
+    write_csv(outdir / "i_rho.csv", "rho,k,scaled_value,limit", irho_rows)
     outputs.append("i_rho.csv")
     ident_rows = []
     if cfg.model.long_range:
@@ -224,7 +215,7 @@ def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
                 z = (3.0 * k * math.cos(ang), 3.0 * k * math.sin(ang))
                 lhs, rhs = scaled_symbol_identity(cfg.model, cfg.B, q, z)
                 ident_rows.append((q, z[0], z[1], lhs, rhs, abs(lhs - rhs)))
-    _csv(outdir / "scaled_identity.csv", "q,z1,z2,lhs,rhs,abs_diff", ident_rows)
+    write_csv(outdir / "scaled_identity.csv", "q,z1,z2,lhs,rhs,abs_diff", ident_rows)
     outputs.append("scaled_identity.csv")
     _write_manifest(outdir, "symbol-check", cfg,
                     {"hs_slope": slope, "hs_fourier_rel_gap":
@@ -235,8 +226,7 @@ def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     if not cfg.model.long_range:
-        print("usage error: measure requires a long-range model", file=sys.stderr)
-        return 2
+        return _usage_error("measure requires a long-range model")
     lim = LimitingMeasure(cfg.model, cfg.B, seed=cfg.seed, samples=2_000_000)
     lo, hi = cfg.phi.support
     primary = "radial-inversion" if cfg.model.kind == "isotropic-long-range" else "grid-2d"
@@ -245,13 +235,12 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     den_a = lim.density_integral(cfg.phi, method="radial")
     den_g = lim.density_integral(cfg.phi, method="grid-2d")
     den_mc = lim.density_integral(cfg.phi, method="monte-carlo")
-    _csv(outdir / "measure.csv",
-         "quantity,method,value",
-         [("mu_interval", primary, mu_a),
-          ("mu_interval", "monte-carlo", mu_mc),
-          ("density_integral", "radial", den_a),
-          ("density_integral", "grid-2d", den_g),
-          ("density_integral", "monte-carlo", den_mc)])
+    write_csv(outdir / "measure.csv", "quantity,method,value",
+              [("mu_interval", primary, mu_a),
+               ("mu_interval", "monte-carlo", mu_mc),
+               ("density_integral", "radial", den_a),
+               ("density_integral", "grid-2d", den_g),
+               ("density_integral", "monte-carlo", den_mc)])
     _write_manifest(outdir, "measure", cfg,
                     {"mc_samples": lim.samples,
                      "mu_cross_rel": abs(mu_a - mu_mc) / max(abs(mu_a), 1e-300),
@@ -409,8 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None, help="JSON run config")
     p.add_argument("--output", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel per-level jobs (fallback: LCL_JOBS)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel per-level jobs")
     p.add_argument("--q", type=int, default=None, help="level for `spectrum`")
     return p
 
@@ -426,12 +414,8 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_json(raw)
         if args.seed is not None and not 0 <= args.seed < 2 ** 64:
             raise ValueError("--seed: must be an unsigned 64-bit integer")
-        if args.jobs is not None and args.jobs < 1:
+        if args.jobs < 1:
             raise ValueError("--jobs: must be a positive integer")
-        env = os.environ.get("LCL_JOBS") or "1"
-        if args.jobs is None and not (env.strip().isdecimal() and int(env) >= 1):
-            raise ValueError(f"LCL_JOBS: must be a positive integer, got {env!r}")
-        jobs = int(env) if args.jobs is None else args.jobs
         outdir = Path(args.output or cfg.output_dir)
         try:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -439,9 +423,8 @@ def main(argv=None) -> int:
             raise ValueError(f"{'--output' if args.output else 'config.output_dir'}: "
                              f"cannot create {str(outdir)!r}: {exc.strerror or exc}") from exc
     except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    cfg = RunConfig(**{**cfg.__dict__, "jobs": jobs,
+        return _usage_error(str(exc))
+    cfg = RunConfig(**{**cfg.__dict__, "jobs": args.jobs,
                        "seed": cfg.seed if args.seed is None else args.seed})
     try:
         if args.subcommand == "spectrum":

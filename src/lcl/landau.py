@@ -58,7 +58,6 @@ and small cases.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -66,9 +65,10 @@ from functools import partial
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
+from ._io import write_csv, write_json
 from .eigen import _check_dense_cap
 from .errors import CapacityError, ContractError
-from .potentials import PotentialModel
+from .potentials import PotentialModel, _is_integer
 from .specfun import (_lgamma_arr, laguerre_function, laguerre_function_multi,
                       laguerre_laplace, legendre_rule, panel_rule)
 
@@ -101,11 +101,11 @@ _CERT_TOL = 1e-12
 
 
 def landau_level(B: float, q: int) -> float:
-    """The Landau level B(2q+1)."""
+    """The Landau level B(2q+1), and the one check of B and of the level index."""
     if not (math.isfinite(B) and B > 0):
         raise ValueError("B must be finite and positive")
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    if not _is_integer(q) or q < 0:
+        raise ValueError(f"q must be an integer >= 0, got {q!r}")
     return B * (2.0 * q + 1.0)
 
 
@@ -118,10 +118,7 @@ class LandauConfig:
     k_max: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.B) and self.B > 0):
-            raise ValueError("B must be finite and positive")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
+        landau_level(self.B, self.q)
         if self.k_max < -self.q:
             raise ValueError("k_max must be >= -q")
 
@@ -158,8 +155,7 @@ class BasisIndex:
 
 def radial_basis(idx: BasisIndex, B: float, r):
     """Radial factor R_{k,q}(r), normalized so int_0^inf R^2 r dr = 1."""
-    if not (math.isfinite(B) and B > 0):
-        raise ValueError("B must be finite and positive")
+    landau_level(B, idx.q)
     r = np.asarray(r, dtype=float)
     xi = 0.5 * B * np.square(r)
     return math.sqrt(B) * laguerre_function(idx.n, float(idx.alpha), xi)
@@ -411,6 +407,7 @@ def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) ->
     same bits, except on a far window that the block fits, of the diagonal
     or of a band: there it is the exact row, which agrees with the fit within
     its certificate."""
+    landau_level(B, q)
     modes = _mode_map(model)
     if k1 - k2 not in modes:
         return 0.0
@@ -444,23 +441,17 @@ class ToeplitzBlock:
         return np.diagonal(self.entries)
 
     def to_csv(self, path) -> None:
-        ks = self.ks
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("k,k_prime,value\n")
-            for i, k in enumerate(ks):
-                jlo = max(0, i - self.bandwidth)
-                jhi = min(len(ks), i + self.bandwidth + 1)
-                for j in range(jlo, jhi):
-                    fh.write(f"{k},{ks[j]},{self.entries[i, j]:.17g}\n")
+        ks, w = self.ks, self.bandwidth
+        write_csv(path, "k,k_prime,value",
+                  ((k, ks[j], self.entries[i, j]) for i, k in enumerate(ks)
+                   for j in range(max(0, i - w), min(len(ks), i + w + 1))))
 
     def summary(self) -> dict:
         return _block_summary(self.q, self.B, self.k_max, self.bandwidth,
                               self.diagonal, self.truncation_tail_bound)
 
     def summary_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.summary(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.summary())
 
 
 def _block_summary(q: int, B: float, k_max: int, bandwidth: int,
@@ -524,8 +515,7 @@ def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
     Integrated in s = sqrt(xi) where the Laguerre oscillations are uniform;
     the quadrature never crosses the indicator kink at r = radius.
     """
-    if not (math.isfinite(B) and B > 0):
-        raise ValueError("B must be finite and positive")
+    landau_level(B, idx.q)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
     s_max = math.sqrt(0.5 * B) * radius

@@ -26,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from ._io import write_csv
 from .eigen import EigenSpectrum, tridiagonal_eig
 from .errors import ContractError, MethodError
 from .landau import (LandauConfig, landau_level, truncation_bound, _block_summary,
@@ -472,8 +473,5 @@ def convergence_study(model: PotentialModel, B: float, rho: float,
 
 
 def rows_to_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("q,lambda_q,k_max,lhs,rhs,rel_gap\n")
-        for r in rows:
-            fh.write(f"{r.q},{r.lambda_q:.17g},{r.k_max},{r.lhs:.17g},"
-                     f"{r.rhs:.17g},{r.relative_gap:.17g}\n")
+    write_csv(path, "q,lambda_q,k_max,lhs,rhs,rel_gap",
+              ((r.q, r.lambda_q, r.k_max, r.lhs, r.rhs, r.relative_gap) for r in rows))

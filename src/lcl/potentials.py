@@ -83,16 +83,18 @@ class PotentialModel:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown potential kind {self.kind!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude!r}")
+        if not (math.isfinite(self.width) and self.width > 0.0):
+            raise ValueError(f"width must be positive and finite, got {self.width!r}")
         if self.kind != "compact-gaussian-bump":
             if not 0.0 < self.rho < 1.0:
                 raise ValueError("rho must lie in (0, 1) for long-range kinds")
         if self.kind == "anisotropic-long-range":
             if not 0.0 <= self.epsilon < 1.0:
                 raise ValueError("epsilon must lie in [0, 1)")
-            if self.mode < 1:
-                raise ValueError("mode must be a positive integer")
-        if self.kind == "compact-gaussian-bump" and self.width <= 0.0:
-            raise ValueError("width must be positive")
+            if not _is_integer(self.mode) or self.mode < 1:
+                raise ValueError(f"mode must be a positive integer, got {self.mode!r}")
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -166,7 +168,7 @@ class PotentialModel:
             "kind": self.kind,
             "rho": self.rho if self.long_range else None,
             "epsilon": self.epsilon if self.kind == "anisotropic-long-range" else None,
-            "mode": self.mode if self.kind == "anisotropic-long-range" else None,
+            "mode": int(self.mode) if self.kind == "anisotropic-long-range" else None,
             "amplitude": self.amplitude,
             "width": self.width if self.kind == "compact-gaussian-bump" else None,
         }
@@ -180,7 +182,7 @@ class PotentialModel:
             if obj.get(key) is not None and not _is_number(obj[key]):
                 raise ValueError(f"model.{key}: must be a number")
         mode = obj.get("mode")
-        if mode is not None and (isinstance(mode, bool) or not isinstance(mode, int)):
+        if mode is not None and not _is_integer(mode):
             raise ValueError("model.mode: must be an integer")
 
         def opt(key, default):
@@ -198,6 +200,11 @@ class PotentialModel:
         if kind == "compact-gaussian-bump":
             kwargs["width"] = float(opt("width", 1.0))
         return PotentialModel(kind, **kwargs)
+
+
+def _is_integer(v) -> bool:
+    """True for an int or a NumPy integer that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
 
 
 def _is_number(v) -> bool:
@@ -470,9 +477,9 @@ def mean_value_mode_profile(rho: float, m: int, r):
 # circle averages
 # ---------------------------------------------------------------------------
 
-def _adaptive_circle_average(f, cx: float, cy: float, radius: float, tol: float) -> float:
+def _adaptive_circle_average(f, cx: float, cy: float, radius: float) -> float:
     """Panel-doubling average for arbitrary callables, with error control:
-    8 panels, doubled at most 10 times."""
+    8 panels, doubled at most 10 times, until two averages agree to 1e-10."""
 
     def eval_panels(n_panels: int) -> float:
         t, w = panel_rule(np.linspace(0.0, 2.0 * math.pi, n_panels + 1), 16)
@@ -485,7 +492,7 @@ def _adaptive_circle_average(f, cx: float, cy: float, radius: float, tol: float)
         n *= 2
         cur = eval_panels(n)
         est = abs(cur - prev)
-        if est <= tol * max(1.0, abs(cur)):
+        if est <= 1e-10 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise QuadratureError(
@@ -493,12 +500,12 @@ def _adaptive_circle_average(f, cx: float, cy: float, radius: float, tol: float)
         value=cur, estimate=est)
 
 
-def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
+def circle_average(u, center, radius: float) -> float:
     """Average of u over the circle of given radius centered at `center`.
 
     A PotentialModel or TailField is averaged with the angle rule about the
     point of the circle nearest the origin; any other callable u(x1, x2),
-    broadcasting over arrays, adaptively to `tol`.
+    broadcasting over arrays, by panel doubling.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
@@ -506,7 +513,7 @@ def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
     if not (math.isfinite(cx) and math.isfinite(cy)):
         raise ValueError(f"center must be finite, got {center!r}")
     if not isinstance(u, (PotentialModel, TailField)):
-        return _adaptive_circle_average(u, cx, cy, radius, tol=tol)
+        return _adaptive_circle_average(u, cx, cy, radius)
     # the points c - R omega(arg c + t) pass nearest the origin at t = 0;
     # delta is the angular scale on which u varies there
     s = math.hypot(cx, cy)
@@ -529,9 +536,9 @@ def circle_average(u, center, radius: float, *, tol: float = 1e-10) -> float:
     return float(0.5 * (vals[0] + vals[1]) @ w)
 
 
-def mean_value_transform(u, x, *, tol: float = 1e-10) -> float:
+def mean_value_transform(u, x) -> float:
     """Average of u over the unit circle centered at x."""
-    return circle_average(u, x, 1.0, tol=tol)
+    return circle_average(u, x, 1.0)
 
 
 def orbit_average(model: PotentialModel, c, E: float, B: float) -> float:

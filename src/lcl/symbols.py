@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._io import write_csv
 from .errors import AccuracyError, MethodError
 from .potentials import (PotentialModel, TailField, circle_average,
                          mean_value_transform, power_cos_average)
@@ -61,11 +62,11 @@ def psi_q(q: int, x, xi):
     return sign / math.pi * laguerre_weighted(q, t)
 
 
-def circle_convolution(f, k: float, z, *, tol: float = 1e-10) -> float:
+def circle_convolution(f, k: float, z) -> float:
     """(f * delta_k)(z): the average of f over the circle of radius k at z."""
     if not (math.isfinite(k) and k > 0):
         raise ValueError(f"k must be positive and finite, got {k!r}")
-    return circle_average(f, z, k, tol=tol)
+    return circle_average(f, z, k)
 
 
 def _psi_q_radial_rule(q: int):
@@ -98,8 +99,7 @@ def laguerre_smoothing(model: PotentialModel, B: float, q: int, z) -> float:
     """
     if not 0 <= q <= 64:
         raise ValueError(f"q must lie in [0, 64] for laguerre_smoothing, got {q!r}")
-    if not (math.isfinite(B) and B > 0):
-        raise ValueError("B must be finite and positive")
+    landau_level(B, q)
     t, wt, kern = _psi_q_radial_rule(q)
     cx, cy = _swap_negate(z)
     cx /= math.sqrt(B)
@@ -153,8 +153,7 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
         raise MethodError("hs_distance implements the radial isotropic fast path only")
     if not 0 <= q <= _HS_MAX_Q:
         raise ValueError(f"q must lie in [0, {_HS_MAX_Q}] for hs_distance, got {q!r}")
-    if not (math.isfinite(B) and B > 0):
-        raise ValueError("B must be finite and positive")
+    landau_level(B, q)
     rho = model.rho
     k = math.sqrt(2.0 * q + 1.0)
     t, wt, kern = _psi_q_radial_rule(q)
@@ -226,6 +225,7 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int) -> float:
     """
     if model.kind != "isotropic-long-range":
         raise MethodError("hs_distance_fourier implements the isotropic model only")
+    landau_level(B, q)
     k = math.sqrt(2.0 * q + 1.0)
     zeta_max = 45.0 / math.sqrt(B)
     h = math.pi / (2.0 * k) if k > 0 else 0.5
@@ -274,10 +274,7 @@ class RadialSymbolProfile:
             raise ValueError("profile values must be finite")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("r,value\n")
-            for r, v in zip(self.radii, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\n")
+        write_csv(path, "r,value", zip(self.radii, self.values))
 
 
 def smoothed_symbol_profile(model: PotentialModel, B: float, q: int,
@@ -292,6 +289,7 @@ def circle_symbol_profile(model: PotentialModel, B: float, q: int,
     """(V_B * delta_{sqrt(2q+1)}) along a ray, via the isometry composition:
     the circle average of V_B at (z, k) equals the circle average of V
     centered at J z / sqrt(B) with radius k / sqrt(B)."""
+    landau_level(B, q)
     k = math.sqrt(2.0 * q + 1.0)
     sb = math.sqrt(B)
     radii = np.asarray(radii, dtype=float)

@@ -46,20 +46,38 @@ def test_config_validation_field_paths(tmp_path, capsys):
         assert field in err, (overrides, err)
 
 
-def test_bad_flag_values_name_the_flag(tmp_path, capsys, monkeypatch):
+def test_bad_flag_values_name_the_flag(tmp_path, capsys):
     out = str(tmp_path / "o")
-    monkeypatch.setenv("LCL_JOBS", "two")
-    assert main(["selfcheck", "--output", out]) == 2
-    assert "LCL_JOBS" in capsys.readouterr().err
-    monkeypatch.setenv("LCL_JOBS", "0")
-    assert main(["selfcheck", "--output", out]) == 2
-    assert "LCL_JOBS" in capsys.readouterr().err
-    monkeypatch.delenv("LCL_JOBS")
     assert main(["selfcheck", "--output", out, "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
     for jobs in ("0", "-3"):
         assert main(["selfcheck", "--output", out, "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
+    # the environment sets nothing: --jobs defaults to 1
+    monkeypatch.setenv("LCL_JOBS", "two")
+    out = tmp_path / "o"
+    assert main(["selfcheck", "--output", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["jobs"] == 1
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"model": {"kind": "isotropic-long-range", "rho": 0.5, "amplitude": 0.0}},
+     "config.model.amplitude"),
+    ({"model": {"kind": "compact-gaussian-bump", "width": 1.0}, "rho": 1.0},
+     "config.rho"),
+], ids=["zero-amplitude", "bump-rho-1"])
+def test_symbol_check_refuses_configs_without_its_isotropic_model(tmp_path, capsys,
+                                                                  overrides, field):
+    # both used to end in a traceback: log(0) then a division by zero, and
+    # an isotropic model of decay order 1
+    path = _write_config(tmp_path, **overrides)
+    code = main(["symbol-check", "--config", str(path), "--output", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"usage error: {field}: ") and "Traceback" not in err, err
 
 
 def test_output_naming_a_file_is_a_usage_error(tmp_path, capsys):

@@ -53,10 +53,30 @@ def test_landau_level_gaps():
     lambda B: landau_level(B, 2),
     lambda B: LandauConfig(B=B, q=1, k_max=3),
     lambda B: radial_basis(BasisIndex(2, 1), B, 0.5),
-], ids=["landau_level", "LandauConfig", "radial_basis"])
+    lambda B: toeplitz_entry(ISO, B, 2, 0, 0),
+], ids=["landau_level", "LandauConfig", "radial_basis", "toeplitz_entry"])
 def test_field_strength_must_be_finite_and_positive(call, B):
     with pytest.raises(ValueError, match="B must be finite and positive"):
         call(B)
+
+
+@pytest.mark.parametrize("q", [-1, True, 2.5, np.float64(2.0)],
+                         ids=["negative", "bool", "fraction", "numpy-float"])
+@pytest.mark.parametrize("call", [
+    lambda q: landau_level(1.0, q),
+    lambda q: LandauConfig(B=1.0, q=q, k_max=10),
+    lambda q: truncation_bound(ISO, 1.0, q, 0.19),
+    lambda q: toeplitz_entry(ISO, 1.0, q, 0, 0),
+], ids=["landau_level", "LandauConfig", "truncation_bound", "toeplitz_entry"])
+def test_level_index_must_be_a_nonnegative_integer(call, q):
+    # landau_level(1.0, 2.5) used to return 6.0, and truncation_bound 2468
+    with pytest.raises(ValueError, match="^q must be an integer >= 0"):
+        call(q)
+
+
+def test_level_index_may_be_a_numpy_integer():
+    assert landau_level(2.0, np.int64(3)) == 14.0
+    assert LandauConfig(B=1.0, q=np.int32(2), k_max=5).dimension == 8
 
 
 def test_basis_index_validation():

@@ -435,6 +435,28 @@ def test_validation_errors():
         PotentialModel("mystery-kind")
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PotentialModel.anisotropic(0.5, 0.3, 2.5),
+    lambda: PotentialModel.anisotropic(0.5, 0.3, True),
+    lambda: PotentialModel.isotropic(0.5, math.nan),
+    lambda: PotentialModel.isotropic(0.5, math.inf),
+    lambda: PotentialModel.gaussian_bump(1.0, math.nan),
+    lambda: PotentialModel.gaussian_bump(1.0, math.inf),
+    lambda: PotentialModel.gaussian_bump(-math.inf, 1.0),
+], ids=["mode-2.5", "mode-bool", "amplitude-nan", "amplitude-inf", "width-nan",
+        "width-inf", "bump-amplitude-inf"])
+def test_model_refuses_fields_that_break_later(build):
+    # these used to be accepted: a fractional mode gave a wrong density
+    # integral, a bool mode wrote "mode": true, a NaN wrote the token NaN
+    with pytest.raises(ValueError, match="^(mode|amplitude|width) must"):
+        build()
+
+
+def test_model_accepts_a_numpy_integer_mode():
+    model = PotentialModel.anisotropic(0.5, 0.3, np.int64(2))
+    assert json.dumps(model.to_json()) == json.dumps(ANISO.to_json())
+
+
 def test_json_round_trip():
     # an explicit amplitude of 0 must survive the trip, not become 1.0
     for model in (ISO, ANISO, BUMP, PotentialModel.isotropic(0.3, amplitude=-1.0),

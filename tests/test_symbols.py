@@ -137,26 +137,46 @@ def test_hs_distance_requires_isotropic():
         hs_distance(ISO, 1.0, 64)
 
 
-@pytest.mark.parametrize("B", [0.0, float("nan"), float("inf")], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("B", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
 @pytest.mark.parametrize("call", [
     lambda B: v_B(ISO, B, (1.0, 0.0)),
     lambda B: laguerre_smoothing(ISO, B, 2, (0.0, 0.0)),
     lambda B: hs_distance(ISO, B, 2),
-], ids=["v_B", "laguerre_smoothing", "hs_distance"])
+    lambda B: hs_distance_fourier(ISO, B, 2),
+    lambda B: circle_symbol_profile(ISO, B, 2, [1.0]),
+], ids=["v_B", "laguerre_smoothing", "hs_distance", "hs_distance_fourier",
+        "circle_symbol_profile"])
 def test_field_strength_must_be_finite_and_positive(call, B):
+    # hs_distance_fourier and circle_symbol_profile used to fail inside
+    # arange or math.sqrt
     with pytest.raises(ValueError, match="B must be finite and positive"):
         call(B)
 
 
-@pytest.mark.parametrize("call", [
-    lambda q: psi_q(q, 0.5, 0.5),
+_LEVEL_CALLS = [
     lambda q: laguerre_smoothing(ISO, 1.0, q, (0.0, 0.0)),
     lambda q: hs_distance(ISO, 1.0, q),
-], ids=["psi_q", "laguerre_smoothing", "hs_distance"])
+    lambda q: hs_distance_fourier(ISO, 1.0, q),
+    lambda q: circle_symbol_profile(ISO, 1.0, q, [1.0]),
+]
+_LEVEL_IDS = ["laguerre_smoothing", "hs_distance", "hs_distance_fourier",
+              "circle_symbol_profile"]
+
+
+@pytest.mark.parametrize("call", [lambda q: psi_q(q, 0.5, 0.5), *_LEVEL_CALLS],
+                         ids=["psi_q", *_LEVEL_IDS])
 def test_negative_level_names_q(call):
-    # laguerre_smoothing and hs_distance used to fail with a math domain error
+    # all but psi_q used to fail with a math domain error
     with pytest.raises(ValueError, match="^q must"):
         call(-1)
+
+
+@pytest.mark.parametrize("q", [True, 2.5], ids=["bool", "fraction"])
+@pytest.mark.parametrize("call", _LEVEL_CALLS, ids=_LEVEL_IDS)
+def test_level_index_must_be_an_integer(call, q):
+    with pytest.raises(ValueError, match="^q must be an integer >= 0"):
+        call(q)
 
 
 # hs_distance(ISO, 1.0, q) as the angle-rule quadrature of the circle
