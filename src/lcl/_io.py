@@ -15,7 +15,8 @@ def write_csv(path, header: str, rows) -> None:
 
 
 def write_json(path, obj, *, sort_keys: bool = False) -> None:
-    """obj at indent 2, with a trailing LF."""
+    """obj at indent 2, with a trailing LF; a NaN or infinite float raises
+    ValueError, since JSON has no token for it."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=sort_keys)
+        json.dump(obj, fh, indent=2, sort_keys=sort_keys, allow_nan=False)
         fh.write("\n")

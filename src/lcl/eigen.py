@@ -3,14 +3,18 @@
 ``sym_eig`` takes a dense matrix to LAPACK's `numpy.linalg.eigh`, every
 eigenvector included, and certifies it by sampled eigenpair residuals.
 ``tridiagonal_eig`` takes a symmetric tridiagonal matrix as its diagonal d and
-off-diagonal e (each residue chain of a level block) to Sturm-count
-multisection and bisection (Barth, Martin and Wilkinson, *Numer. Math.* 9
-(1967); Demmel, *Applied Numerical Linear Algebra*, §5.3), with no matrix
-formed: every eigenvalue, or only those in a window, each proven to lie in its
-final bracket by counts at both ends.  This module owns the contract around
-both: finite and well-shaped input, the dense dimension cap (``eigh`` and a
-full tridiagonal spectrum), and one certificate block (the eigenvalue error
-bound, then the trace and Frobenius identities) that raises NumericalError.
+off-diagonal e (each residue chain of a level block) to Sturm counts (Barth,
+Martin and Wilkinson, *Numer. Math.* 9 (1967); Demmel, *Applied Numerical
+Linear Algebra*, §5.3), with no matrix formed: a multisection grid, then
+multisection of the brackets that hold more than one eigenvalue, and
+safeguarded Newton steps on det(T - x) inside each bracket that isolates one,
+their slope summed from the same pivots (Li and Zeng, *SIAM J. Sci. Comput.*
+15 (1994)).  Every eigenvalue, or only those in a window, is proven to lie in
+its final bracket by fresh counts at both ends.  This module owns the
+contract around both: finite and well-shaped input, the dense dimension cap
+(``eigh`` and a full tridiagonal spectrum), and one certificate block (the
+eigenvalue error bound, then the trace and Frobenius identities) that raises
+NumericalError.
 """
 from __future__ import annotations
 
@@ -63,7 +67,7 @@ def _gershgorin(d, e):
     return d - r, d + r, float(np.max(np.abs(d) + r, initial=0.0))
 
 
-def _sturm_count(d, e, x, early_exit=False):
+def _sturm_count(d, e, x, early_exit=False, slope=False):
     """Eigenvalues of the symmetric tridiagonal (d, e) strictly below x: the
     negative pivots q_i = (d_i - x) - e_{i-1}^2 / q_{i-1} of the LDL^T
     factorization of T - x, vectorized over shifts x in O(shifts) memory.
@@ -79,6 +83,13 @@ def _sturm_count(d, e, x, early_exit=False):
     every pivot there is <= -|e_i|, so is every later one (-e_i^2 / q_i <=
     |e_i| and the next disc lies below x), and the rows left are counted
     without being factored.
+
+    With `slope`, it returns (counts, S) with S = sum_i q_i' / q_i, the
+    derivative of log |det(T - x)|, from the same pivots: u_i = q_i' / q_i
+    with q_i' = (e_{i-1}^2 / q_{i-1}) u_{i-1} - 1.  Rows past an early exit
+    add nothing to S: their pivots stay <= -|e_i|, so the terms left out vary
+    smoothly with x and only change the remainder R in Newton's error
+    e^2 R / (1 + e R).  A zero pivot makes S inf or NaN.
     """
     x = np.asarray(x, dtype=float)
     d, e = np.asarray(d, dtype=float) + 0.0, np.asarray(e, dtype=float)
@@ -90,52 +101,114 @@ def _sturm_count(d, e, x, early_exit=False):
         reach = np.flatnonzero(top >= -float(np.max(nx)) - margin)
         stop = int(reach[-1]) + 1 if reach.size else 0
     e2 = np.square(np.concatenate([[0.0], e]))  # e2[i] couples rows i - 1 and i
-    count = np.zeros(nx.size, dtype=np.intp)
+    count, total = np.zeros(nx.size, dtype=np.intp), np.zeros(nx.size)
     block, shifted, q = np.empty((_BLOCK, nx.size)), np.empty(nx.size), None
-    rows = list(block)
-    with np.errstate(divide="ignore", over="ignore"):
+    ublock = np.empty((_BLOCK, nx.size)) if slope else None  # u_i, tallied like q_i
+    rows, urows, u = list(block), list(ublock) if slope else [None] * _BLOCK, None
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK):
             end = min(start + _BLOCK, n)
-            for q_new, di, e2i in zip(rows, d[start:end].tolist(), e2[start:end].tolist()):
+            for q_new, u_new, di, e2i in zip(rows, urows, d[start:end].tolist(),
+                                             e2[start:end].tolist()):
                 if e2i:
                     np.divide(e2i, q, out=q_new)
+                    if slope:
+                        np.subtract(np.multiply(q_new, u, out=u_new), 1.0, out=u_new)
                     np.subtract(np.add(nx, di, out=shifted), q_new, out=q_new)
                 else:
                     np.add(nx, di, out=q_new)
+                    if slope:
+                        u_new.fill(-1.0)
+                if slope:
+                    u = np.divide(u_new, q_new, out=u_new)
                 q = q_new
             count += np.count_nonzero(block[:end - start] < 0.0, axis=0)
+            if slope:
+                total += np.sum(ublock[:end - start], axis=0)
             if stop <= end < n and np.all(q <= -abs(e[end - 1])):
                 count += n - end
                 break
-    return count.reshape(x.shape)
+    count = count.reshape(x.shape)
+    return (count, total.reshape(x.shape)) if slope else count
 
 
 def _bisect(d, e, lo: float, hi: float, index, norm: float):
     """Eigenvalues `index` (ascending) of (d, e), all in [lo, hi], and their
-    radii relative to `norm`.
+    radii relative to `norm`, in three phases that share their count passes.
 
-    One multisection pass of four cells per eigenvalue brackets each; each
-    later pass splits every bracket into 2^b cells, with (2^b - 1) k <=
-    _PASS_SHIFTS shifts in all, until the width is _TIGHT_RTOL norm.  The ends
-    a_i, b_i of the final brackets are then counted afresh:
+    1. One multisection pass of four cells per eigenvalue brackets each and
+       keeps the counts at both ends of every bracket.
+    2. A bracket whose end counts differ by more than one is split into 2^b
+       cells, with (2^b - 1) k <= _PASS_SHIFTS shifts in all, until it
+       isolates its eigenvalue or is tol = _TIGHT_RTOL norm wide.
+    3. Inside an isolating bracket, safeguarded Newton on det(T - x): each
+       pass counts at the iterate, which tightens the bracket, and sums the
+       slope S = d/dx log|det(T - x)| from the same pivots.  The next iterate
+       is x - 1/S if that lies inside the bracket and, after t passes, the
+       bracket is at most 2^(1 - floor(t/2)) of its isolating width;
+       otherwise it is the midpoint, so the bracket halves at least every two
+       passes after the first two, and no eigenvalue takes more than twice
+       the passes of bisection, plus three.  A proposal passed over for the
+       midpoint is kept while its step is the shorter.  A step below tol/4 is
+       closed: the next iterate lies tol/4 beyond it, so that its count ends
+       the bracket under tol/2 wide, and a step that misjudged the distance
+       costs only that count.
+
+    The ends a_i, b_i of the final brackets are then counted afresh:
     count(a_i) <= i < count(b_i) proves eigenvalue i in [a_i, b_i]; a bracket
     that fails it has radius inf.
     """
-    k = len(index)
+    k, tol = len(index), _TIGHT_RTOL * norm
     grid = np.linspace(lo, hi, 4 * k + 1)
-    j = np.searchsorted(_sturm_count(d, e, grid, True), index, side="right") - 1
-    j = np.clip(j, 0, 4 * k - 1)
-    a, b = grid[j], grid[j + 1]
-    bits = max(0, math.ceil(math.log2((hi - lo) / (4 * k) / (_TIGHT_RTOL * norm))))
-    per_pass, rows = max(1, int(math.log2(1 + _PASS_SHIFTS / k))), np.arange(k)
-    while bits > 0:
-        m = 2 ** min(per_pass, bits)
-        bits -= per_pass
-        cells = a[:, None] + (b - a)[:, None] * (np.arange(m + 1) / m)
-        cells[:, -1] = b
-        counts = _sturm_count(d, e, cells[:, 1:-1], True)
-        j = np.count_nonzero(counts <= index[:, None], axis=1)
-        a, b = cells[rows, j], cells[rows, j + 1]
+    counts = _sturm_count(d, e, grid, True)
+    j = np.clip(np.searchsorted(counts, index, side="right") - 1, 0, 4 * k - 1)
+    a, b, ca, cb = grid[j], grid[j + 1], counts[j], counts[j + 1]
+    x, start = 0.5 * (a + b), b - a  # the next Newton iterate, the isolating width
+    passes = np.zeros(k, dtype=np.intp)
+    held, held_step = np.full(k, np.nan), np.full(k, np.inf)  # a proposal not taken
+    done = b - a <= tol
+    while not np.all(done):
+        live = np.flatnonzero(~done & (cb - ca == 1))
+        split = np.flatnonzero(~done & (cb - ca != 1))
+        m = 1
+        if split.size:
+            per_pass = max(1, int(math.log2(1 + _PASS_SHIFTS / split.size)))
+            bits = math.ceil(math.log2(float(np.max(b[split] - a[split])) / tol))
+            m = 2 ** min(per_pass, max(bits, 1))
+        cells = a[split, None] + (b - a)[split, None] * (np.arange(m + 1) / m)
+        cells[:, -1] = b[split]
+        c, slope = _sturm_count(d, e, np.concatenate([x[live], cells[:, 1:-1].ravel()]),
+                                True, slope=True)
+        if split.size:
+            cc = np.column_stack([ca[split], c[live.size:].reshape(split.size, m - 1),
+                                  cb[split]])
+            j = np.count_nonzero(cc[:, 1:-1] <= index[split, None], axis=1)
+            rows = np.arange(split.size)
+            a[split], b[split] = cells[rows, j], cells[rows, j + 1]
+            ca[split], cb[split] = cc[rows, j], cc[rows, j + 1]
+            x[split], start[split] = 0.5 * (a[split] + b[split]), b[split] - a[split]
+            done[split] = b[split] - a[split] <= tol
+        if live.size:
+            xl, c = x[live], c[:live.size]
+            up = c <= index[live]  # the eigenvalue lies above the iterate
+            a[live], ca[live] = np.where(up, xl, a[live]), np.where(up, c, ca[live])
+            b[live], cb[live] = np.where(up, b[live], xl), np.where(up, cb[live], c)
+            al, bl = a[live], b[live]
+            passes[live] += 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = -1.0 / slope[:live.size]
+            size, prop = np.abs(step), xl + step
+            close = (size < 0.25 * tol) & (al <= prop) & (prop <= bl)
+            prop = np.where(close, prop + np.where(up, 0.25, -0.25) * tol, prop)
+            # the held proposal, if its step is shorter or this one is NaN
+            old = ~close & ~(held_step[live] >= size) & (al < held[live]) & (held[live] < bl)
+            prop, size = np.where(old, held[live], prop), np.where(old, held_step[live], size)
+            take = ((al < prop) & (prop < bl)
+                    & (bl - al <= np.ldexp(start[live], 1 - passes[live] // 2)))
+            x[live] = np.where(take, prop, 0.5 * (al + bl))
+            held[live] = np.where(take, np.nan, prop)
+            held_step[live] = np.where(take, np.inf, size)
+            done[live] = bl - al <= tol
     counts = _sturm_count(d, e, np.concatenate([a, b]), True)
     proven = (counts[:k] <= index) & (index < counts[k:])
     return 0.5 * (a + b), np.where(proven, 0.5 * (b - a), np.inf) / norm

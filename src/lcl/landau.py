@@ -51,10 +51,10 @@ A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
 the block is the direct sum of m tridiagonal residue chains: the positions
 i = r (mod m) for r = 0 .. m - 1.  ``measures.level_spectrum`` solves each
-chain from its slices diag[r::m] and band[r::m] by Sturm-count bisection, with
-no matrix formed (for the trace sweep, only the eigenvalues inside phi's
-support); the dense block of :func:`toeplitz_matrix` is only a view for tests
-and small cases.
+chain from its slices diag[r::m] and band[r::m] by Sturm counts and Newton
+steps, with no matrix formed (for the trace sweep, only the eigenvalues inside
+phi's support); the dense block of :func:`toeplitz_matrix` is only a view for
+tests and small cases.
 """
 from __future__ import annotations
 

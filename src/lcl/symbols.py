@@ -232,8 +232,8 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int) -> float:
     h = min(h, 0.25)
     z, wz = panel_rule(np.arange(0.0, zeta_max + h, h), 12)
     G = laguerre_weighted(q, 0.5 * z * z) - bessel_j0(k * z)
-    vhat_b = abs(model.amplitude) * B * _fourier_transform_radial(model, math.sqrt(B) * z)
-    return math.sqrt(float(np.dot(wz, G * G * vhat_b * vhat_b * z)))
+    vhat_b = B * _fourier_transform_radial(model, math.sqrt(B) * z)
+    return abs(model.amplitude) * math.sqrt(float(np.dot(wz, G * G * vhat_b * vhat_b * z)))
 
 
 def scaled_symbol_identity(model: PotentialModel, B: float, q: int, z):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,24 @@ def test_symbol_check_outputs(tmp_path):
     ident = (out / "scaled_identity.csv").read_text().splitlines()
     assert ident[0] == "q,z1,z2,lhs,rhs,abs_diff"
     assert all(float(line.split(",")[-1]) < 1e-7 for line in ident[1:])
+
+
+def test_symbol_check_manifest_is_json_at_a_huge_amplitude(tmp_path, capsys):
+    # |amplitude| used to be squared inside the Fourier-side sum, which
+    # overflowed and wrote "hs_fourier_rel_gap": NaN, a token JSON does not have
+    def no_constant(token):
+        raise ValueError(f"manifest holds {token}")
+
+    path = _write_config(tmp_path, model={"kind": "isotropic-long-range", "rho": 0.5,
+                                          "amplitude": 1e300})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["symbol-check", "--config", str(path), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code == 0 and "Traceback" not in err, err
+    manifest = json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+    assert manifest["tolerances"]["hs_fourier_rel_gap"] < 0.01
 
 
 def test_selfcheck_passes(tmp_path, capsys):

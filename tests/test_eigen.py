@@ -162,14 +162,16 @@ def test_tridiagonal_input_forms_no_eigenvectors(monkeypatch):
 def test_residual_certificate_fails_loudly(monkeypatch, moved):
     # eigenvalue i of this chain lies within 0.13 of i; the multisection pass
     # does not count eigenvalue `moved` until moved + 0.7, so it is bracketed
-    # above itself and bisected there; only the fresh counts at the ends of its
-    # final bracket see it, whichever index it is
+    # above itself, as if isolated there; its Newton steps leave that bracket,
+    # so the safeguard's midpoints shrink it onto its lower end; only the
+    # fresh counts at the ends of its final bracket see it, whichever index
+    # it is
     n = 2000
     d, e = np.arange(n, dtype=float), np.full(n - 1, 0.25)
     real, calls = eigen._sturm_count, []
 
-    def miscount(d, e, x, early_exit=False):
-        counts = real(d, e, x, early_exit)
+    def miscount(d, e, x, early_exit=False, slope=False):
+        counts = real(d, e, x, early_exit, slope)
         if not calls:
             counts = counts - ((x < moved + 0.7) & (counts == moved + 1))
         calls.append(np.size(x))
@@ -314,3 +316,111 @@ def test_window_outside_the_spectrum_is_empty():
         spec = tridiagonal_eig(d, e, window)
         assert spec.dimension == 0 and spec.residual_bound == 0.0
     assert tridiagonal_eig(np.zeros(4), np.zeros(3), (1e-300, 1.0)).dimension == 0
+
+
+def _wilkinson():
+    # W21+: d = |i - 10|, e = 1; its eigenvalues come in pairs that close in
+    # toward the top, where the two agree to about 1e-13
+    return np.abs(np.arange(-10.0, 11.0)), np.ones(20)
+
+
+def _glued_wilkinson():
+    # three copies of W21+ glued by e = 1e-12: every eigenvalue three or six
+    # times over, within about 1e-12
+    d, e = _wilkinson()
+    return np.tile(d, 3), np.concatenate([e, [1e-12], e, [1e-12], e])
+
+
+def _weak_first_row():
+    # row 0 is coupled by 1e-9, so its eigenvalue rounds to d_0 = 0.5 and a
+    # Newton iterate lands on it: there the pivot q_0 is +0, q_1 is -inf and
+    # the slope NaN
+    return np.array([0.5, 2.0, 3.0, 4.0, 5.0]), np.array([1e-9, 1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("chain,window", [
+    (_wilkinson, None), (_wilkinson, (0.5, 11.0)), (_wilkinson, (-2.0, -0.5)),
+    (_glued_wilkinson, None), (_glued_wilkinson, (0.5, 11.0)),
+    (_glued_wilkinson, (-2.0, -0.5)),
+    (_weak_first_row, None), (_weak_first_row, (0.25, 1.0)),
+], ids=["wilkinson", "wilkinson-window", "wilkinson-negative", "glued", "glued-window",
+        "glued-negative", "zero-pivot", "zero-pivot-window"])
+def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
+    d, e = chain()
+    ref = np.linalg.eigvalsh(_tridiag(d, e))  # the oracle, in tests only
+    want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
+    real, newton_shifts = eigen._sturm_count, []
+
+    def record(d, e, x, early_exit=False, slope=False):
+        if slope:
+            newton_shifts.append((float(d[0]), np.array(x)))
+        return real(d, e, x, early_exit, slope)
+
+    monkeypatch.setattr(eigen, "_sturm_count", record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = tridiagonal_eig(d, e, window)
+    assert spec.dimension == len(want) > 0
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
+    assert spec.residual_bound <= 1e-12
+    if chain is _weak_first_row:
+        # the zero pivot is on the Newton path, as the chain intends
+        assert any(np.any(x == d0) for d0, x in newton_shifts)
+
+
+def _counted_passes(monkeypatch):
+    real, calls = eigen._sturm_count, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[2]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "_sturm_count", counted)
+    return calls
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -1.0])
+def test_full_chain_takes_few_count_passes(monkeypatch, amplitude):
+    # every q = 48 chain of criterion 09 in at most 12 passes: the grid, the
+    # Newton passes and the certificate (31 with bisection to the same width)
+    chains = _criterion_09_chains(48, amplitude)
+    calls = _counted_passes(monkeypatch)
+    for d, e in chains:
+        calls.clear()
+        spec = tridiagonal_eig(d, e)
+        assert spec.dimension == len(d) and spec.residual_bound <= 1e-12
+        assert len(calls) <= 12, calls
+
+
+def test_windowed_chain_takes_no_more_count_passes(monkeypatch):
+    # criterion 09's window at q = 32: the window count, the grid, the
+    # refinement and the certificate took 13 passes with multisection
+    q = 32
+    lo, hi = (s * (2 * q + 1) ** -0.25 for s in (0.5, 0.8))
+    chains = _criterion_09_chains(q, 1.0)
+    calls = _counted_passes(monkeypatch)
+    for d, e in chains:
+        calls.clear()
+        assert tridiagonal_eig(d, e, (lo, hi)).dimension > 50
+        assert len(calls) <= 13, calls
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+def test_slope_mode_counts_as_the_plain_count(early_exit):
+    d, e = _criterion_09_chains(16, 1.0)[0]
+    top = float(np.max(d)) + 2.0 * float(np.max(np.abs(e)))
+    rng = np.random.Generator(np.random.Philox(23))
+    x = rng.uniform(0.5 * 33 ** -0.25, 1.2 * top, 512)
+    counts, slope = _sturm_count(d, e, x, early_exit, slope=True)
+    plain = _sturm_count(d, e, x, early_exit)
+    assert counts.dtype == plain.dtype and np.array_equal(counts, plain)
+    assert slope.shape == x.shape
+    if not early_exit:
+        # S = d/dx log|det(T - x)| = sum_j 1 / (x - lambda_j), checked between
+        # eigenvalues, where the oracle's own rounding does not dominate
+        ref = np.linalg.eigvalsh(_tridiag(d, e))
+        mid = 0.5 * (ref[:-1] + ref[1:])
+        terms = 1.0 / (mid[:, None] - ref[None, :])
+        _, slope = _sturm_count(d, e, mid, slope=True)
+        err = np.abs(slope - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+        assert np.max(err) <= 1e-9

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lcl
+from lcl._io import write_json
 from lcl.landau import ToeplitzBlock
 from lcl.measures import ConvergenceRow, rows_to_csv
 from lcl.symbols import RadialSymbolProfile
@@ -84,3 +85,10 @@ def test_radial_profile_bytes(tmp_path):
     prof.to_csv(tmp_path / "profile.csv")
     assert (tmp_path / "profile.csv").read_bytes() == (
         b"r,value\n1e-300,-0\n0.10000000000000001,0.10000000000000001\n2,1\n")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_non_finite_floats(tmp_path, value):
+    # NaN and Infinity are not JSON tokens, so no manifest may hold one
+    with pytest.raises(ValueError):
+        write_json(tmp_path / "bad.json", {"tolerances": {"gap": value}})
