@@ -28,10 +28,9 @@ from . import __version__
 from ._io import write_csv, write_json
 from .errors import LclError
 from .landau import (BasisIndex, LandauConfig, eigen_residual_check,
-                     landau_level, radial_diagonal, truncation_bound)
+                     landau_level, level_spectrum, radial_diagonal, truncation_bound)
 from .eigen import _sturm_count, sym_eig, tridiagonal_eig
-from .measures import (LimitingMeasure, TestFunction, convergence_study,
-                       level_spectrum, rows_to_csv)
+from .measures import LimitingMeasure, TestFunction, convergence_study, rows_to_csv
 from .potentials import (PotentialModel, mean_value_radial_profile,
                          mean_value_transform, _is_integer, _is_number)
 from .specfun import (bessel_j0, gauss_nodes, laguerre, laguerre_bessel_gap,

@@ -50,11 +50,12 @@ raises ContractError naming q, the band and the window.
 A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
 the block is the direct sum of m tridiagonal residue chains: the positions
-i = r (mod m) for r = 0 .. m - 1.  ``measures.level_spectrum`` solves each
-chain from its slices diag[r::m] and band[r::m] by Sturm counts and Newton
-steps, with no matrix formed (for the trace sweep, only the eigenvalues inside
-phi's support); the dense block of :func:`toeplitz_matrix` is only a view for
-tests and small cases.
+i = r (mod m) for r = 0 .. m - 1.  :func:`level_spectrum` truncates the
+level, bounds its tail, summarises it from its diagonal, and solves each chain
+from its slices diag[r::m] and band[r::m] by Sturm counts and Newton steps,
+with no matrix formed (for the trace sweep, only the eigenvalues inside phi's
+support); the dense block of :func:`toeplitz_matrix` is only a view for tests
+and small cases.
 """
 from __future__ import annotations
 
@@ -66,7 +67,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev, chebpts2
 
 from ._io import write_csv, write_json
-from .eigen import _check_dense_cap
+from .eigen import _check_dense_cap, tridiagonal_eig
 from .errors import CapacityError, ContractError
 from .potentials import PotentialModel, _is_integer
 from .specfun import (_lgamma_arr, laguerre_function, laguerre_function_multi,
@@ -80,6 +81,7 @@ __all__ = [
     "radial_basis",
     "eigen_residual_check",
     "toeplitz_matrix",
+    "level_spectrum",
     "radial_diagonal",
     "toeplitz_entry",
     "indicator_basis_mass",
@@ -498,7 +500,7 @@ def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
     """The level block as one dense matrix, scattered from its bands.
 
     This is the dense view of the block and the test oracle for the chain
-    solves of ``measures.level_spectrum``, which never store the whole block.
+    solves of :func:`level_spectrum`, which never store the whole block.
     Dense storage is capped at dimension 4096; radial models beyond that
     should use :func:`radial_diagonal`, which skips the matrix entirely.
     """
@@ -507,6 +509,35 @@ def toeplitz_matrix(model: PotentialModel, cfg: LandauConfig) -> ToeplitzBlock:
     tail = _row_bound(model, cfg.B, cfg.q, cfg.k_max + 1)
     return ToeplitzBlock(q=cfg.q, B=cfg.B, k_max=cfg.k_max, entries=_scatter(diag, bands),
                          bandwidth=max(bands, default=0), truncation_tail_bound=tail)
+
+
+def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
+                   rho: float, window=None):
+    """Sorted spectrum of the level-q block truncated where entries drop
+    below `delta` (exponent `rho`): all of it, or with window=(lo, hi) on one
+    side of 0 only the eigenvalues between lo and hi.
+
+    Returns (values, k_max, tail bound, eigen residual bound, block summary
+    dict); the summary is taken from the level's diagonal, as
+    ``ToeplitzBlock.summary`` takes it.  Radial models skip the matrix, return
+    every value whatever the window, and have residual 0.  An anisotropic
+    block is the direct sum of m tridiagonal residue chains: each goes to
+    ``tridiagonal_eig`` as (diag[r::m], band[r::m]) with the window, for
+    eigenvalues only, found and certified by Sturm counts.  The values are
+    merged and the largest chain certificate reported; a full spectrum is
+    held to the dense cap per chain, first the largest, r = 0, and the whole
+    block is never stored.
+    """
+    k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
+    diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
+    tail = _row_bound(model, B, q, k_max + 1)
+    summary = _block_summary(q, B, k_max, max(bands, default=0), diag, tail)
+    if not bands:
+        return np.sort(diag), k_max, tail, 0.0, summary
+    (m, band), = bands.items()
+    specs = [tridiagonal_eig(diag[r::m], band[r::m], window) for r in range(m)]
+    values = np.sort(np.concatenate([s.values for s in specs]))
+    return values, k_max, tail, max(s.residual_bound for s in specs), summary
 
 
 def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:

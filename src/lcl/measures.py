@@ -1,7 +1,8 @@
 """Both sides of the cluster trace formula.
 
 Spectral side: scaled trace functionals and empirical cluster measures built
-from eigenvalues of the truncated level blocks.  Limiting side: the measure
+from eigenvalues of the truncated level blocks, which `landau.level_spectrum`
+gives one level at a time.  Limiting side: the measure
 
     mu([a, b]) = (1/2piB) |{x : a B^-rho <= T(x) <= b B^-rho}|
 
@@ -27,10 +28,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ._io import write_csv
-from .eigen import EigenSpectrum, tridiagonal_eig
+from .eigen import EigenSpectrum
 from .errors import ContractError, MethodError
-from .landau import (LandauConfig, landau_level, truncation_bound, _block_summary,
-                     _level_bands, _row_bound)
+from .landau import landau_level, level_spectrum
 from .potentials import (PotentialModel, mean_value_mode_profile,
                          mean_value_radial_profile)
 from .specfun import panel_rule
@@ -45,7 +45,6 @@ __all__ = [
     "limiting_density_integral",
     "schatten_norm",
     "ConvergenceRow",
-    "level_spectrum",
     "convergence_study",
     "rows_to_csv",
 ]
@@ -404,35 +403,6 @@ class ConvergenceRow:
     lhs: float
     rhs: float
     relative_gap: float
-
-
-def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
-                   rho: float, window=None):
-    """Sorted spectrum of the level-q block truncated where entries drop
-    below `delta` (exponent `rho`): all of it, or with window=(lo, hi) on one
-    side of 0 only the eigenvalues between lo and hi.
-
-    Returns (values, k_max, tail bound, eigen residual bound, block summary
-    dict).  Radial models skip the matrix, return every value whatever the
-    window, and have residual 0.  A model has at most one positive mode m, so
-    an anisotropic block is the direct sum of m tridiagonal residue chains,
-    positions i = r (mod m): each goes to ``tridiagonal_eig`` as
-    (diag[r::m], band[r::m]) with the window, for eigenvalues only, found and
-    certified by Sturm counts.  The values are merged and the largest chain
-    certificate reported; a full spectrum is held to the dense cap per chain,
-    first the largest, r = 0, and the whole block is never stored.
-    """
-    k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
-    diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
-    tail = _row_bound(model, B, q, k_max + 1)
-    if not bands:
-        values = np.sort(diag)
-        return values, k_max, tail, 0.0, _block_summary(q, B, k_max, 0, values, tail)
-    (m, band), = bands.items()
-    specs = [tridiagonal_eig(diag[r::m], band[r::m], window) for r in range(m)]
-    values = np.sort(np.concatenate([s.values for s in specs]))
-    return (values, k_max, tail, max(s.residual_bound for s in specs),
-            _block_summary(q, B, k_max, max(bands), diag, tail))
 
 
 def _study_row(model, B, rho, phi, delta, q, rhs) -> ConvergenceRow:

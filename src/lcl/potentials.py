@@ -117,22 +117,12 @@ class PotentialModel:
         return self.kind != "compact-gaussian-bump"
 
     def value(self, x1, x2):
-        """V(x), broadcasting over coordinate arrays."""
+        """V(x) = sum_j v_j(|x|) cos(j arg x) over the angular modes,
+        broadcasting over coordinate arrays."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        r2 = x1 * x1 + x2 * x2
-        if self.kind == "compact-gaussian-bump":
-            return self.amplitude * np.exp(-r2 / (2.0 * self.width ** 2))
-        out = (1.0 + r2) ** (-self.rho / 2.0)
-        if self.kind == "anisotropic-long-range":
-            # Re[(x1+ix2)^m] damped: smooth everywhere, ~ eps r^-rho cos at infinity
-            harm = np.real((x1 + 1j * x2) ** self.mode)
-            out = out + self.epsilon * harm * (1.0 + r2) ** (-(self.rho + self.mode) / 2.0)
-        return self.amplitude * out
-
-    def tail_value(self, x1, x2):
-        """Homogeneous tail, singular at the origin."""
-        return TailField(self)(x1, x2)
+        r, th = np.hypot(x1, x2), np.arctan2(x2, x1)
+        return sum(p.radial(r) * np.cos(p.mode * th) for p in self.angular_modes())
 
     def tail_field(self) -> "TailField":
         return TailField(self)
@@ -154,13 +144,9 @@ class PotentialModel:
         return (v0, AngularModeProfile(m, vm), AngularModeProfile(-m, vm))
 
     def sup_abs(self) -> float:
-        """Numerical sup of |V| (scanned along the extremal rays, r <= 60)."""
+        """Numerical sup of |V|: the max of sum_j |v_j(r)| on r <= 60."""
         r = np.linspace(0.0, 60.0, 20001)
-        if self.kind == "anisotropic-long-range":
-            base = (1.0 + r * r) ** (-self.rho / 2.0)
-            bump = self.epsilon * r ** self.mode * (1.0 + r * r) ** (-(self.rho + self.mode) / 2.0)
-            return abs(self.amplitude) * float(np.max(np.abs(base) + np.abs(bump)))
-        return abs(self.amplitude)
+        return float(np.max(sum(np.abs(p.radial(r)) for p in self.angular_modes())))
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -261,7 +247,7 @@ def evaluate(model: PotentialModel, x) -> float:
 
 def evaluate_tail(model: PotentialModel, x) -> float:
     """Tail value at a nonzero point; raises ValueError at the origin."""
-    return float(model.tail_value(x[0], x[1]))
+    return float(TailField(model)(x[0], x[1]))
 
 
 # ---------------------------------------------------------------------------

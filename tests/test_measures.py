@@ -1,19 +1,21 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from lcl import measures
 from lcl.eigen import _sturm_count, sym_eig
 from lcl.errors import CapacityError, ContractError, MethodError
-from lcl.landau import (LandauConfig, _level_bands, landau_level, radial_diagonal,
-                        toeplitz_matrix)
+from lcl.landau import (LandauConfig, _block_summary, _level_bands, landau_level,
+                        level_spectrum, radial_diagonal, toeplitz_matrix)
 from lcl.measures import (ConvergenceRow, EmpiricalClusterMeasure,
                           LimitingMeasure, TestFunction, convergence_study,
-                          eigenvalue_counting, level_spectrum,
-                          limiting_density_integral, mu_interval, rows_to_csv,
-                          schatten_norm, trace_functional)
+                          eigenvalue_counting, limiting_density_integral,
+                          mu_interval, rows_to_csv, schatten_norm, trace_functional)
 from lcl.potentials import PotentialModel, orbit_average
 
 ISO = PotentialModel.isotropic(0.5)
@@ -466,6 +468,50 @@ def test_level_spectrum_chains_match_dense_oracle(mode, q):
     assert summary == blk.summary()
     assert tail == blk.truncation_tail_bound
     assert residual <= 1e-12
+
+
+@pytest.mark.parametrize("q", [8, 32])
+def test_level_spectrum_summary_is_the_diagonal_summary(q):
+    # the summary is taken from the level's diagonal in k order, as the block
+    # summary is, not from the sorted spectrum, whose sum rounds differently
+    values, k_max, tail, _, summary = level_spectrum(ISO, 1.0, q, 0.19, 0.5)
+    diag = radial_diagonal(ISO, LandauConfig(B=1.0, q=q, k_max=k_max))
+    assert summary == _block_summary(q, 1.0, k_max, 0, diag, tail)
+    assert np.array_equal(values, np.sort(diag))
+
+
+def _private_lcl_imports(source: str) -> list[str]:
+    """The underscore-prefixed names that `source` imports from lcl modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "lcl":
+            continue
+        found += [a.name for a in node.names if a.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("source, found", [
+    ("from .landau import _row_bound", True),
+    ("from .landau import level_spectrum, _level_bands as bands", True),
+    ("from lcl.eigen import _sturm_count", True),
+    ("from . import _io", True),
+    ("from .landau import level_spectrum", False),
+    ("from ._io import write_csv", False),
+    ("from .landau import landau_level as _level", False),
+    ("from numpy.linalg import _umath_linalg", False),
+    ("from __future__ import annotations", False),
+], ids=range(9))
+def test_private_import_scan_finds_private_names(source, found):
+    assert bool(_private_lcl_imports(source)) == found
+
+
+def test_measures_imports_no_private_lcl_name():
+    # the level's internals stay in landau: measures reads a level only
+    # through landau_level and level_spectrum
+    source = Path(measures.__file__).read_text(encoding="utf-8")
+    assert _private_lcl_imports(source) == []
 
 
 def test_chain_solve_keeps_anisotropic_sweep_lhs():

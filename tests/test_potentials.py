@@ -38,6 +38,46 @@ def test_evaluate_bump():
     assert abs(evaluate(BUMP, (2.0, 0.0)) - math.exp(-2.0)) < 1e-16
 
 
+def _closed_form(model, x1, x2):
+    """a [(1+r^2)^(-rho/2) + eps Re[(x1+ix2)^m] (1+r^2)^(-(rho+m)/2)], the
+    long-range models written with their harmonic polynomial."""
+    r2 = x1 * x1 + x2 * x2
+    harm = np.real((x1 + 1j * x2) ** model.mode)
+    return model.amplitude * ((1.0 + r2) ** (-model.rho / 2.0) + model.epsilon * harm
+                              * (1.0 + r2) ** (-(model.rho + model.mode) / 2.0))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("amplitude", [1.7, -1.7])
+def test_value_from_the_modes_is_the_closed_form(m, rho, amplitude):
+    model = PotentialModel.anisotropic(rho, 0.6, m, amplitude=amplitude)
+    rng = np.random.default_rng(1000 * m + int(10 * rho))
+    r = 30.0 * np.sqrt(rng.random(2000))
+    th = 2.0 * np.pi * rng.random(2000)
+    x1, x2 = r * np.cos(th), r * np.sin(th)
+    ref = _closed_form(model, x1, x2)
+    assert np.max(np.abs(model.value(x1, x2) - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [ISO, ANISO, BUMP,
+                                   PotentialModel.anisotropic(0.1, 0.9, 6, amplitude=-2.0)],
+                         ids=["iso", "aniso", "bump", "aniso-m6"])
+def test_sup_abs_bounds_the_value(model):
+    # radii on sup_abs's own grid, and far out where the profiles decay
+    r = np.concatenate([np.linspace(0.0, 60.0, 20001)[::40], [100.0, 1e3, 1e6]])
+    th = np.linspace(0.0, 2.0 * np.pi, 361)
+    x1, x2 = np.outer(r, np.cos(th)), np.outer(r, np.sin(th))
+    assert np.max(np.abs(model.value(x1, x2))) <= model.sup_abs()
+
+
+@pytest.mark.parametrize("amplitude", [1.0, -2.5])
+def test_sup_abs_of_radial_models_is_the_amplitude(amplitude):
+    for model in (PotentialModel.isotropic(0.5, amplitude),
+                  PotentialModel.gaussian_bump(amplitude, 0.7)):
+        assert model.sup_abs() == abs(amplitude)
+
+
 def test_tail_isotropic():
     assert abs(evaluate_tail(ISO, (4.0, 0.0)) - 0.5) < 1e-15
 
