@@ -16,7 +16,9 @@ Both are (1/2piB) int f(T(x)) dx, f the indicator of [a, b] B^-rho or
 phi(B^rho .): one integrator takes either on a polar rule (the 2-d midpoint
 grid, or Gauss-Legendre panels in r and half-period angles for the density)
 or by counter-based Monte Carlo over profile tables, beside radial inversion
-(mu, isotropic model).
+(mu, isotropic model).  The integrand is summed in blocks of at most
+BLOCK_POINTS points, never built as one array, so scratch memory does not
+grow with the rule or the sample count.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from ._io import write_csv
 from .eigen import EigenSpectrum
 from .errors import ContractError, MethodError
 from .landau import landau_level, level_spectrum
-from .potentials import (PotentialModel, mean_value_mode_profile,
+from .potentials import (BLOCK_POINTS, PotentialModel, mean_value_mode_profile,
                          mean_value_radial_profile)
 from .specfun import panel_rule
 
@@ -247,8 +249,12 @@ class LimitingMeasure:
         return lo, hi
 
     def _tables(self, r_out: float):
+        """The uniform table's nodes on [0, r_out], m0 and g_m at them, and
+        each profile's slope on each cell, a zero last one appended."""
         r = np.linspace(0.0, r_out, _TABLE_POINTS)
-        return r, self.base_profile(r), self.mode_profile(r)
+        base, mode = self.base_profile(r), self.mode_profile(r)
+        slopes = (np.append(np.diff(f) / np.diff(r), 0.0) for f in (base, mode))
+        return r, base, mode, *slopes
 
     # -- interval measure -------------------------------------------------
     def mu_interval(self, alpha: float, beta: float,
@@ -292,11 +298,12 @@ class LimitingMeasure:
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
 
     def _grid(self, r_out: float, method: str):
-        """T at the nodes of a polar rule on the disc of radius r_out (one
-        angle for the isotropic model) and each node's area: midpoint cells
-        ("grid-2d"), or Gauss-Legendre panels in r and, as T is even in the
-        mode's angle psi = m theta, Gauss-Legendre in psi over a half period
-        ("radial")."""
+        """A polar rule on the disc of radius r_out as radial and angular
+        factors (base, mode, area, c, w): T at node (i, j) is base[i] +
+        mode[i] c[j], c = cos(psi) at the mode's angle psi = m theta, and its
+        area is area[i] w[j].  Midpoint cells ("grid-2d"), or Gauss-Legendre
+        panels in r and, as T is even in psi, Gauss-Legendre in psi over a
+        half period ("radial"); the isotropic model takes one angle, psi = 0."""
         if method == "grid-2d":
             dr = r_out / _GRID_RADII
             r, wr = (np.arange(_GRID_RADII) + 0.5) * dr, dr
@@ -306,33 +313,32 @@ class LimitingMeasure:
             r, wr = panel_rule(np.linspace(0.0, r_out, _RADIAL_PANELS + 1), 12)
             s, ws = panel_rule([0.0, 1.0], 48)
             psi, wpsi = math.pi * s, 2.0 * math.pi * ws
-        area = (r * wr)[:, None]
-        base = self.model.amplitude * self.base_profile(r)
-        if self.model.kind == "anisotropic-long-range":
-            mode = self.model.amplitude * self.model.epsilon * self.mode_profile(r)
-            return base[:, None] + mode[:, None] * np.cos(psi)[None, :], area * wpsi
-        return base[:, None], area * (2.0 * math.pi)
+        if self.model.kind != "anisotropic-long-range":
+            psi, wpsi = np.zeros(1), 2.0 * math.pi
+        amp = self.model.amplitude
+        return (amp * self.base_profile(r), amp * self.model.epsilon * self.mode_profile(r),
+                r * wr, np.cos(psi), wpsi)
 
     def _interp_transform(self, r, th, tables):
         """Linear in r >= 0 between the uniform table's nodes: the bracket
         rt[j] <= r < rt[j+1] is the scaled r rounded down, corrected once each
         way, and a zero last slope holds r >= rt[-1] at the last value."""
-        rt, base, mode = tables
+        rt, base, mode, base_slope, mode_slope = tables
         dr = r * ((_TABLE_POINTS - 1) / rt[-1])  # one scratch column, r - rt[j] at the end
         j = np.clip(dr.astype(np.intp), 0, _TABLE_POINTS - 2)
         j -= np.take(rt, j, out=dr, mode="clip") > r
         j += np.take(rt[1:], j, out=dr, mode="clip") <= r
         np.subtract(r, np.take(rt, j, out=dr, mode="clip"), out=dr)
 
-        def lookup(f):  # slope * (r - rt[j]) + f[j], in this order
-            vals = np.append(np.diff(f) / np.diff(rt), 0.0)[j]
+        def lookup(f, slope):  # slope * (r - rt[j]) + f[j], in this order
+            vals = slope[j]
             vals *= dr
             vals += f[j]
             return vals
 
-        vals = lookup(base)
+        vals = lookup(base, base_slope)
         if self.model.kind == "anisotropic-long-range":
-            g = lookup(mode)
+            g = lookup(mode, mode_slope)
             c = np.cos(np.multiply(self.model.mode, th, out=dr), out=dr)
             c *= self.model.epsilon
             vals += np.multiply(g, c, out=g)  # (eps cos(m th)) g
@@ -342,15 +348,31 @@ class LimitingMeasure:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
         r_out: a polar rule ("grid-2d" or "radial", see `_grid`) or
         self.samples uniform Philox(seed) points ("monte-carlo"); f is
-        vectorised."""
+        vectorised.  Either is summed in blocks of at most BLOCK_POINTS
+        points: whole radii of the rule (the isotropic grids and the radial
+        rule are one block), or consecutive samples, whose angles come from a
+        second Philox(seed) advanced past all radii's draws, so the points
+        are those of one unblocked stream."""
         if method != "monte-carlo":
-            vals, area = self._grid(r_out, method)
-            return float(np.sum(f(vals) * area)) / (2.0 * math.pi * self.B)
-        rng = np.random.Generator(np.random.Philox(self.seed))
-        r = r_out * np.sqrt(rng.random(self.samples))
-        th = 2.0 * math.pi * rng.random(self.samples)
-        vals = self._interp_transform(r, th, self._tables(r_out))
-        return float(np.mean(f(vals))) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
+            base, mode, area, c, w = self._grid(r_out, method)
+            total, step = 0.0, max(BLOCK_POINTS // c.size, 1)
+            for i in range(0, base.size, step):
+                blk = slice(i, i + step)
+                vals = base[blk, None] + mode[blk, None] * c
+                total += np.sum(f(vals) * (area[blk, None] * w))
+            return float(total) / (2.0 * math.pi * self.B)
+        tables = self._tables(r_out)
+        radii = np.random.Generator(np.random.Philox(self.seed))
+        # past the radii: Philox makes 4 draws per counter step, a double takes 1
+        angles = np.random.Generator(np.random.Philox(self.seed).advance(self.samples // 4))
+        angles.random(self.samples % 4)
+        total = 0.0
+        for i in range(0, self.samples, BLOCK_POINTS):
+            n = min(BLOCK_POINTS, self.samples - i)
+            r = r_out * np.sqrt(radii.random(n))
+            th = 2.0 * math.pi * angles.random(n)
+            total += np.sum(f(self._interp_transform(r, th, tables)))
+        return float(total / self.samples) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
 
     # -- density integral -------------------------------------------------
     def density_integral(self, phi: TestFunction, method: str = "radial") -> float:

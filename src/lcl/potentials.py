@@ -55,6 +55,9 @@ __all__ = [
 ]
 
 _KINDS = ("isotropic-long-range", "anisotropic-long-range", "compact-gaussian-bump")
+# the largest integrand an evaluator builds at once: the mode profile's
+# rows x angles here, the limiting measure's nodes and samples in `measures`
+BLOCK_POINTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -448,14 +451,18 @@ def mean_value_mode_profile(rho: float, m: int, r):
     out = np.empty_like(r_arr)
     delta = np.abs(r_arr - 1.0) / np.sqrt(np.maximum(r_arr, 1e-2))
     for rows, t, w in _angle_rule_groups(delta, rho):
-        rv = r_arr[rows][:, None]
+        rows, step = np.flatnonzero(rows), max(BLOCK_POINTS // t.size, 1)
         # x - w = ((r-1) + 2 sin^2(t/2), -sin t) and |x - w|^2 =
         # (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
-        s2 = np.sin(0.5 * t) ** 2
-        d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
-        ang = np.arctan2(-np.sin(t), (rv - 1.0) + 2.0 * s2)
-        # a row-wise sum, not BLAS, so a row's bits do not depend on the others
-        out[rows] = (d2 ** (-rho / 2.0) * (np.cos(m * ang) * w)).sum(axis=1)
+        s2, sin_t = np.sin(0.5 * t) ** 2, np.sin(t)
+        for i in range(0, rows.size, step):
+            blk = rows[i:i + step]
+            rv = r_arr[blk][:, None]
+            d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
+            ang = np.arctan2(-sin_t, (rv - 1.0) + 2.0 * s2)
+            # a row-wise sum, not BLAS, so a row's bits depend neither on the
+            # other rows nor on the block it is in
+            out[blk] = (d2 ** (-rho / 2.0) * (np.cos(m * ang) * w)).sum(axis=1)
     return out if np.ndim(r) else float(out[0])
 
 

@@ -7,7 +7,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from lcl import measures
+import tracemalloc
+
+from lcl import measures, potentials
 from lcl.eigen import _sturm_count, sym_eig
 from lcl.errors import CapacityError, ContractError, MethodError
 from lcl.landau import (LandauConfig, _block_summary, _level_bands, landau_level,
@@ -16,7 +18,8 @@ from lcl.measures import (ConvergenceRow, EmpiricalClusterMeasure,
                           LimitingMeasure, TestFunction, convergence_study,
                           eigenvalue_counting, limiting_density_integral,
                           mu_interval, rows_to_csv, schatten_norm, trace_functional)
-from lcl.potentials import PotentialModel, orbit_average
+from lcl.potentials import PotentialModel, mean_value_mode_profile, orbit_average
+from lcl.specfun import panel_rule
 
 ISO = PotentialModel.isotropic(0.5)
 ANISO = PotentialModel.anisotropic(0.5, 0.3, 2)
@@ -251,7 +254,7 @@ def test_table_lookup_matches_np_interp(model, level):
     lim = LimitingMeasure(model, 1.0)
     r_out, = lim._level_radius([level])
     tables = lim._tables(r_out)
-    rt, base, mode = tables
+    rt, base, mode, *_ = tables
     rng = np.random.default_rng(7)
     r = np.concatenate([rng.uniform(0.0, r_out, 100_000), rt,
                         np.nextafter(rt, -np.inf)[1:], np.nextafter(rt, np.inf),
@@ -264,6 +267,104 @@ def test_table_lookup_matches_np_interp(model, level):
     got = lim._interp_transform(r, th, tables)
     assert rt[-1] == r_out
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# One-shot oracles of the blocked integrals: the whole integrand as one array.
+
+def _one_shot_monte_carlo(lim, f, r_out):
+    # all radii, then all angles, of one Philox(seed) stream
+    rng = np.random.Generator(np.random.Philox(lim.seed))
+    r = r_out * np.sqrt(rng.random(lim.samples))
+    th = 2.0 * math.pi * rng.random(lim.samples)
+    vals = lim._interp_transform(r, th, lim._tables(r_out))
+    return float(np.mean(f(vals))) * math.pi * r_out * r_out / (2.0 * math.pi * lim.B)
+
+
+def _one_shot_grid(lim, f, r_out, method):
+    # T and the area at every node of the polar rule, as 2-d arrays
+    if method == "grid-2d":
+        dr = r_out / measures._GRID_RADII
+        r, wr = (np.arange(measures._GRID_RADII) + 0.5) * dr, dr
+        dth = 2.0 * math.pi / measures._GRID_ANGLES
+        psi, wpsi = lim.model.mode * ((np.arange(measures._GRID_ANGLES) + 0.5) * dth), dth
+    else:
+        r, wr = panel_rule(np.linspace(0.0, r_out, measures._RADIAL_PANELS + 1), 12)
+        s, ws = panel_rule([0.0, 1.0], 48)
+        psi, wpsi = math.pi * s, 2.0 * math.pi * ws
+    area = (r * wr)[:, None]
+    base = lim.model.amplitude * lim.base_profile(r)
+    if lim.model.kind == "anisotropic-long-range":
+        mode = lim.model.amplitude * lim.model.epsilon * lim.mode_profile(r)
+        vals, area = base[:, None] + mode[:, None] * np.cos(psi)[None, :], area * wpsi
+    else:
+        vals, area = base[:, None], area * (2.0 * math.pi)
+    return float(np.sum(f(vals) * area)) / (2.0 * math.pi * lim.B)
+
+
+def _integrands(lim, alpha, beta, phi):
+    # (name, f, r_out) of mu_interval([alpha, beta]) and density_integral(phi)
+    # at B = 1, as the two evaluators pass them to _integral
+    r_mu, = lim._level_radius([alpha])
+    r_phi = lim._level_radius([phi.support_abs_low])[0] * 1.02
+    return [("mu", lambda v: (v >= alpha) & (v <= beta), r_mu), ("density", phi, r_phi)]
+
+
+@pytest.mark.parametrize("samples", [1001, 2 * measures.BLOCK_POINTS + 4099])
+@pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
+def test_blocked_monte_carlo_is_the_one_shot_stream(model, samples):
+    # 1001 samples are less than one block; 2 blocks + 4099 end in a part
+    # block, and neither count is a multiple of Philox's 4 draws per step
+    lim = LimitingMeasure(model, 1.0, seed=11, samples=samples)
+    (_, ind, r_mu), (_, phi, r_phi) = _integrands(lim, 0.3, 0.6, PHI)
+    assert lim.mu_interval(0.3, 0.6, "monte-carlo") == _one_shot_monte_carlo(lim, ind, r_mu)
+    want = _one_shot_monte_carlo(lim, phi, r_phi)
+    assert abs(lim.density_integral(PHI, "monte-carlo") - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
+def test_blocked_grid_matches_the_one_shot_sum(model):
+    # the anisotropic grid-2d rule spans 44 blocks and may differ from the
+    # one 2-d sum in its last bits; the radial rule and the isotropic grids
+    # are one block each, and stay bit-identical
+    lim = LimitingMeasure(model, 1.0)
+    for name, f, r_out in _integrands(lim, 0.3, 0.6, PHI):
+        for method in ("grid-2d", "radial"):
+            got, want = lim._integral(f, r_out, method), _one_shot_grid(lim, f, r_out, method)
+            if method == "radial" or model is ISO:
+                assert got == want, (name, method)
+            else:
+                assert abs(got - want) <= 1e-15 * want, (name, method)
+
+
+def test_mode_profile_does_not_depend_on_its_row_blocks(monkeypatch):
+    # 8,192 table radii and radii within 1e-14 of the circle, where the
+    # singular rule and the fine geometric ones take over, in blocks of one
+    # row, of a few rows, and of all rows of a rule
+    r = np.concatenate([np.linspace(0.0, 6.0, 8192), [1.0],
+                        1.0 + np.arange(-10, 11) * 1e-15, 1.0 + np.array([-1e-14, 1e-14])])
+    want = mean_value_mode_profile(0.5, 2, r)
+    for block in (1, 1000, 1 << 30):
+        monkeypatch.setattr(potentials, "BLOCK_POINTS", block)
+        got = mean_value_mode_profile(0.5, 2, r)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), block
+
+
+@pytest.mark.parametrize("call", [
+    lambda lim: lim.density_integral(TestFunction(0.65, 0.15), "monte-carlo"),
+    lambda lim: lim.density_integral(TestFunction(0.65, 0.15), "grid-2d"),
+    lambda lim: lim.mu_interval(0.5, 0.8, "grid-2d"),
+], ids=["density-monte-carlo", "density-grid-2d", "mu-grid-2d"])
+def test_limiting_integrals_stay_in_bounded_memory(call):
+    # the test-09 model at 2,000,000 samples: a block of 2^16 points takes
+    # a few MB of scratch, the whole integrand as one array 48-118 MB
+    lim = LimitingMeasure(ANISO, 1.0, samples=2_000_000)
+    tracemalloc.start()
+    try:
+        call(lim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 # the envelope m0 + eps |g_3| of this model peaks at r ~ 4.66 (value 1.5503),
