@@ -18,13 +18,13 @@ Matrix elements of a potential with angular modes v_j couple k' = k + j:
 The diagonal of a built-in model needs no grid in xi.  For a Gaussian
 profile e^(-c xi) the entry is the Laplace transform E_{n,alpha}(c) of
 psi^2, a finite sum of positive terms (Laguerre multiplication theorem,
-`specfun.laguerre_laplace`).  The bump is a E(1/(B w^2)); by Euler's integral
-the long-range profile (1+r^2)^(-rho/2) is a mixture of Gaussians, summed on
-one fixed rule of 200 Gauss-Legendre nodes in log s.  Every long-range call
-evaluates its first, last and largest-alpha rows again by the band
-quadrature below, on a rule of 400 2^j >= 400 + 2.8 q nodes; a relative
-gap above 1e-12 (plus 8 eps lgamma(alpha+1), the quadrature's own rounding
-at large alpha) raises ContractError naming the stage, q and k.
+`specfun.laguerre_laplace`).  On the model's Gaussian mixture of v_0,
+a sum_i c_i e^(-s_i r^2) (`PotentialModel.gaussian_mixture`: one term for the
+bump, Euler's integral for the others), an entry is a sum_i c_i E(2 s_i / B).
+Every long-range call evaluates its first, last and largest-alpha rows again
+by the band quadrature below, on a rule of 400 2^j >= 400 + 2.8 q nodes; a
+relative gap above 1e-12 (plus 8 eps lgamma(alpha+1), the quadrature's own
+rounding at large alpha) raises ContractError naming the stage, q and k.
 
 Off-diagonal bands, and the generic profiles of the basis selfcheck, are
 integrated by Gauss-Legendre on the classical support window of the Laguerre
@@ -94,10 +94,6 @@ _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
 _CHUNK = 128
 _CHEB_NODES = 24
-# Euler's integral of the long-range profile: Gauss-Legendre in u = log s on
-# [log _EULER_S[0], log _EULER_S[1]], certified against quadrature in xi
-_EULER_S = (1e-16, 50.0)
-_EULER_NODES = 200
 _CERT_NODES = 400
 _CERT_TOL = 1e-12
 
@@ -121,8 +117,8 @@ class LandauConfig:
 
     def __post_init__(self):
         landau_level(self.B, self.q)
-        if self.k_max < -self.q:
-            raise ValueError("k_max must be >= -q")
+        if not _is_integer(self.k_max) or self.k_max < -self.q:
+            raise ValueError(f"k_max must be an integer >= -q, got {self.k_max!r}")
 
     @property
     def dimension(self) -> int:
@@ -278,27 +274,14 @@ def _mode_map(model: PotentialModel) -> dict:
     return {p.mode: p.radial for p in model.angular_modes()}
 
 
-def _subordinated_diagonal(model: PotentialModel, B: float, q: int, ks: np.ndarray,
-                           nodes: int) -> np.ndarray:
-    """v0's diagonal entries at the rows ks (real for k >= 0) from the Laplace
-    transform E(c) of psi^2: the bump is a E(1/(B w^2)), and by Euler's
-    integral (1+r^2)^(-nu) = Gamma(nu)^(-1) int s^(nu-1) e^(-s(1+r^2)) ds, a
-    long-range profile is the Gaussian mixture a/Gamma(nu) int s^nu e^-s
-    E(2s/B) d(log s), nu = rho/2, on `nodes` Gauss-Legendre nodes in log s;
-    below s0 = _EULER_S[0], E(c) = 1 - (2n+alpha+1) c + O(c^2) in closed form."""
+def _subordinated_diagonal(model: PotentialModel, B: float, q: int,
+                           ks: np.ndarray) -> np.ndarray:
+    """v0's diagonal entries at the rows ks (real for k >= 0): on the mixture
+    a sum_i c_i e^(-s_i r^2), r^2 = 2 xi / B, they are a sum_i c_i E(2 s_i / B)."""
     n, alpha = q + np.minimum(ks, 0.0).astype(np.int64), np.abs(ks)
-    a = model.amplitude
-    if not model.long_range:
-        return a * laguerre_laplace(n, alpha, [1.0 / (B * model.width ** 2)])[:, 0]
-    nu = 0.5 * model.rho
-    s0, s1 = _EULER_S
-    u, w = panel_rule([math.log(s0), math.log(s1)], nodes)
-    s = np.exp(u)
-    mean_c = 1.0 + 2.0 * (2.0 * n + alpha + 1.0) / B  # d/ds of 1 - e^-s E(2s/B) at 0
-    head = s0 ** nu / nu - mean_c * s0 ** (nu + 1.0) / (nu + 1.0)
+    s, c = model.gaussian_mixture()
     # a row-wise sum, so a row's bits do not depend on the rows beside it
-    body = (laguerre_laplace(n, alpha, 2.0 * s / B) * (w * np.exp(nu * u - s))).sum(axis=1)
-    return a / math.gamma(nu) * (head + body)
+    return model.amplitude * (laguerre_laplace(n, alpha, 2.0 * s / B) * c).sum(axis=1)
 
 
 def _certificate_order(q: int) -> int:
@@ -319,7 +302,7 @@ def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
     independent path through the Laguerre recurrence) must agree within
     _CERT_TOL plus the quadrature's own rounding at large alpha, relative."""
     ks = np.asarray(ks, dtype=float)
-    vals = _subordinated_diagonal(model, B, q, ks, _EULER_NODES)
+    vals = _subordinated_diagonal(model, B, q, ks)
     finite = np.isfinite(vals)
     if not finite.all():
         raise ContractError(
@@ -558,16 +541,11 @@ def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
 
 
 def _row_bound(model: PotentialModel, B: float, q: int, k: int) -> float:
-    """Gershgorin-style bound for row k: orbit-radius heuristic evaluated at
-    the inner orbit edge |r_center - r_orbit| (so it dominates the circle
-    average that the true diagonal is), plus one band entry per off-diagonal
-    mode on each side."""
+    """Gershgorin-style bound for row k: the mode envelope (one entry per signed
+    mode) at the inner orbit edge |r_center - r_orbit|, so it dominates the
+    circle average that the true diagonal is."""
     r = abs(math.sqrt((2.0 * (q + k) + 1.0) / B) - math.sqrt((2.0 * q + 1.0) / B))
-    total = 0.0
-    for p in model.angular_modes():
-        # one diagonal entry from mode 0, one off-diagonal entry per signed mode
-        total += abs(float(p.radial(np.asarray(r))))
-    return total
+    return float(model.mode_envelope(r))
 
 
 def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,

@@ -10,7 +10,11 @@ The built-in family:
 The long-range kinds have homogeneous tails a |x|^(-rho) and
 a |x|^(-rho) (1 + eps cos(m th)); the anisotropic correction is damped with a
 harmonic polynomial r^m cos(m th) so V stays smooth at the origin.  The
-difference V - tail decays two orders faster than the tail itself.
+difference V - tail decays two orders faster than the tail itself.  Besides
+its angular modes v_j, a model gives the envelope sum_j |v_j(r)| behind
+`sup_abs` and the level's row bound, and v_0 as the Gaussian mixture that the
+Laplace-sum diagonal and the Fourier transform read: one term for the bump,
+Euler's integral on 200 nodes in log s and one head node for the others.
 
 The power-cosine average (1/pi) int_0^pi (a - b cos t)^(-rho/2) dt behind
 the radial profile m0 and the Hilbert-Schmidt distance is a Gauss
@@ -58,6 +62,8 @@ _KINDS = ("isotropic-long-range", "anisotropic-long-range", "compact-gaussian-bu
 # the largest integrand an evaluator builds at once: the mode profile's
 # rows x angles here, the limiting measure's nodes and samples in `measures`
 BLOCK_POINTS = 1 << 16
+_EULER_S = (1e-16, 50.0)
+_EULER_NODES = 200
 
 
 @dataclass(frozen=True)
@@ -146,10 +152,28 @@ class PotentialModel:
             return 0.5 * a * eps * r ** m * (1.0 + r * r) ** (-(rho + m) / 2.0)
         return (v0, AngularModeProfile(m, vm), AngularModeProfile(-m, vm))
 
+    def mode_envelope(self, r):
+        """sum_j |v_j(r)|, a bound on |V| over the circle of radius r."""
+        return sum(np.abs(p.radial(np.asarray(r, dtype=float))) for p in self.angular_modes())
+
     def sup_abs(self) -> float:
-        """Numerical sup of |V|: the max of sum_j |v_j(r)| on r <= 60."""
-        r = np.linspace(0.0, 60.0, 20001)
-        return float(np.max(sum(np.abs(p.radial(r)) for p in self.angular_modes())))
+        """Numerical sup of |V|: the max of the mode envelope on r <= 60."""
+        return float(np.max(self.mode_envelope(np.linspace(0.0, 60.0, 20001))))
+
+    def gaussian_mixture(self):
+        """(s, c), s ascending, with v_0(r) = amplitude sum_i c_i e^(-s_i r^2): the
+        bump's one term, or Euler's integral (1+r^2)^(-nu) = Gamma(nu)^(-1) int
+        s^nu e^(-s) e^(-s r^2) d(log s), nu = rho/2, on _EULER_NODES nodes over
+        _EULER_S = [s0, s1] and, for [0, s0], one node at s0 nu/(nu+1) of weight
+        s0^nu/nu, exact for s^(nu-1) (alpha - beta s)."""
+        if not self.long_range:
+            return np.array([1.0 / (2.0 * self.width ** 2)]), np.ones(1)
+        nu = 0.5 * self.rho
+        s0, s1 = _EULER_S
+        u, w = panel_rule([math.log(s0), math.log(s1)], _EULER_NODES)
+        s = np.concatenate([[s0 * nu / (nu + 1.0)], np.exp(u)])
+        c = np.concatenate([[s0 ** nu / nu * math.exp(-s[0])], w * np.exp(nu * u - s[1:])])
+        return s, c / math.gamma(nu)
 
     # -- serialization ----------------------------------------------------
     def to_json(self) -> dict:
@@ -217,6 +241,11 @@ class TailField:
 
     model: PotentialModel
     b_rescale: float | None = None
+
+    def __post_init__(self):
+        b = self.b_rescale
+        if b is not None and not (math.isfinite(b) and b > 0.0):
+            raise ValueError(f"b_rescale must be finite and positive, got {b!r}")
 
     @property
     def rho(self) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebpts1, chebpts2
 
-from lcl import landau
+from lcl import landau, potentials
 from lcl.errors import CapacityError, ContractError
 from lcl.landau import (BasisIndex, LandauConfig, _band_batch,
                         eigen_residual_check, indicator_basis_mass,
@@ -77,6 +77,7 @@ def test_level_index_must_be_a_nonnegative_integer(call, q):
 def test_level_index_may_be_a_numpy_integer():
     assert landau_level(2.0, np.int64(3)) == 14.0
     assert LandauConfig(B=1.0, q=np.int32(2), k_max=5).dimension == 8
+    assert LandauConfig(B=1.0, q=2, k_max=np.int64(5)).dimension == 8
 
 
 def test_basis_index_validation():
@@ -254,7 +255,7 @@ def test_toeplitz_entry_non_finite_band_fails_loudly(monkeypatch):
 
 def test_diagonal_sum_certificate_fails_loudly(monkeypatch):
     # 24 nodes in log s cannot resolve the mixture; the quadrature in xi sees it
-    monkeypatch.setattr(landau, "_EULER_NODES", 24)
+    monkeypatch.setattr(potentials, "_EULER_NODES", 24)
     with pytest.raises(ContractError,
                        match=r"diagonal-sum.*q=8\b.*k=-?\d+:.*800-node quadrature differ by \d"):
         radial_diagonal(ISO, LandauConfig(B=1.0, q=8, k_max=24))
@@ -550,10 +551,18 @@ def test_exports(tmp_path):
     (lambda: indicator_basis_mass(BasisIndex(2, 1), float("nan"), 0.5), "B"),
     (lambda: truncation_bound(ISO, 1.0, 8, 0.2, rho_scale=float("nan")), "rho_scale"),
     (lambda: truncation_bound(ISO, 1.0, 8, 0.2, rho_scale=float("inf")), "rho_scale"),
+    (lambda: LandauConfig(B=1.0, q=2, k_max=2.5), "k_max"),
+    (lambda: LandauConfig(B=1.0, q=2, k_max=float("nan")), "k_max"),
+    (lambda: LandauConfig(B=1.0, q=2, k_max=True), "k_max"),
+    (lambda: LandauConfig(B=1.0, q=2, k_max=np.float64(5.0)), "k_max"),
+    (lambda: LandauConfig(B=1.0, q=2, k_max=-3), "k_max"),
 ], ids=["truncation-delta-nan", "truncation-delta-inf", "indicator-radius-nan",
         "indicator-B-nan",
-        "truncation-rho-scale-nan", "truncation-rho-scale-inf"])
+        "truncation-rho-scale-nan", "truncation-rho-scale-inf",
+        "config-k-max-fraction", "config-k-max-nan", "config-k-max-bool",
+        "config-k-max-numpy-float", "config-k-max-below-minus-q"])
 def test_nan_and_inf_are_refused(call, name):
-    # each used to pass its check: k_max = 1, or an unrelated conversion error
+    # each used to pass its check: k_max = 1, or an unrelated conversion
+    # error; a k_max of 2.5 gave 6 diagonal rows for a dimension of 5.5
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

@@ -9,7 +9,7 @@ import pytest
 
 import tracemalloc
 
-from lcl import measures, potentials
+from lcl import measures, potentials, symbols
 from lcl.eigen import _sturm_count, sym_eig
 from lcl.errors import CapacityError, ContractError, MethodError
 from lcl.landau import (LandauConfig, _block_summary, _level_bands, landau_level,
@@ -610,9 +610,11 @@ def test_private_import_scan_finds_private_names(source, found):
 
 def test_measures_imports_no_private_lcl_name():
     # the level's internals stay in landau: measures reads a level only
-    # through landau_level and level_spectrum
-    source = Path(measures.__file__).read_text(encoding="utf-8")
-    assert _private_lcl_imports(source) == []
+    # through landau_level and level_spectrum; symbols reads a model's
+    # radial profile only through its public methods
+    for module in (measures, symbols):
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert _private_lcl_imports(source) == [], module.__name__
 
 
 def test_chain_solve_keeps_anisotropic_sweep_lhs():

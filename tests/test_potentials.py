@@ -78,6 +78,35 @@ def test_sup_abs_of_radial_models_is_the_amplitude(amplitude):
         assert model.sup_abs() == abs(amplitude)
 
 
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_gaussian_mixture_is_the_long_range_profile(rho):
+    s, c = PotentialModel.isotropic(rho, amplitude=-2.0).gaussian_mixture()
+    assert s.size == potentials._EULER_NODES + 1 and np.all(np.diff(s) > 0)
+    r = np.linspace(0.0, 100.0, 2001)
+    mix = (np.exp(-np.square(r)[:, None] * s) * c).sum(axis=1)
+    assert np.max(np.abs(mix - (1.0 + r * r) ** (-rho / 2.0))) <= 1e-14
+
+
+def test_gaussian_mixture_of_the_bump_is_one_term():
+    s, c = PotentialModel.gaussian_bump(3.0, 0.7).gaussian_mixture()
+    assert s.tolist() == [1.0 / (2.0 * 0.7 ** 2)] and c.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("model", [ISO, ANISO, BUMP])
+def test_mode_envelope_sums_the_absolute_modes(model):
+    r = np.array([0.0, 0.5, 3.0, 40.0])
+    want = sum(np.abs(p.radial(r)) for p in model.angular_modes())
+    assert np.array_equal(model.mode_envelope(r), want)
+    assert model.sup_abs() >= np.max(want)
+
+
+@pytest.mark.parametrize("b", [-1.0, 0.0, math.nan, math.inf])
+def test_rescaled_tail_refuses_a_field_that_is_not_finite_and_positive(b):
+    # these used to give NaN or 0 with a RuntimeWarning, and a NaN average
+    with pytest.raises(ValueError, match="^b_rescale must be finite and positive"):
+        TailField(ISO, b_rescale=b)
+
+
 def test_tail_isotropic():
     assert abs(evaluate_tail(ISO, (4.0, 0.0)) - 0.5) < 1e-15
 
