@@ -131,16 +131,16 @@ class LandauConfig:
 
 @dataclass(frozen=True)
 class BasisIndex:
-    """Angular-momentum basis label (q, k), k >= -q."""
+    """Angular-momentum basis label (q, k): integers q >= 0 and k >= -q."""
 
     q: int
     k: int
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
-        if self.k < -self.q:
-            raise ValueError(f"k must be >= -q, got k={self.k}, q={self.q}")
+        if not _is_integer(self.q) or self.q < 0:
+            raise ValueError(f"q must be an integer >= 0, got {self.q!r}")
+        if not _is_integer(self.k) or self.k < -self.q:
+            raise ValueError(f"k must be an integer >= -q, got k={self.k!r}, q={self.q}")
 
     @property
     def n(self) -> int:
@@ -393,10 +393,10 @@ def toeplitz_entry(model: PotentialModel, B: float, q: int, k1: int, k2: int) ->
     or of a band: there it is the exact row, which agrees with the fit within
     its certificate."""
     landau_level(B, q)
+    k = np.array([min(BasisIndex(q, k1).k, BasisIndex(q, k2).k)])  # integers >= -q only
     modes = _mode_map(model)
     if k1 - k2 not in modes:
         return 0.0
-    k = np.array([BasisIndex(q, min(k1, k2)).k])  # rejects k < -q
     if k1 == k2:
         return float(_diagonal_rows(model, B, q, k)[0])
     return float(_band_rows(modes[k1 - k2], B, q, k, abs(k1 - k2))[0])

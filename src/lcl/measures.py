@@ -33,9 +33,8 @@ from ._io import write_csv
 from .eigen import EigenSpectrum
 from .errors import ContractError, MethodError
 from .landau import landau_level, level_spectrum
-from .potentials import (BLOCK_POINTS, PotentialModel, mean_value_mode_profile,
-                         mean_value_radial_profile)
-from .specfun import panel_rule
+from .potentials import PotentialModel, mean_value_mode_profile, mean_value_radial_profile
+from .specfun import BLOCK_POINTS, panel_rule
 
 __all__ = [
     "TestFunction",

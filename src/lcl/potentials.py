@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import AccuracyError, QuadratureError
-from .specfun import panel_rule
+from .specfun import BLOCK_POINTS, panel_rule
 
 __all__ = [
     "PotentialModel",
@@ -59,9 +59,6 @@ __all__ = [
 ]
 
 _KINDS = ("isotropic-long-range", "anisotropic-long-range", "compact-gaussian-bump")
-# the largest integrand an evaluator builds at once: the mode profile's
-# rows x angles here, the limiting measure's nodes and samples in `measures`
-BLOCK_POINTS = 1 << 16
 _EULER_S = (1e-16, 50.0)
 _EULER_NODES = 200
 

@@ -15,9 +15,13 @@ is built on the five families here:
   and the Newton iteration of the Gauss-Laguerre rule,
 * the Laplace transform ``int e^{-ct} psi_n^(a)(t)^2 dt`` of a squared
   Laguerre function (:func:`laguerre_laplace`), a finite sum of positive
-  terms summed by a rescaled Horner scheme,
+  terms whose ratio falls: each (row, node) lane stops at the term J past
+  which, by AM-GM, every ratio is below 2^-h, so the dropped tail is below
+  2^-60 of the sum, and all lanes, sorted by J, share one rescaled Horner
+  loop,
 * the Bessel function ``J_0``, by one midpoint rule on its integral
-  representation, written as ``1 - mean(2 sin^2(r sin t / 2))``,
+  representation, written as ``1 - mean(2 sin^2(r sin t / 2))`` and summed
+  in row blocks of at most BLOCK_POINTS points,
 * Gauss-Legendre and Gauss-Laguerre rules, their nodes polished together by
   one Newton iteration: the Legendre one from Tricomi's start on the half
   rule in [-1, 0], mirrored (exactly symmetric), the Laguerre one from the
@@ -52,6 +56,10 @@ __all__ = [
 # and a node whose |p| passes 2^_RESCALE_EXP is scaled back by a power of two.
 _LOG_FLOOR = -600.0
 _RESCALE_EXP = 512
+# the largest array of points an evaluator builds at once: the lanes of a
+# Laplace sum and the rows x nodes of J_0 here, the mode profile's rows x
+# angles in `potentials`, the limiting measure's nodes x samples in `measures`
+BLOCK_POINTS = 1 << 16
 
 
 def laguerre(q: int, t):
@@ -200,25 +208,28 @@ def _power_of_two_carry(growth: float):
     `growth`: from below 2^_RESCALE_EXP at a check, the `every` steps to the
     next check cannot overflow.  Only when a check trips are the large nodes'
     mantissas scaled back into [1/2, 1), in place, and the shift added to e
-    (a view).  Powers of two are exact, so a node's bits do not depend on
-    the other nodes of the call.
+    (a view).  Powers of two are exact, so a node's value m 2^e does not
+    depend on the other nodes of the call.  carry returns whether it scaled.
     """
     every = max(1, int((1023 - _RESCALE_EXP) / math.log2(growth)))
     hi = 2.0 ** _RESCALE_EXP
 
-    def carry(j: int, e, *mantissas):
+    def carry(j: int, e, *mantissas) -> bool:
         if j % every == 0 and max(max(m.max(), -m.min()) for m in mantissas) > hi:
             mag = functools.reduce(np.maximum, map(np.abs, mantissas))
             s = np.where(mag > hi, np.frexp(mag)[1], 0)
             for m in mantissas:
                 np.ldexp(m, -s, out=m)
             e += s
+            return True
+        return False
     return carry
 
 
 def _lgamma_arr(x):
+    """math.lgamma of every entry, in the shape of np.atleast_1d(x)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.vectorize(math.lgamma, otypes=[float])(x)
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def laguerre_laplace(n, alpha, c):
@@ -231,10 +242,23 @@ def laguerre_laplace(n, alpha, c):
         E = l^(alpha+1) sum_j C(n,j) C(n+alpha,n-j) l^(2j) (1-l)^(2(n-j)),
 
     a sum of positive terms, i.e. 2F1(-n,-n;alpha+1;c^-2) times its j = 0
-    term.  Nodes c >= 1 sum the series forward in c^-2 from j = 0; nodes
-    c < 1 sum it reversed in c^2 from j = n, whose term is l^(2n).  Either
-    way the term ratio is at most n(n+alpha), so the Horner sum of a row
-    carries a power-of-two exponent checked every few steps, as in the
+    term.  Nodes c >= 1 sum the series forward in x = c^-2 from j = 0; nodes
+    c < 1 sum it reversed in x = c^2 from j = n, whose term is l^(2n).
+    Either way it is S = sum_j t_j, t_j = prod_{l<j} ratio_l x, with
+    ratio_l = (n-l)(n-l+alpha)/(l+1)^2 for c < 1 and
+    (n-l)^2/((l+1)(l+1+alpha)) for c >= 1, both falling in l.
+
+    A lane, one (row, node) pair, sums only t_0 .. t_J.  By AM-GM,
+    (n-l)(n-l+alpha) <= (n-l+alpha/2)^2, so ratio_l x <= 2^-h for every
+    l >= j_h, the least j with j + 1 >= A sqrt(x) / (2^(-h/2) + sqrt(x)),
+    A = n+1+alpha/2 for c < 1 and n+1 for c >= 1.  Past j_h the terms
+    shrink by 2^-h a step, so with J = min(n, j_h + ceil(61/h)) over
+    h in {2, 16} the dropped tail is below 2^-60 t_{j_h} <= 2^-60 S.  J
+    depends on the lane alone, so the terms a row sums do not depend on the
+    rows beside it.  The lanes, sorted by J, run one Horner loop from the
+    largest J down, step j updating the lanes with J > j, in blocks of at
+    most BLOCK_POINTS lanes.  The term ratio is at most n(n+alpha), so a
+    lane carries a power-of-two exponent checked every few steps, as in the
     Laguerre recurrence, and the prefactor goes in through logarithms.
     """
     n, a = np.broadcast_arrays(np.atleast_1d(np.asarray(n)),
@@ -247,51 +271,89 @@ def laguerre_laplace(n, alpha, c):
     if not (np.all(np.isfinite(c) & (c >= 0)) and np.all(c[1:] >= c[:-1])):
         raise ValueError("c must be finite, >= 0 and ascending")
     n = n.astype(np.int64)
-    if np.any(n[1:] < n[:-1]):
-        order = np.argsort(n, kind="stable")
-        out = np.empty((n.size, c.size))
-        out[order] = laguerre_laplace(n[order], a[order], c)
-        return out
     split = int(np.searchsorted(c, 1.0))
     cr, cf = c[:split], c[split:]
-    nf = n.astype(float)
-    nn, aa = nf[:, None], a[:, None]
-    # step j multiplies the tail sum of every row with n_i > j by ratio[j, i] x
-    j = np.arange(int(n.max(initial=0)), dtype=float)[:, None]
+    x = np.concatenate([np.square(cr), np.square(1.0 / cf)])
     out = np.empty((n.size, c.size))
-    if split:
-        ratio = (nf - j) * (nf - j + a) / np.square(j + 1.0)
-        logs = _scaled_horner(n, ratio, np.square(cr))
-        out[:, :split] = np.exp(logs - (2.0 * nn + aa + 1.0) * np.log1p(cr))
-    if split < c.size:
-        ratio = np.square(nf - j) / ((j + 1.0) * (j + 1.0 + a))
-        logs = _scaled_horner(n, ratio, np.square(1.0 / cf))
-        out[:, split:] = np.exp(logs + _log_binomial(nf, a)[:, None]
-                                - 2.0 * nn * np.log1p(1.0 / cf) - (aa + 1.0) * np.log1p(cf))
+    step = max(BLOCK_POINTS // max(c.size, 1), 1)
+    for i in range(0, n.size, step):
+        nb, ab, ob = n[i:i + step], a[i:i + step], out[i:i + step]
+        logs = _laplace_log_sums(nb, ab, x, split).T
+        nf = nb.astype(float)
+        nn, aa = nf[:, None], ab[:, None]
+        ob[:, :split] = np.exp(logs[:, :split] - (2.0 * nn + aa + 1.0) * np.log1p(cr))
+        ob[:, split:] = np.exp(logs[:, split:] + _log_binomial(nf, ab)[:, None]
+                               - 2.0 * nn * np.log1p(1.0 / cf) - (aa + 1.0) * np.log1p(cf))
     return out
 
 
-def _scaled_horner(n, ratio, x):
-    """log of S_i = sum_{j <= n_i} prod_{l < j} ratio[l, i] x, for rows of
-    ascending degree n_i and nodes x <= 1, by Horner from j = n_i down.
+def _laplace_log_sums(n, a, x, split):
+    """log S of every lane (node, row i), as nodes by rows, the nodes below
+    `split` summed in x = c^2 and the rest in x = c^-2, each only to its
+    truncation point J (see :func:`laguerre_laplace`), by Horner from J.
 
-    S = m 2^e is carried as a mantissa m, with the 1 that a step adds held
-    as 2^-e, both under :func:`_power_of_two_carry`: a step takes S to
-    1 + ratio x S <= (1 + max(ratio)) max(S, 1).
+    S = m 2^e is carried as a mantissa m under :func:`_power_of_two_carry`,
+    a step taking S to 1 + ratio x S <= (1 + max(ratio)) max(S, 1); the 1
+    that a step adds is held as 2^-e, exactly.
     """
-    m = np.ones((n.size, x.size))
-    one = np.ones_like(m)
-    e = np.zeros(m.shape, dtype=np.int64)
-    start = np.searchsorted(n, np.arange(ratio.shape[0] + 1), side="right").tolist()
-    carry = _power_of_two_carry(2.0 + float(np.max(ratio, initial=0.0)))
-    for j in range(ratio.shape[0] - 1, -1, -1):
-        r = slice(start[j], None)  # the rows with n_i > j
-        mr, onr = m[r], one[r]
-        mr *= ratio[j, r, None]
-        mr *= x
-        mr += onr
-        carry(j, e[r], mr, onr)
-    return np.log(m) + e * math.log(2.0)
+    rows, nodes = n.size, x.size
+    nf = n.astype(float)
+    # J = min(n, j_2 + 31, j_16 + 4) per lane, nodes by rows, with
+    # j_h = ceil(A sqrt(x) / (2^(-h/2) + sqrt(x))) - 1 (x = 0 gives j_h = -1:
+    # every term past t_0 vanishes there)
+    root = np.sqrt(x)
+    J, J16 = np.empty((nodes, rows)), np.empty((nodes, rows))
+    for lo, A in ((slice(None, split), nf + 1.0 + 0.5 * a), (slice(split, None), nf + 1.0)):
+        np.multiply(root[lo, None] / (0.5 + root[lo, None]), A, out=J[lo])
+        np.multiply(root[lo, None] / (2.0 ** -8 + root[lo, None]), A, out=J16[lo])
+    np.ceil(J, out=J)
+    J += 30.0
+    np.ceil(J16, out=J16)
+    J16 += 3.0
+    np.minimum(J, J16, out=J)
+    np.minimum(J, nf, out=J)
+    del J16
+    steps = int(J.max(initial=0.0))
+    J = J.astype(np.min_scalar_type(steps))  # small integers sort by radix
+    order = np.argsort(J, axis=None, kind="stable").astype(np.int32)
+    start = np.cumsum(np.bincount(J.ravel(), minlength=steps + 1))[:steps].tolist()
+    del J
+    # step j's ratios, of the c < 1 nodes in columns i and of the others in i + rows
+    j = np.arange(steps, dtype=float)[:, None]
+    table = np.empty((steps, 2 * rows))
+    lo, hi = table[:, :rows], table[:, rows:]
+    np.subtract(nf, j, out=lo)
+    np.square(lo, out=hi)
+    lo *= lo + a
+    lo /= np.square(j + 1.0)
+    a1 = j + 1.0 + a
+    a1 *= j + 1.0
+    hi /= a1
+    del a1
+    # a lane's column of the table and its x; order is in range
+    col = np.take(np.arange(rows) + rows * (np.arange(nodes) >= split)[:, None], order,
+                  mode="clip")
+    xl = np.take(x, order // rows, mode="clip")
+    m = np.ones(order.size)
+    e = np.zeros(order.size, dtype=np.int32)
+    buf = np.empty_like(m)
+    one = 1.0  # 2^-e, the 1 a step adds: a scalar until the first carry
+    carry = _power_of_two_carry(2.0 + float(np.max(table, initial=0.0)))
+    for jj in range(steps - 1, -1, -1):
+        r = slice(start[jj], None)  # the lanes with J > jj
+        mr, b = m[r], buf[r]
+        np.take(table[jj], col[r], out=b, mode="clip")  # "clip" writes b unbuffered
+        mr *= b
+        mr *= xl[r]
+        mr += one if isinstance(one, float) else one[r]
+        if carry(jj, e[r], mr):
+            one = np.ldexp(1.0, -e)
+    del col, xl, buf
+    np.log(m, out=m)
+    m += e * math.log(2.0)
+    out = np.empty(order.size)
+    out[order] = m
+    return out.reshape(nodes, rows)
 
 
 def _log_binomial(n, a):
@@ -331,6 +393,7 @@ def bessel_j0(r):
     integrand on 4N points of the whole circle, whose error is about
     2 |J_4N(r)|.  Each value takes its own N = 64 + 64 ceil(r/32) >= 64 + 2r:
     far below rounding, with extra nodes to average the rounding of r sin t.
+    The values of one N are summed in blocks of BLOCK_POINTS // N rows.
     """
     r = np.asarray(r, dtype=float)
     if not np.all(np.isfinite(r) & (r >= 0)):
@@ -340,9 +403,15 @@ def bessel_j0(r):
     out = np.empty(flat.shape)
     for n in np.unique(nodes).tolist():
         sin_t = np.sin((np.arange(n) + 0.5) * (0.5 * math.pi / n))
-        rows = nodes == n
-        out[rows] = 1.0 - np.mean(2.0 * np.sin(0.5 * np.multiply.outer(flat[rows], sin_t)) ** 2,
-                                  axis=-1)
+        rows, step = np.flatnonzero(nodes == n), max(BLOCK_POINTS // n, 1)
+        for i in range(0, rows.size, step):
+            blk = rows[i:i + step]
+            w = np.multiply.outer(flat[blk], sin_t)
+            w *= 0.5
+            np.sin(w, out=w)
+            np.square(w, out=w)
+            w *= 2.0
+            out[blk] = 1.0 - np.mean(w, axis=-1)  # row-wise: no bit depends on the block
     return float(out[0]) if r.ndim == 0 else out.reshape(r.shape)
 
 

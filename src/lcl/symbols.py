@@ -21,9 +21,9 @@ import numpy as np
 
 from ._io import write_csv
 from .errors import AccuracyError, MethodError
-from .potentials import (BLOCK_POINTS, PotentialModel, TailField, circle_average,
-                         mean_value_transform, power_cos_average)
-from .specfun import bessel_j0, laguerre_weighted, panel_rule
+from .potentials import (PotentialModel, TailField, circle_average, mean_value_transform,
+                         power_cos_average)
+from .specfun import BLOCK_POINTS, bessel_j0, laguerre_weighted, panel_rule
 from .landau import landau_level
 
 __all__ = [

@@ -556,13 +556,23 @@ def test_exports(tmp_path):
     (lambda: LandauConfig(B=1.0, q=2, k_max=True), "k_max"),
     (lambda: LandauConfig(B=1.0, q=2, k_max=np.float64(5.0)), "k_max"),
     (lambda: LandauConfig(B=1.0, q=2, k_max=-3), "k_max"),
+    (lambda: indicator_basis_mass(BasisIndex(2, 1.5), 1.0, 1.0), "k"),
+    (lambda: toeplitz_entry(ISO, 1.0, 2, 0.5, 0.5), "k"),
+    (lambda: toeplitz_entry(ISO, 1.0, 2, float("nan"), 0), "k"),
+    (lambda: BasisIndex(2, True), "k"),
+    (lambda: BasisIndex(2, float("nan")), "k"),
+    (lambda: BasisIndex(2.5, 0), "q"),
 ], ids=["truncation-delta-nan", "truncation-delta-inf", "indicator-radius-nan",
         "indicator-B-nan",
         "truncation-rho-scale-nan", "truncation-rho-scale-inf",
         "config-k-max-fraction", "config-k-max-nan", "config-k-max-bool",
-        "config-k-max-numpy-float", "config-k-max-below-minus-q"])
+        "config-k-max-numpy-float", "config-k-max-below-minus-q",
+        "basis-k-fraction", "toeplitz-k-fraction", "toeplitz-k-nan", "basis-k-bool",
+        "basis-k-nan", "basis-q-fraction"])
 def test_nan_and_inf_are_refused(call, name):
     # each used to pass its check: k_max = 1, or an unrelated conversion
-    # error; a k_max of 2.5 gave 6 diagonal rows for a dimension of 5.5
+    # error; a k_max of 2.5 gave 6 diagonal rows for a dimension of 5.5, a
+    # basis index k = 1.5 a Laguerre function of order 1.5 (mass 0.0904),
+    # and toeplitz_entry at k = 0.5 a certificate failure deep inside
     with pytest.raises(ValueError, match=f"^{name} must be"):
         call()

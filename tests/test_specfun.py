@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl import specfun
+from lcl import PotentialModel, specfun
 from lcl.errors import ConfigurationError
 from lcl.landau import _band_batch, _xi_window
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
@@ -78,13 +79,30 @@ def test_assoc_laguerre_sum_form_oracle():
     assert abs(assoc_laguerre(n, alpha, t) - exact) < 1e-12
 
 
+def _psi_inner_product(n, m, a, scale=1.0):
+    """int_0^inf psi_n psi_m dt with psi scaled by `scale`: 200 Gauss-Legendre
+    nodes on each of the panels [0, 1], [1, 4N + 2a + 4], [.., 8N + 4a + 60]
+    (N = max(n, m)), one laguerre_function call per panel and degree."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    N = max(n, m)
+    edges = [0.0, 1.0, 4 * N + 2 * a + 4, 8 * N + 4 * a + 60]
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        t = 0.5 * (hi - lo) * (x + 1.0) + lo
+        pn = scale * laguerre_function(n, a, t)
+        pm = pn if m == n else scale * laguerre_function(m, a, t)
+        total += 0.5 * (hi - lo) * float(np.dot(w, pn * pm))
+    return total
+
+
 def test_laguerre_function_orthonormal():
-    # int_0^inf psi_n psi_m dt = delta_{nm}, checked with mpmath quadrature
+    # int_0^inf psi_n psi_m dt = delta_{nm}; measured errors <= 4.7e-15.  The
+    # negative control: psi scaled by 1 + 1e-9 is off by 2e-9 on the diagonal
     for (n, m, a) in ((0, 0, 0.0), (3, 3, 2.0), (3, 4, 2.0), (10, 10, 37.0)):
-        f = lambda t: (laguerre_function(n, a, float(t))
-                       * laguerre_function(m, a, float(t)))
-        val = mp.quad(f, [0, 1, 4 * max(n, m) + 2 * a + 4, 8 * max(n, m) + 4 * a + 60])
-        assert abs(float(val) - (1.0 if n == m else 0.0)) < 1e-10
+        delta = 1.0 if n == m else 0.0
+        assert abs(_psi_inner_product(n, m, a) - delta) < 1e-10, (n, m, a)
+        if n == m:
+            assert abs(_psi_inner_product(n, m, a, scale=1.0 + 1e-9) - delta) > 1e-10, (n, m, a)
 
 
 def _psi_oracle(n, a, t):
@@ -207,6 +225,120 @@ def test_laguerre_laplace_sorts_rows_and_matches_alone():
     got = laguerre_laplace(n, a, c)
     for i in range(len(n)):
         assert np.array_equal(got[i], laguerre_laplace(n[i:i + 1], a[i:i + 1], c)[0])
+    # lanes whose truncation points J run from 0 (c = 0, n = 0) to n = 300
+    # (c = 1), and whose sums pass 2^512 at (300, 0, 1)
+    n, a = (np.array(v).ravel() for v in np.meshgrid([0, 1, 300], [0.0, 2e5], indexing="ij"))
+    c = np.array([0.0, 1e-16, 1e-3, 1.0, 1e3])
+    got = laguerre_laplace(n, a, c)
+    for i in range(len(n)):
+        assert np.array_equal(got[i], laguerre_laplace(n[i:i + 1], a[i:i + 1], c)[0])
+
+
+def _laplace_untruncated(n, a, c):
+    """The Laplace sum as summed before each lane stopped at its truncation
+    point: rows sorted by n, each branch by one Horner pass over every row
+    from j = n_i.  Returns E and where the sum passed 2^512 (exponent e > 0)."""
+    n, a, c = np.asarray(n, dtype=np.int64), np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+    order = np.argsort(n, kind="stable")
+    n, a = n[order], a[order]
+    split = int(np.searchsorted(c, 1.0))
+    cr, cf = c[:split], c[split:]
+    nf = n.astype(float)
+    nn, aa = nf[:, None], a[:, None]
+    j = np.arange(int(n.max(initial=0)), dtype=float)[:, None]
+
+    def horner(ratio, x):
+        m = np.ones((n.size, x.size))
+        one = np.ones_like(m)
+        e = np.zeros(m.shape, dtype=np.int64)
+        start = np.searchsorted(n, np.arange(ratio.shape[0] + 1), side="right").tolist()
+        carry = specfun._power_of_two_carry(2.0 + float(np.max(ratio, initial=0.0)))
+        for jj in range(ratio.shape[0] - 1, -1, -1):
+            r = slice(start[jj], None)
+            mr, onr = m[r], one[r]
+            mr *= ratio[jj, r, None]
+            mr *= x
+            mr += onr
+            carry(jj, e[r], mr, onr)
+        return np.log(m) + e * math.log(2.0), e > 0
+
+    out, carried = np.empty((n.size, c.size)), np.empty((n.size, c.size), dtype=bool)
+    logs, carried[:, :split] = horner((nf - j) * (nf - j + a) / np.square(j + 1.0), np.square(cr))
+    out[:, :split] = np.exp(logs - (2.0 * nn + aa + 1.0) * np.log1p(cr))
+    logs, carried[:, split:] = horner(np.square(nf - j) / ((j + 1.0) * (j + 1.0 + a)),
+                                      np.square(1.0 / cf))
+    out[:, split:] = np.exp(logs + specfun._log_binomial(nf, a)[:, None]
+                            - 2.0 * nn * np.log1p(1.0 / cf) - (aa + 1.0) * np.log1p(cf))
+    values, past = np.empty_like(out), np.empty_like(carried)
+    values[order], past[order] = out, carried
+    return values, past
+
+
+def _radial_rows(q, k_hi):
+    ks = np.arange(-q, k_hi, dtype=float)
+    return q + np.minimum(ks, 0.0).astype(np.int64), np.abs(ks)
+
+
+def test_laguerre_laplace_truncation_keeps_the_diagonal_bits():
+    # the width-scan benchmark's 64 levels for seed 5 (one level from each of
+    # 64 equal strata of [8, 256], rows k in [-q, 24]) and the radial rows
+    # k in [-q, 4q), on the isotropic rho = 0.5 mixture at B = 1: every entry
+    # bit-identical to the untruncated sum (no sum there passes 2^512)
+    s, _ = PotentialModel.isotropic(0.5).gaussian_mixture()
+    c = 2.0 * s
+    edges = np.linspace(8, 257, 65).astype(int)
+    rng = np.random.default_rng(5)
+    rows = [_radial_rows(int(rng.integers(lo, hi)), 25) for lo, hi in zip(edges[:-1], edges[1:])]
+    rows += [_radial_rows(q, 4 * q) for q in (8, 32, 128)]
+    for n, a in rows:
+        want, carried = _laplace_untruncated(n, a, c)
+        assert not carried.any()
+        assert np.array_equal(laguerre_laplace(n, a, c).view(np.int64), want.view(np.int64))
+
+
+def test_laguerre_laplace_truncation_on_a_random_grid():
+    # n <= 1,100, alpha <= 4e5, c in [1e-16, 1e3] with 17 nodes near 1.
+    # Where the sum stays below 2^512 the truncated sum must agree with the
+    # untruncated one within 1e-15 (measured: every entry bit-identical).
+    # Where it passes 2^512 (c near 1 at large n, or large alpha: 533 of
+    # 3,120 entries) the power-of-two carries come at other steps for the
+    # c >= 1 nodes, and 32 entries move by one or two ulps of log S (up to
+    # 2.3e-13).  There both sums must be within 2 eps L of mpmath, with
+    # L = (2n + alpha + 1) log(1 + max(c, 1/c)) the size of the logarithms
+    # that the closing rounds: measured 1.03 eps L (3.6e-13) for both
+    rng = np.random.default_rng(0)
+    n = rng.integers(0, 1101, 48)
+    a = np.where(rng.random(48) < 0.2, 0.0, 10.0 ** rng.uniform(-2.0, math.log10(4e5), 48))
+    c = np.sort(np.concatenate([10.0 ** rng.uniform(-16.0, 3.0, 48),
+                                1.0 + rng.uniform(-0.3, 0.3, 16), [1.0]]))
+    got = laguerre_laplace(n, a, c)
+    want, carried = _laplace_untruncated(n, a, c)
+    below = ~carried
+    assert np.all(np.abs(got[below] - want[below]) <= 1e-15 * want[below])
+    assert carried.sum() > 100
+    eps = np.finfo(float).eps
+    for i, k in zip(*np.nonzero(carried)):
+        ref = _laplace_oracle(int(n[i]), float(a[i]), float(c[k]))
+        if ref < 1e-290:
+            continue
+        tol = 2.0 * eps * (2 * n[i] + a[i] + 1) * math.log1p(max(c[k], 1.0 / c[k]))
+        for value in (got[i, k], want[i, k]):
+            assert float(abs(value - ref) / ref) <= tol, (n[i], a[i], c[k])
+
+
+def test_laguerre_laplace_stays_in_bounded_memory():
+    # the q = 128 radial rows (640 rows x 201 nodes): lanes go in blocks of
+    # at most 2^16; the untruncated sum read 5.5 MiB here, the lanes 4.5 MiB
+    s, _ = PotentialModel.isotropic(0.5).gaussian_mixture()
+    n, a = _radial_rows(128, 512)
+    laguerre_laplace(n, a, 2.0 * s)
+    tracemalloc.start()
+    try:
+        laguerre_laplace(n, a, 2.0 * s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak
 
 
 @pytest.mark.parametrize("n, a, c", [
@@ -305,6 +437,17 @@ def test_bessel_j0_does_not_depend_on_its_batch():
     for other in (np.array([bessel_j0(x) for x in r]), bessel_j0(r[::-1])[::-1],
                   bessel_j0(r.reshape(3, -1)).ravel()):
         assert np.array_equal(batch.view(np.int64), other.view(np.int64))
+
+
+def test_bessel_j0_does_not_depend_on_its_row_blocks(monkeypatch):
+    # every rung of the node ladder, in blocks of one row, of a few rows
+    # (1,000 // N) and of all rows of a node count
+    r = np.concatenate([[0.0, 32.0, 32.0 + 1e-12],
+                        np.random.default_rng(7).uniform(0.0, 300.0, 2000)])
+    want = bessel_j0(r)
+    for block in (1, 1000, 1 << 30):
+        monkeypatch.setattr(specfun, "BLOCK_POINTS", block)
+        assert np.array_equal(bessel_j0(r).view(np.int64), want.view(np.int64)), block
 
 
 @pytest.mark.parametrize("call", [
