@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ class RunConfig:
     delta: float
     seed: int
     output_dir: str
-    jobs: int = 1
 
     @staticmethod
     def from_json(obj: dict) -> "RunConfig":
@@ -129,7 +128,7 @@ def _write_manifest(outdir: Path, subcommand: str, cfg: RunConfig,
         "package_version": __version__,
         "config": cfg.to_json(),
         "seed": cfg.seed,
-        "jobs": cfg.jobs,
+        "jobs": 1,  # the schema keeps the key; the levels run in one thread
         "tolerances": tolerances,
         "outputs": sorted(outputs),
     }
@@ -161,8 +160,7 @@ def _cmd_spectrum(cfg: RunConfig, outdir: Path, q: int | None) -> int:
 
 
 def _cmd_trace_sweep(cfg: RunConfig, outdir: Path) -> int:
-    rows = convergence_study(cfg.model, cfg.B, cfg.rho, cfg.phi, cfg.q_list,
-                             cfg.delta, jobs=cfg.jobs)
+    rows = convergence_study(cfg.model, cfg.B, cfg.rho, cfg.phi, cfg.q_list, cfg.delta)
     rows_to_csv(rows, outdir / "trace_sweep.csv")
     _write_manifest(outdir, "trace-sweep", cfg,
                     {"delta": cfg.delta}, ["trace_sweep.csv"])
@@ -397,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, default=None, help="JSON run config")
     p.add_argument("--output", type=str, default=None, help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel per-level jobs")
+    p.add_argument("--jobs", type=int, default=1, help="selects nothing; levels run in one thread")
     p.add_argument("--q", type=int, default=None, help="level for `spectrum`")
     return p
 
@@ -423,8 +421,7 @@ def main(argv=None) -> int:
                              f"cannot create {str(outdir)!r}: {exc.strerror or exc}") from exc
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _usage_error(str(exc))
-    cfg = RunConfig(**{**cfg.__dict__, "jobs": args.jobs,
-                       "seed": cfg.seed if args.seed is None else args.seed})
+    cfg = replace(cfg, seed=cfg.seed if args.seed is None else args.seed)
     try:
         if args.subcommand == "spectrum":
             return _cmd_spectrum(cfg, outdir, args.q)

@@ -98,12 +98,17 @@ _CERT_NODES = 400
 _CERT_TOL = 1e-12
 
 
+def _check_level_index(q) -> None:
+    """The one check of a level index: an integer q >= 0, not a bool."""
+    if not _is_integer(q) or q < 0:
+        raise ValueError(f"q must be an integer >= 0, got {q!r}")
+
+
 def landau_level(B: float, q: int) -> float:
     """The Landau level B(2q+1), and the one check of B and of the level index."""
     if not (math.isfinite(B) and B > 0):
         raise ValueError("B must be finite and positive")
-    if not _is_integer(q) or q < 0:
-        raise ValueError(f"q must be an integer >= 0, got {q!r}")
+    _check_level_index(q)
     return B * (2.0 * q + 1.0)
 
 
@@ -137,8 +142,7 @@ class BasisIndex:
     k: int
 
     def __post_init__(self):
-        if not _is_integer(self.q) or self.q < 0:
-            raise ValueError(f"q must be an integer >= 0, got {self.q!r}")
+        _check_level_index(self.q)
         if not _is_integer(self.k) or self.k < -self.q:
             raise ValueError(f"k must be an integer >= -q, got k={self.k!r}, q={self.q}")
 
@@ -250,6 +254,17 @@ def _window_quadrature(vfun, B: float, n1: np.ndarray, a1: np.ndarray, n2: np.nd
     return np.einsum("ij,ij,ij,ij->i", ww, vals, p1, p2)
 
 
+def _check_entries(vals: np.ndarray, q: int, j: int, ks: np.ndarray) -> np.ndarray:
+    """vals, the band-j entries at the rows ks, if all are finite; else the
+    entry-quadrature error naming the first non-finite row."""
+    finite = np.isfinite(vals)
+    if not finite.all():
+        raise ContractError(
+            f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
+            f"first at k={ks[np.argmin(finite)]:.10g}")
+    return vals
+
+
 def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
     """Entries between phi_{k,q} and phi_{k+j,q} for the ascending rows `ks`
     (integer, or real k >= 0 at a Chebyshev fit's nodes), in consecutive
@@ -260,13 +275,7 @@ def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
         n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
         k2 = k1 + j
         n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
-        vals = _band_batch(vfun, B, q, n1, a1, n2, a2)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise ContractError(
-                f"entry-quadrature: non-finite entry at q={q}, band j={j}, "
-                f"first at k={k1[np.argmin(finite)]:.10g}")
-        out[i:i + _CHUNK] = vals
+        out[i:i + _CHUNK] = _check_entries(_band_batch(vfun, B, q, n1, a1, n2, a2), q, j, k1)
     return out
 
 
@@ -302,12 +311,7 @@ def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
     independent path through the Laguerre recurrence) must agree within
     _CERT_TOL plus the quadrature's own rounding at large alpha, relative."""
     ks = np.asarray(ks, dtype=float)
-    vals = _subordinated_diagonal(model, B, q, ks)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        raise ContractError(
-            f"entry-quadrature: non-finite entry at q={q}, band j=0, "
-            f"first at k={ks[np.argmin(finite)]:.10g}")
+    vals = _check_entries(_subordinated_diagonal(model, B, q, ks), q, 0, ks)
     if model.long_range and len(ks):
         i = np.unique([0, len(ks) - 1, int(np.argmax(np.abs(ks)))])
         n, a = q + np.minimum(ks[i], 0.0).astype(np.int64), np.abs(ks[i])

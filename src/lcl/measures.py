@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -439,7 +438,7 @@ def _study_row(model, B, rho, phi, delta, q, rhs) -> ConvergenceRow:
 
 def convergence_study(model: PotentialModel, B: float, rho: float,
                       phi: TestFunction, q_list, delta: float, *,
-                      jobs: int = 1, rhs_method: str = "radial") -> list[ConvergenceRow]:
+                      rhs_method: str = "radial") -> list[ConvergenceRow]:
     """One row per level: lhs = lambda_q^-1 tr phi(lambda_q^(rho/2) T_q)
     against the constant limiting-side integral."""
     q_list = list(q_list)
@@ -455,11 +454,6 @@ def convergence_study(model: PotentialModel, B: float, rho: float,
         rhs = LimitingMeasure(model, B).density_integral(phi, method=rhs_method)
     else:
         rhs = 0.0
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_study_row, model, B, rho, phi, delta, q, rhs)
-                       for q in q_list]
-            return [f.result() for f in futures]
     return [_study_row(model, B, rho, phi, delta, q, rhs) for q in q_list]
 
 

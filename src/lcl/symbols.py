@@ -55,8 +55,7 @@ def v_B(model: PotentialModel, B: float, x) -> float:
 
 def psi_q(q: int, x, xi):
     """The Laguerre smoothing kernel Psi_q(x, xi), stable at any order."""
-    if q < 0:
-        raise ValueError("q must be >= 0")
+    landau_level(1.0, q)  # the one check of the level index
     t = 2.0 * (np.square(np.asarray(x, dtype=float)) + np.square(np.asarray(xi, dtype=float)))
     sign = -1.0 if q % 2 else 1.0
     return sign / math.pi * laguerre_weighted(q, t)

@@ -57,7 +57,7 @@ def test_bad_flag_values_name_the_flag(tmp_path, capsys):
 
 
 def test_jobs_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
-    # the environment sets nothing: --jobs defaults to 1
+    # the environment sets nothing: the manifest records the one thread
     monkeypatch.setenv("LCL_JOBS", "two")
     out = tmp_path / "o"
     assert main(["selfcheck", "--output", str(out)]) == 0
@@ -224,9 +224,10 @@ def test_trace_sweep_reproducible_and_constant_rhs(tmp_path):
     assert lines[0] == "q,lambda_q,k_max,lhs,rhs,rel_gap"
     rhs_vals = {line.split(",")[4] for line in lines[1:]}
     assert len(rhs_vals) == 1
-    m1 = json.loads((out1 / "manifest.json").read_text())
-    m2 = json.loads((out2 / "manifest.json").read_text())
-    assert m1["config"] == m2["config"]
+    # --jobs selects nothing: the manifest records the one thread that ran
+    manifest = (out1 / "manifest.json").read_bytes()
+    assert manifest == (out2 / "manifest.json").read_bytes()
+    assert json.loads(manifest)["jobs"] == 1
 
 
 def test_manifest_round_trip(tmp_path):

@@ -535,12 +535,6 @@ def test_convergence_study_bump_scaled_clusters_shrink():
     assert rows[1].lhs <= rows[0].lhs
 
 
-def test_convergence_study_parallel_matches_serial():
-    rows1 = convergence_study(ISO, 1.0, 0.5, PHI, [2, 4], 0.19)
-    rows2 = convergence_study(ISO, 1.0, 0.5, PHI, [2, 4], 0.19, jobs=2)
-    assert rows1 == rows2
-
-
 def test_convergence_study_validation():
     with pytest.raises(ValueError):
         convergence_study(ISO, 1.0, 0.5, PHI, [], 0.1)

@@ -165,8 +165,11 @@ _LEVEL_IDS = ["laguerre_smoothing", "hs_distance", "hs_distance_fourier",
               "circle_symbol_profile"]
 
 
-@pytest.mark.parametrize("call", [lambda q: psi_q(q, 0.5, 0.5), *_LEVEL_CALLS],
-                         ids=["psi_q", *_LEVEL_IDS])
+def _psi_q_call(q):
+    return psi_q(q, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("call", [_psi_q_call, *_LEVEL_CALLS], ids=["psi_q", *_LEVEL_IDS])
 def test_negative_level_names_q(call):
     # all but psi_q used to fail with a math domain error
     with pytest.raises(ValueError, match="^q must"):
@@ -174,7 +177,7 @@ def test_negative_level_names_q(call):
 
 
 @pytest.mark.parametrize("q", [True, 2.5], ids=["bool", "fraction"])
-@pytest.mark.parametrize("call", _LEVEL_CALLS, ids=_LEVEL_IDS)
+@pytest.mark.parametrize("call", [_psi_q_call, *_LEVEL_CALLS], ids=["psi_q", *_LEVEL_IDS])
 def test_level_index_must_be_an_integer(call, q):
     with pytest.raises(ValueError, match="^q must be an integer >= 0"):
         call(q)
@@ -191,6 +194,32 @@ HS_DISTANCE_PINNED = {1: 0.00453905861746269, 4: 0.00198947788102898,
 def test_hs_distance_pinned_values(q):
     want = HS_DISTANCE_PINNED[q]
     assert abs(hs_distance(ISO, 1.0, q) - want) <= 1e-11 * want
+
+
+def _hs_oracle(rho: float, q: int) -> float:
+    # hs^2 = int_0^inf (L_q(z^2/2) e^(-z^2/4) - J_0(kz))^2 vhat(z)^2 z dz, with
+    # vhat = 2^(1-nu) z^(nu-1) K_(1-nu)(z) / Gamma(nu), nu = rho/2: no Gaussian
+    # mixture; vhat^2 < e^-80 beyond z = 40
+    with mp.workdps(18):
+        nu, k = mp.mpf(rho) / 2, mp.sqrt(2 * q + 1)
+        scale = 2 ** (1 - nu) / mp.gamma(nu)
+
+        def integrand(z):
+            g = mp.laguerre(q, 0, z * z / 2) * mp.exp(-z * z / 4) - mp.besselj(0, k * z)
+            vhat = scale * z ** (nu - 1) * mp.besselk(1 - nu, z)
+            return g * g * vhat * vhat * z
+
+        return float(mp.sqrt(mp.quad(integrand, mp.linspace(0, 40, 21))))
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+def test_hs_distance_both_sides_against_the_bessel_oracle(rho):
+    # the Fourier side read within 3.9e-14; the physical side low by 1.39e-8
+    # (rho = 0.5) and 1.55e-8 (0.9), the tail its 1e-7 target on hs^2 drops
+    model = PotentialModel.isotropic(rho)
+    want = _hs_oracle(rho, 1)
+    assert abs(hs_distance_fourier(model, 1.0, 1) / want - 1.0) <= 1e-12
+    assert 0.0 <= 1.0 - hs_distance(model, 1.0, 1) / want <= 5e-8
 
 
 def test_hs_distance_amplitude_linearity():
