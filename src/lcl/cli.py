@@ -228,10 +228,9 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
     lo, hi = cfg.phi.support
     primary = "radial-inversion" if cfg.model.kind == "isotropic-long-range" else "grid-2d"
     mu_a = lim.mu_interval(lo, hi, method=primary)
-    mu_mc = lim.mu_interval(lo, hi, method="monte-carlo")
     den_a = lim.density_integral(cfg.phi, method="radial")
     den_g = lim.density_integral(cfg.phi, method="grid-2d")
-    den_mc = lim.density_integral(cfg.phi, method="monte-carlo")
+    mu_mc, den_mc = lim.monte_carlo(lo, hi, cfg.phi)
     write_csv(outdir / "measure.csv", "quantity,method,value",
               [("mu_interval", primary, mu_a),
                ("mu_interval", "monte-carlo", mu_mc),

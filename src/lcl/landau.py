@@ -313,7 +313,7 @@ def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=float)
     vals = _check_entries(_subordinated_diagonal(model, B, q, ks), q, 0, ks)
     if model.long_range and len(ks):
-        i = np.unique([0, len(ks) - 1, int(np.argmax(np.abs(ks)))])
+        i = sorted({0, len(ks) - 1, int(np.argmax(np.abs(ks)))})
         n, a = q + np.minimum(ks[i], 0.0).astype(np.int64), np.abs(ks[i])
         order = _certificate_order(q)
         check = _window_quadrature(_mode_map(model)[0], B, n, a, n, a, *legendre_rule(order))

@@ -16,15 +16,16 @@ Both are (1/2piB) int f(T(x)) dx, f the indicator of [a, b] B^-rho or
 phi(B^rho .): one integrator takes either on a polar rule (the 2-d midpoint
 grid, or Gauss-Legendre panels in r and half-period angles for the density)
 or by counter-based Monte Carlo over profile tables, beside radial inversion
-(mu, isotropic model).  The integrand is summed in blocks of at most
-BLOCK_POINTS points, never built as one array, so scratch memory does not
-grow with the rule or the sample count.
+(mu, isotropic model).  One Monte Carlo pass of the draws sums any number of
+integrands (`LimitingMeasure.monte_carlo` takes both).  The integrand is
+summed in blocks of at most BLOCK_POINTS points, never built as one array,
+so scratch memory does not grow with the rule or the sample count.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,11 +82,18 @@ class TestFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        s = (t - self.center) / self.half_width
-        out = np.zeros_like(s)
-        inside = np.abs(s) < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - np.square(s[inside])))
-        return out if out.ndim else float(out)
+        s = np.atleast_1d(t - self.center)
+        s /= self.half_width
+        inside = (s > -1.0) & (s < 1.0)  # |s| < 1, with no float temporary
+        x = s[inside]  # exp(1 - 1/(1 - s^2)), in place
+        np.square(x, out=x)
+        np.subtract(1.0, x, out=x)
+        np.divide(1.0, x, out=x)
+        np.subtract(1.0, x, out=x)
+        np.exp(x, out=x)
+        s[...] = 0.0
+        s[inside] = x
+        return s if t.ndim else float(s[0])
 
 
 def _values_of(spec) -> np.ndarray:
@@ -148,7 +156,8 @@ def eigenvalue_counting(measure: EmpiricalClusterMeasure, alpha: float,
 # limiting measure
 # ---------------------------------------------------------------------------
 
-_METHODS = ("radial-inversion", "grid-2d", "monte-carlo")
+_METHODS = ("radial-inversion", "grid-2d", "monte-carlo")  # of mu_interval
+_DENSITY_METHODS = ("radial", "grid-2d", "monte-carlo")
 _TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
 _GRID_RADII = 4000  # grid-2d midpoint cells in r
 _GRID_ANGLES = 720  # ... and in theta (anisotropic model only)
@@ -254,33 +263,69 @@ class LimitingMeasure:
         slopes = (np.append(np.diff(f) / np.diff(r), 0.0) for f in (base, mode))
         return r, base, mode, *slopes
 
-    # -- interval measure -------------------------------------------------
+    # -- the limiting-side integrals ----------------------------------------
     def mu_interval(self, alpha: float, beta: float,
                     method: str = "radial-inversion") -> float:
         """(1/2piB) Lebesgue area of {x : alpha B^-rho <= T(x) <= beta B^-rho}."""
-        if not alpha < beta:
-            raise ValueError("alpha must be < beta")
-        if alpha <= 0.0 <= beta:
-            raise ValueError("the interval must exclude 0")
-        if method not in _METHODS:
+        return self._value(self._integrand(method, interval=(alpha, beta)), method)
+
+    def density_integral(self, phi: TestFunction, method: str = "radial") -> float:
+        """(1/2piB) int phi(B^rho T(x)) dx."""
+        return self._value(self._integrand(method, phi=phi), method)
+
+    def monte_carlo(self, alpha: float, beta: float,
+                    phi: TestFunction) -> tuple[float, float]:
+        """mu_interval(alpha, beta) and density_integral(phi), both by
+        "monte-carlo", on one pass of the draws: the two calls' values, bit
+        for bit."""
+        parts = [self._integrand("monte-carlo", interval=(alpha, beta)),
+                 self._integrand("monte-carlo", phi=phi)]
+        sums = iter(self._monte_carlo([p for p in parts if isinstance(p, tuple)]))
+        mu, density = (next(sums) if isinstance(p, tuple) else p for p in parts)
+        return mu, density
+
+    def _value(self, part, method: str) -> float:
+        return self._integral(*part, method) if isinstance(part, tuple) else part
+
+    def _integrand(self, method: str, interval=None, phi=None):
+        """The integrand (f, r_out) of mu_interval(*interval) or, given phi,
+        of density_integral(phi) by `method`, or the value where that takes
+        no integral: 0 for a zero amplitude, for an interval on the other
+        side of 0 from T (T has the amplitude's sign) and for a level above
+        the envelope's peak, and the radial inversion's area."""
+        if phi is None:
+            alpha, beta = interval
+            if not alpha < beta:
+                raise ValueError("alpha must be < beta")
+            if alpha <= 0.0 <= beta:
+                raise ValueError("the interval must exclude 0")
+        elif phi.support_abs_low <= 0.0:
+            raise ValueError("the support of phi must exclude 0")
+        if method not in (_METHODS if phi is None else _DENSITY_METHODS):
             raise ValueError(f"unknown method {method!r}")
         amp = self.model.amplitude
         if amp == 0.0:
             return 0.0
-        if amp < 0.0:
-            flipped = replace(self, model=replace(self.model, amplitude=-amp))
-            return flipped.mu_interval(-beta, -alpha, method)
-        # amplitude > 0: the transform is positive, negative intervals are empty
-        if beta < 0.0:
+        down = self.B ** (-self.rho)
+        if phi is not None:
+            level = phi.support_abs_low * down
+            if level > self.envelope_peak():
+                return 0.0
+            up = self.B ** self.rho
+            return (lambda v: phi(np.multiply(v, up, out=v)),
+                    self._level_radius([level])[0] * 1.02)
+        # the interval's ends as levels of |T|, the one nearer 0 first
+        lo, hi = (alpha, beta) if amp > 0.0 else (-beta, -alpha)
+        if hi < 0.0:
             return 0.0
-        t_lo = alpha * self.B ** (-self.rho)
-        t_hi = beta * self.B ** (-self.rho)
+        t_lo, t_hi = lo * down, hi * down
         if t_lo > self.envelope_peak():
             return 0.0
         if method == "radial-inversion":
             return self._mu_radial_inversion(t_lo, t_hi)
         r_out, = self._level_radius([t_lo])
-        return self._integral(lambda v: (v >= t_lo) & (v <= t_hi), r_out, method)
+        t_a, t_b = alpha * down, beta * down
+        return lambda v: (v >= t_a) & (v <= t_b), r_out
 
     def _mu_radial_inversion(self, t_lo: float, t_hi: float) -> float:
         if self.model.kind != "isotropic-long-range":
@@ -290,7 +335,7 @@ class LimitingMeasure:
             raise MethodError("profile not monotone beyond its peak; use grid-2d")
         if t_hi >= float(np.min(env[:i + 1])):
             raise MethodError("interval reaches the non-monotone inner region; use grid-2d")
-        # the unique roots of amplitude*m0(r) = t on the decreasing branch:
+        # the unique roots of |amplitude| m0(r) = t on the decreasing branch:
         # the outer radius (lower level) and the inner one (upper level)
         r_lo, r_hi = self._level_radius([t_lo, t_hi])
         return max(r_lo * r_lo - r_hi * r_hi, 0.0) / (2.0 * self.B)
@@ -317,76 +362,99 @@ class LimitingMeasure:
         return (amp * self.base_profile(r), amp * self.model.epsilon * self.mode_profile(r),
                 r * wr, np.cos(psi), wpsi)
 
-    def _interp_transform(self, r, th, tables):
-        """Linear in r >= 0 between the uniform table's nodes: the bracket
-        rt[j] <= r < rt[j+1] is the scaled r rounded down, corrected once each
-        way, and a zero last slope holds r >= rt[-1] at the last value."""
+    def _mode_factor(self, th):
+        """eps cos(m th), in place of the angles th; None for the isotropic
+        model, whose T does not read them."""
+        if self.model.kind != "anisotropic-long-range":
+            return None
+        th *= self.model.mode
+        np.cos(th, out=th)
+        th *= self.model.epsilon
+        return th
+
+    def _table_transform(self, r, c, tables, work):
+        """T at radii r >= 0 and mode factors c (see `_mode_factor`), each
+        profile linear between the uniform table's nodes: the bracket
+        rt[j] <= r < rt[j+1] is the scaled r rounded down, corrected once
+        each way, and a zero last slope holds r >= rt[-1] at the last value.
+        Computed in `work`, scratch of r's size (see `_scratch`), and
+        returned in one of its arrays."""
         rt, base, mode, base_slope, mode_slope = tables
-        dr = r * ((_TABLE_POINTS - 1) / rt[-1])  # one scratch column, r - rt[j] at the end
-        j = np.clip(dr.astype(np.intp), 0, _TABLE_POINTS - 2)
-        j -= np.take(rt, j, out=dr, mode="clip") > r
-        j += np.take(rt[1:], j, out=dr, mode="clip") <= r
+        dr, vals, g, j, up = work
+        np.multiply(r, (_TABLE_POINTS - 1) / rt[-1], out=dr)  # r - rt[j] at the end
+        np.copyto(j, dr, casting="unsafe")  # truncated, as astype
+        np.clip(j, 0, _TABLE_POINTS - 2, out=j)
+        j -= np.greater(np.take(rt, j, out=dr, mode="clip"), r, out=up)
+        j += np.less_equal(np.take(rt[1:], j, out=dr, mode="clip"), r, out=up)
         np.subtract(r, np.take(rt, j, out=dr, mode="clip"), out=dr)
-
-        def lookup(f, slope):  # slope * (r - rt[j]) + f[j], in this order
-            vals = slope[j]
-            vals *= dr
-            vals += f[j]
-            return vals
-
-        vals = lookup(base, base_slope)
-        if self.model.kind == "anisotropic-long-range":
-            g = lookup(mode, mode_slope)
-            c = np.cos(np.multiply(self.model.mode, th, out=dr), out=dr)
-            c *= self.model.epsilon
+        # each profile as slope * (r - rt[j]) + f[j], in this order
+        np.multiply(np.take(base_slope, j, out=vals, mode="clip"), dr, out=vals)
+        if c is None:
+            vals += np.take(base, j, out=dr, mode="clip")
+        else:
+            np.multiply(np.take(mode_slope, j, out=g, mode="clip"), dr, out=g)
+            g += np.take(mode, j, out=dr, mode="clip")
+            vals += np.take(base, j, out=dr, mode="clip")
             vals += np.multiply(g, c, out=g)  # (eps cos(m th)) g
         return np.multiply(vals, self.model.amplitude, out=vals)
 
+    def _interp_transform(self, r, th, tables):
+        """T at the polar points (r, th): `_table_transform` in fresh scratch."""
+        c = self._mode_factor(np.array(th, dtype=float))
+        return self._table_transform(r, c, tables, _scratch(np.size(r)))
+
     def _integral(self, f, r_out: float, method: str) -> float:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
-        r_out: a polar rule ("grid-2d" or "radial", see `_grid`) or
-        self.samples uniform Philox(seed) points ("monte-carlo"); f is
-        vectorised.  Either is summed in blocks of at most BLOCK_POINTS
-        points: whole radii of the rule (the isotropic grids and the radial
-        rule are one block), or consecutive samples, whose angles come from a
-        second Philox(seed) advanced past all radii's draws, so the points
-        are those of one unblocked stream."""
-        if method != "monte-carlo":
-            base, mode, area, c, w = self._grid(r_out, method)
-            total, step = 0.0, max(BLOCK_POINTS // c.size, 1)
-            for i in range(0, base.size, step):
-                blk = slice(i, i + step)
-                vals = base[blk, None] + mode[blk, None] * c
-                total += np.sum(f(vals) * (area[blk, None] * w))
-            return float(total) / (2.0 * math.pi * self.B)
-        tables = self._tables(r_out)
+        r_out: `_monte_carlo`, or a polar rule ("grid-2d" or "radial", see
+        `_grid`) summed in blocks of whole radii, at most BLOCK_POINTS points
+        (the isotropic grids and the radial rule are one block).  f is
+        vectorised and may overwrite its argument."""
+        if method == "monte-carlo":
+            return self._monte_carlo([(f, r_out)])[0]
+        base, mode, area, c, w = self._grid(r_out, method)
+        total, step = 0.0, max(BLOCK_POINTS // c.size, 1)
+        for i in range(0, base.size, step):
+            blk = slice(i, i + step)
+            vals = base[blk, None] + mode[blk, None] * c
+            total += np.sum(f(vals) * (area[blk, None] * w))
+        return float(total) / (2.0 * math.pi * self.B)
+
+    def _monte_carlo(self, integrands) -> list[float]:
+        """`_integral` of each (f, r_out) by self.samples uniform Philox(seed)
+        points, all on one pass of the draws: unit-disc points (sqrt(u), th),
+        scaled by each r_out.  Consecutive samples are summed in blocks of at
+        most BLOCK_POINTS, in scratch allocated once per call.  The angles
+        come from a second Philox(seed) advanced past all radii's draws, so
+        the points are those of one unblocked stream; the isotropic model
+        draws none."""
+        tables = [self._tables(r_out) for _, r_out in integrands]
+        aniso = self.model.kind == "anisotropic-long-range"
+        u, r, th = np.empty((3, min(self.samples, BLOCK_POINTS)))
+        scratch = _scratch(u.size)
         radii = np.random.Generator(np.random.Philox(self.seed))
-        # past the radii: Philox makes 4 draws per counter step, a double takes 1
-        angles = np.random.Generator(np.random.Philox(self.seed).advance(self.samples // 4))
-        angles.random(self.samples % 4)
-        total = 0.0
+        if aniso:
+            # past the radii: Philox makes 4 draws per counter step, a double takes 1
+            angles = np.random.Generator(np.random.Philox(self.seed).advance(self.samples // 4))
+            angles.random(self.samples % 4)
+        totals, c = [0.0] * len(integrands), None
         for i in range(0, self.samples, BLOCK_POINTS):
             n = min(BLOCK_POINTS, self.samples - i)
-            r = r_out * np.sqrt(radii.random(n))
-            th = 2.0 * math.pi * angles.random(n)
-            total += np.sum(f(self._interp_transform(r, th, tables)))
-        return float(total / self.samples) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
+            root = np.sqrt(radii.random(out=u[:n]), out=u[:n])
+            if aniso:  # one mode factor per point, shared by the integrands
+                c = angles.random(out=th[:n])
+                c *= 2.0 * math.pi
+                c = self._mode_factor(c)
+            work = [a[:n] for a in scratch]
+            for k, ((f, r_out), tab) in enumerate(zip(integrands, tables)):
+                vals = self._table_transform(np.multiply(root, r_out, out=r[:n]), c, tab, work)
+                totals[k] += np.sum(f(vals))
+        return [float(t / self.samples) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
+                for t, (_, r_out) in zip(totals, integrands)]
 
-    # -- density integral -------------------------------------------------
-    def density_integral(self, phi: TestFunction, method: str = "radial") -> float:
-        """(1/2piB) int phi(B^rho T(x)) dx."""
-        if phi.support_abs_low <= 0.0:
-            raise ValueError("the support of phi must exclude 0")
-        if method not in ("radial", "grid-2d", "monte-carlo"):
-            raise ValueError(f"unknown method {method!r}")
-        if self.model.amplitude == 0.0:
-            return 0.0
-        level = phi.support_abs_low * self.B ** (-self.rho)
-        if level > self.envelope_peak():
-            return 0.0
-        r_hi = self._level_radius([level])[0] * 1.02
-        scale = self.B ** self.rho
-        return self._integral(lambda v: phi(scale * v), r_hi, method)
+
+def _scratch(n: int):
+    """Scratch of `LimitingMeasure._table_transform` for n points."""
+    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
 
 
 def mu_interval(lim: LimitingMeasure, alpha: float, beta: float,

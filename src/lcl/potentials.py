@@ -342,7 +342,7 @@ def _angle_rule_groups(delta: np.ndarray, rho: float):
     if not np.all(delta >= 0.0):
         raise ValueError("angle rule: every delta must be >= 0")
     keys = np.where(delta > 0.0, np.ldexp(0.5, np.frexp(np.minimum(delta, 1.0))[1]), 0.0)
-    for key in np.unique(keys).tolist():
+    for key in sorted(set(keys.tolist())):
         yield (keys == key, *_angle_rule(key, rho if key == 0.0 else None))
 
 

@@ -401,7 +401,7 @@ def bessel_j0(r):
     flat = r.ravel()
     nodes = 64 + 64 * np.ceil(flat / 32.0).astype(np.int64)
     out = np.empty(flat.shape)
-    for n in np.unique(nodes).tolist():
+    for n in sorted(set(nodes.tolist())):
         sin_t = np.sin((np.arange(n) + 0.5) * (0.5 * math.pi / n))
         rows, step = np.flatnonzero(nodes == n), max(BLOCK_POINTS // n, 1)
         for i in range(0, rows.size, step):

@@ -1,6 +1,9 @@
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +342,26 @@ def test_runconfig_defaults_parse():
     assert cfg.B == 1.0
     assert cfg.phi.center == 0.5
     assert math.isclose(cfg.delta, 0.19)
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from lcl.landau import LandauConfig, radial_diagonal
+from lcl.potentials import PotentialModel, mean_value_mode_profile
+from lcl.specfun import bessel_j0
+for call in (lambda: radial_diagonal(PotentialModel.isotropic(0.5), LandauConfig(1.0, 4, 8)),
+             lambda: mean_value_mode_profile(0.5, 2, np.linspace(0.0, 3.0, 31)),
+             lambda: bessel_j0(np.linspace(0.0, 100.0, 11))):
+    call()
+    print("numpy.ma" in sys.modules)
+"""
+
+
+def test_program_never_imports_numpy_ma():
+    # numpy.ma comes in with the first np.unique call (about 15 ms and 1.7 MB
+    # in every run); a fresh process, as the test session may hold it already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
+                         text=True, check=True, env={"PYTHONPATH": src})
+    assert out.stdout.split() == ["False"] * 3, out.stderr

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath as mp
@@ -316,9 +317,32 @@ def test_blocked_monte_carlo_is_the_one_shot_stream(model, samples):
     # block, and neither count is a multiple of Philox's 4 draws per step
     lim = LimitingMeasure(model, 1.0, seed=11, samples=samples)
     (_, ind, r_mu), (_, phi, r_phi) = _integrands(lim, 0.3, 0.6, PHI)
-    assert lim.mu_interval(0.3, 0.6, "monte-carlo") == _one_shot_monte_carlo(lim, ind, r_mu)
+    mu, density = lim.mu_interval(0.3, 0.6, "monte-carlo"), lim.density_integral(PHI, "monte-carlo")
+    assert mu == _one_shot_monte_carlo(lim, ind, r_mu)
     want = _one_shot_monte_carlo(lim, phi, r_phi)
-    assert abs(lim.density_integral(PHI, "monte-carlo") - want) <= 1e-15 * want
+    assert abs(density - want) <= 1e-15 * want
+    # both integrands on one pass of the draws: the single calls' bits
+    assert lim.monte_carlo(0.3, 0.6, PHI) == (mu, density)
+
+
+@pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
+def test_monte_carlo_pair_early_values(model):
+    # a negative amplitude mirrors the positive one bit for bit; an interval
+    # on the other side of 0 or above the envelope's peak takes no integral,
+    # beside an integrand that does, or alone
+    neg = LimitingMeasure(replace(model, amplitude=-1.0), 1.0, seed=11, samples=5000)
+    pos = LimitingMeasure(model, 1.0, seed=11, samples=5000)
+    mirror = (-0.6, -0.3, TestFunction(-0.5, 0.3))
+    assert neg.monte_carlo(*mirror) == pos.monte_carlo(0.3, 0.6, PHI)
+    cases = [(neg, mirror), (neg, (0.3, 0.6, PHI)), (pos, (-0.6, -0.3, PHI)),
+             (pos, (5.0, 6.0, PHI)), (pos, (0.3, 0.6, TestFunction(9.0, 0.5))),
+             (pos, (5.0, 6.0, TestFunction(9.0, 0.5)))]
+    for lim, (alpha, beta, phi) in cases:
+        want = (lim.mu_interval(alpha, beta, "monte-carlo"),
+                lim.density_integral(phi, "monte-carlo"))
+        assert lim.monte_carlo(alpha, beta, phi) == want, (alpha, beta, phi)
+    assert pos.monte_carlo(5.0, 6.0, TestFunction(9.0, 0.5)) == (0.0, 0.0)
+    assert neg.monte_carlo(0.3, 0.6, PHI)[0] == 0.0
 
 
 @pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
@@ -353,7 +377,8 @@ def test_mode_profile_does_not_depend_on_its_row_blocks(monkeypatch):
     lambda lim: lim.density_integral(TestFunction(0.65, 0.15), "monte-carlo"),
     lambda lim: lim.density_integral(TestFunction(0.65, 0.15), "grid-2d"),
     lambda lim: lim.mu_interval(0.5, 0.8, "grid-2d"),
-], ids=["density-monte-carlo", "density-grid-2d", "mu-grid-2d"])
+    lambda lim: lim.monte_carlo(0.5, 0.8, TestFunction(0.65, 0.15)),
+], ids=["density-monte-carlo", "density-grid-2d", "mu-grid-2d", "pair-monte-carlo"])
 def test_limiting_integrals_stay_in_bounded_memory(call):
     # the test-09 model at 2,000,000 samples: a block of 2^16 points takes
     # a few MB of scratch, the whole integrand as one array 48-118 MB

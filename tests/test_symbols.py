@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from lcl.errors import MethodError
-from lcl.potentials import PotentialModel, mean_value_radial_profile, mean_value_transform
-from lcl.specfun import laguerre, legendre_rule
-from lcl.symbols import (RadialSymbolProfile, _fourier_transform_radial, circle_convolution,
+from lcl.potentials import (PotentialModel, mean_value_radial_profile, mean_value_transform,
+                            power_cos_average)
+from lcl.specfun import laguerre, legendre_rule, panel_rule
+from lcl.symbols import (RadialSymbolProfile, _fourier_transform_radial, _psi_q_radial_rule,
+                         circle_convolution,
                          circle_symbol_profile, hs_distance, hs_distance_fourier,
                          i_rho, laguerre_smoothing, psi_q, scaled_symbol_identity,
                          smoothed_symbol_profile, v_B)
@@ -220,6 +222,52 @@ def test_hs_distance_both_sides_against_the_bessel_oracle(rho):
     want = _hs_oracle(rho, 1)
     assert abs(hs_distance_fourier(model, 1.0, 1) / want - 1.0) <= 1e-12
     assert 0.0 <= 1.0 - hs_distance(model, 1.0, 1) / want <= 5e-8
+
+
+def _hs_distance_panel_by_panel(model, B, q):
+    # hs_distance with one power_cos_average call per 16-node panel, each
+    # panel's D summed before the next is made: (value, s_max, tail estimate)
+    rho, k = model.rho, math.sqrt(2.0 * q + 1.0)
+    t, wt, kern = _psi_q_radial_rule(q)
+    tt = np.append(t, k)
+    total, tail_est, s_edge, h = 0.0, math.inf, 0.0, 0.5
+    while True:
+        s_nodes, ws = panel_rule([s_edge, s_edge + h], 16)
+        s = s_nodes[:, None]
+        avg = power_cos_average(1.0 + (s * s + tt * tt) / B, 2.0 * s * tt / B, rho,
+                                gap=1.0 + (s - tt) ** 2 / B)
+        D = (kern * avg[:, :-1]) @ wt - avg[:, -1]
+        total += float(np.dot(ws, D * D * s_nodes))
+        s_edge += h
+        if s_edge > max(3.0 * k, 10.0):
+            c_fit = float(np.max(np.abs(D))) * s_edge ** (rho + 2.0)
+            tail_est = c_fit ** 2 * s_edge ** (-2.0 * rho - 2.0) / (2.0 * rho + 2.0)
+            if tail_est <= 1e-7 * total:
+                break
+        if s_edge > 400.0 * (1.0 + k):
+            break
+    return abs(model.amplitude) * math.sqrt(total), s_edge, model.amplitude ** 2 * tail_est
+
+
+@pytest.mark.parametrize("q", [1, 4, 32])
+def test_hs_distance_batches_keep_the_panel_by_panel_bits(q):
+    # several panels share a power_cos_average call; the walk over them must
+    # stop at the same panel with the same sums
+    value, meta = hs_distance(ISO, 1.0, q, detail=True)
+    assert (value, meta["s_max"], meta["tail_estimate"]) == _hs_distance_panel_by_panel(ISO, 1.0, q)
+
+
+def test_hs_distance_stays_in_bounded_memory():
+    # at most BLOCK_POINTS // 4 points per power_cos_average call: q = 32 read
+    # 1.5 MB warm, 0.5 MB with one panel per call, 6.4 MB with BLOCK_POINTS
+    hs_distance(ISO, 1.0, 32)
+    tracemalloc.start()
+    try:
+        hs_distance(ISO, 1.0, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6, peak
 
 
 def test_hs_distance_amplitude_linearity():
