@@ -31,10 +31,10 @@ integrated by Gauss-Legendre on the classical support window of the Laguerre
 pair (turning points padded by eight Airy widths), which stays accurate at
 any angular index; plain Gauss-Laguerre of the matching degree would
 overflow beyond |k| ~ 1e3.  They go through one batched quadrature,
-`_band_batch`, on the one rule of level q, 80 + 2.8 q nodes, in consecutive
-chunks of 128 rows from k = -q.  An entry does not depend on its batch: the
-degrees n = q + min(k, 0) of a chunk may differ, and the one Laguerre
-recurrence reads each row off at its own degree.  A non-finite entry, on
+`_window_quadrature`, on the one rule of level q, 80 + 2.8 q nodes, in
+consecutive chunks of 128 rows from k = -q.  An entry does not depend on its
+batch: the degrees n = q + min(k, 0) of a chunk may differ, and the one
+Laguerre recurrence reads each row off at its own degree.  A non-finite entry, on
 either path, raises ContractError naming the stage, q, the band and the
 first bad k.
 
@@ -159,6 +159,8 @@ def radial_basis(idx: BasisIndex, B: float, r):
     """Radial factor R_{k,q}(r), normalized so int_0^inf R^2 r dr = 1."""
     landau_level(B, idx.q)
     r = np.asarray(r, dtype=float)
+    if not np.all(np.isfinite(r) & (r >= 0)):
+        raise ValueError("r must be finite and >= 0")
     xi = 0.5 * B * np.square(r)
     return math.sqrt(B) * laguerre_function(idx.n, float(idx.alpha), xi)
 
@@ -226,21 +228,17 @@ def _xi_window(n, alpha):
     return lo, hi
 
 
-def _band_batch(vfun, B: float, q: int, n1, a1: np.ndarray, n2, a2: np.ndarray) -> np.ndarray:
-    """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over rows.
-
-    Degrees are per row (a scalar serves every row), at most q; every row of
-    level q is integrated on the one Gauss-Legendre rule of 80 + 2.8 q nodes.
-    """
-    n1 = np.broadcast_to(np.asarray(n1, dtype=int), np.shape(a1))
-    n2 = np.broadcast_to(np.asarray(n2, dtype=int), np.shape(a2))
-    M = _QUAD_BASE + math.ceil(_NODES_PER_N * q)
-    return _window_quadrature(vfun, B, n1, a1, n2, a2, *legendre_rule(M))
+def _level_rows(q: int, ks) -> tuple[np.ndarray, np.ndarray]:
+    """The Laguerre indices of the rows ks of level q (integer, or real
+    k >= 0): degrees n = q + min(k, 0) as int64 and orders alpha = |k|."""
+    return q + np.minimum(ks, 0).astype(np.int64), np.abs(ks).astype(float)
 
 
-def _window_quadrature(vfun, B: float, n1: np.ndarray, a1: np.ndarray, n2: np.ndarray,
-                       a2: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The entries of _band_batch on the rule (x, w), mapped to each row's window."""
+def _window_quadrature(vfun, B: float, n1, a1, n2, a2, order: int) -> np.ndarray:
+    """entries = int v(r(xi)) psi_{n1}^{a1} psi_{n2}^{a2} d xi, batched over
+    rows (integer degrees and real orders, one of each per row), each on the
+    Gauss-Legendre rule of `order` nodes mapped to its row's window."""
+    x, w = legendre_rule(order)
     same = np.array_equal(n1, n2) and np.array_equal(a1, a2)
     lo, hi = _xi_window(n1, a1)
     if not same:
@@ -269,28 +267,17 @@ def _band_rows(vfun, B: float, q: int, ks: np.ndarray, j: int) -> np.ndarray:
     """Entries between phi_{k,q} and phi_{k+j,q} for the ascending rows `ks`
     (integer, or real k >= 0 at a Chebyshev fit's nodes), in consecutive
     chunks of _CHUNK rows."""
+    order = _QUAD_BASE + math.ceil(_NODES_PER_N * q)
     out = np.empty(len(ks))
     for i in range(0, len(ks), _CHUNK):
         k1 = ks[i:i + _CHUNK]
-        n1, a1 = q + np.minimum(k1, 0), np.abs(k1).astype(float)
-        k2 = k1 + j
-        n2, a2 = (n1, a1) if j == 0 else (q + np.minimum(k2, 0), np.abs(k2).astype(float))
-        out[i:i + _CHUNK] = _check_entries(_band_batch(vfun, B, q, n1, a1, n2, a2), q, j, k1)
+        vals = _window_quadrature(vfun, B, *_level_rows(q, k1), *_level_rows(q, k1 + j), order)
+        out[i:i + _CHUNK] = _check_entries(vals, q, j, k1)
     return out
 
 
 def _mode_map(model: PotentialModel) -> dict:
     return {p.mode: p.radial for p in model.angular_modes()}
-
-
-def _subordinated_diagonal(model: PotentialModel, B: float, q: int,
-                           ks: np.ndarray) -> np.ndarray:
-    """v0's diagonal entries at the rows ks (real for k >= 0): on the mixture
-    a sum_i c_i e^(-s_i r^2), r^2 = 2 xi / B, they are a sum_i c_i E(2 s_i / B)."""
-    n, alpha = q + np.minimum(ks, 0.0).astype(np.int64), np.abs(ks)
-    s, c = model.gaussian_mixture()
-    # a row-wise sum, so a row's bits do not depend on the rows beside it
-    return model.amplitude * (laguerre_laplace(n, alpha, 2.0 * s / B) * c).sum(axis=1)
 
 
 def _certificate_order(q: int) -> int:
@@ -305,18 +292,23 @@ def _certificate_order(q: int) -> int:
 
 
 def _diagonal_rows(model: PotentialModel, B: float, q: int, ks) -> np.ndarray:
-    """v0's diagonal entries at the rows ks, with the quadrature certificate
-    of a long-range model: the first, the last and the largest-alpha row again
-    by Gauss-Legendre quadrature of v0 psi^2 on the classical window (an
-    independent path through the Laguerre recurrence) must agree within
-    _CERT_TOL plus the quadrature's own rounding at large alpha, relative."""
+    """v0's diagonal entries at the rows ks (real for k >= 0): on the mixture
+    a sum_i c_i e^(-s_i r^2), r^2 = 2 xi / B, they are a sum_i c_i E(2 s_i / B).
+    A long-range model's first, last and largest-alpha rows are certified by
+    Gauss-Legendre quadrature of v0 psi^2 on the classical window (an
+    independent path through the Laguerre recurrence): the two must agree
+    within _CERT_TOL plus the quadrature's own rounding at large alpha, relative."""
     ks = np.asarray(ks, dtype=float)
-    vals = _check_entries(_subordinated_diagonal(model, B, q, ks), q, 0, ks)
+    n, alpha = _level_rows(q, ks)
+    s, c = model.gaussian_mixture()
+    # a row-wise sum, so a row's bits do not depend on the rows beside it
+    vals = model.amplitude * (laguerre_laplace(n, alpha, 2.0 * s / B) * c).sum(axis=1)
+    _check_entries(vals, q, 0, ks)
     if model.long_range and len(ks):
-        i = sorted({0, len(ks) - 1, int(np.argmax(np.abs(ks)))})
-        n, a = q + np.minimum(ks[i], 0.0).astype(np.int64), np.abs(ks[i])
+        i = sorted({0, len(ks) - 1, int(np.argmax(alpha))})
+        n, a = n[i], alpha[i]
         order = _certificate_order(q)
-        check = _window_quadrature(_mode_map(model)[0], B, n, a, n, a, *legendre_rule(order))
+        check = _window_quadrature(_mode_map(model)[0], B, n, a, n, a, order)
         gap = np.abs(vals[i] - check) / np.maximum(np.abs(check), np.finfo(float).tiny)
         # psi's normalization enters the quadrature through lgamma(alpha + 1),
         # whose rounding scales every node of the row alike

@@ -377,8 +377,8 @@ class LimitingMeasure:
         profile linear between the uniform table's nodes: the bracket
         rt[j] <= r < rt[j+1] is the scaled r rounded down, corrected once
         each way, and a zero last slope holds r >= rt[-1] at the last value.
-        Computed in `work`, scratch of r's size (see `_scratch`), and
-        returned in one of its arrays."""
+        Computed in `work`, scratch of r's size (three float arrays, an intp
+        and a bool one), and returned in one of its arrays."""
         rt, base, mode, base_slope, mode_slope = tables
         dr, vals, g, j, up = work
         np.multiply(r, (_TABLE_POINTS - 1) / rt[-1], out=dr)  # r - rt[j] at the end
@@ -397,11 +397,6 @@ class LimitingMeasure:
             vals += np.take(base, j, out=dr, mode="clip")
             vals += np.multiply(g, c, out=g)  # (eps cos(m th)) g
         return np.multiply(vals, self.model.amplitude, out=vals)
-
-    def _interp_transform(self, r, th, tables):
-        """T at the polar points (r, th): `_table_transform` in fresh scratch."""
-        c = self._mode_factor(np.array(th, dtype=float))
-        return self._table_transform(r, c, tables, _scratch(np.size(r)))
 
     def _integral(self, f, r_out: float, method: str) -> float:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
@@ -429,8 +424,8 @@ class LimitingMeasure:
         draws none."""
         tables = [self._tables(r_out) for _, r_out in integrands]
         aniso = self.model.kind == "anisotropic-long-range"
-        u, r, th = np.empty((3, min(self.samples, BLOCK_POINTS)))
-        scratch = _scratch(u.size)
+        u, r, th, dr, vals, g = np.empty((6, min(self.samples, BLOCK_POINTS)))
+        scratch = (dr, vals, g, np.empty(u.size, np.intp), np.empty(u.size, bool))
         radii = np.random.Generator(np.random.Philox(self.seed))
         if aniso:
             # past the radii: Philox makes 4 draws per counter step, a double takes 1
@@ -450,11 +445,6 @@ class LimitingMeasure:
                 totals[k] += np.sum(f(vals))
         return [float(t / self.samples) * math.pi * r_out * r_out / (2.0 * math.pi * self.B)
                 for t, (_, r_out) in zip(totals, integrands)]
-
-
-def _scratch(n: int):
-    """Scratch of `LimitingMeasure._table_transform` for n points."""
-    return np.empty(n), np.empty(n), np.empty(n), np.empty(n, np.intp), np.empty(n, bool)
 
 
 def mu_interval(lim: LimitingMeasure, alpha: float, beta: float,

@@ -471,6 +471,8 @@ def mean_value_mode_profile(rho: float, m: int, r):
     g_m(|x|) cos(m arg x).  Singular only at r = 1."""
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
+    if not _is_integer(m):
+        raise ValueError(f"m must be an integer, got {m!r}")
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
     if not np.all(np.isfinite(r_arr) & (r_arr >= 0)):
         raise ValueError("r must be finite and >= 0")

@@ -203,9 +203,11 @@ def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys, monkeypatch):
 
 
 def test_spectrum_non_finite_band_exit_1(tmp_path, capsys, monkeypatch):
-    # the anisotropic band stays on the batched quadrature
-    monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, q, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    # the anisotropic band stays on the batched quadrature: mode 2's profile
+    # is NaN there, and the diagonal keeps its own
+    modes = landau._mode_map
+    monkeypatch.setattr(landau, "_mode_map",
+                        lambda model: {**modes(model), 2: lambda r: np.full_like(r, np.nan)})
     path = _write_config(tmp_path, model=ANISO_MODEL, **SMALL)
     out = tmp_path / "out"
     assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "2"]) == 1
@@ -345,8 +347,11 @@ def test_runconfig_defaults_parse():
 
 
 _NO_MASKED_ARRAYS = """
-import sys
+import importlib, pkgutil, sys
 import numpy as np
+import lcl
+for module in pkgutil.iter_modules(lcl.__path__):
+    importlib.import_module("lcl." + module.name)
 from lcl.landau import LandauConfig, radial_diagonal
 from lcl.potentials import PotentialModel, mean_value_mode_profile
 from lcl.specfun import bessel_j0
@@ -355,13 +360,16 @@ for call in (lambda: radial_diagonal(PotentialModel.isotropic(0.5), LandauConfig
              lambda: bessel_j0(np.linspace(0.0, 100.0, 11))):
     call()
     print("numpy.ma" in sys.modules)
+print("scipy" in sys.modules)
 """
 
 
 def test_program_never_imports_numpy_ma():
     # numpy.ma comes in with the first np.unique call (about 15 ms and 1.7 MB
-    # in every run); a fresh process, as the test session may hold it already
+    # in every run); a fresh process, as the test session may hold it already.
+    # The last line: no lcl module and none of these calls imports SciPy,
+    # which is not a dependency
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
                          text=True, check=True, env={"PYTHONPATH": src})
-    assert out.stdout.split() == ["False"] * 3, out.stderr
+    assert out.stdout.split() == ["False"] * 4, out.stderr

@@ -8,7 +8,7 @@ from numpy.polynomial.chebyshev import chebpts1, chebpts2
 
 from lcl import landau, potentials
 from lcl.errors import CapacityError, ContractError
-from lcl.landau import (BasisIndex, LandauConfig, _band_batch,
+from lcl.landau import (BasisIndex, LandauConfig, _level_rows, _window_quadrature,
                         eigen_residual_check, indicator_basis_mass,
                         landau_level, radial_basis, radial_diagonal,
                         toeplitz_entry, toeplitz_matrix, truncation_bound)
@@ -26,7 +26,8 @@ def _exact_diagonal(model, B, q, ks):
     for the Chebyshev fit of the far window."""
     v0 = model.angular_modes()[0].radial
     ks = np.asarray(ks, dtype=float)
-    return np.concatenate([_band_batch(v0, B, q, q, c, q, c)
+    order = landau._QUAD_BASE + math.ceil(landau._NODES_PER_N * q)  # the band's rule
+    return np.concatenate([_window_quadrature(v0, B, *_level_rows(q, c), *_level_rows(q, c), order)
                            for c in np.array_split(ks, -(-len(ks) // 1024))])
 
 
@@ -103,6 +104,13 @@ def test_radial_basis_ground_state():
         ref = math.sqrt(B) * np.exp(-B * r * r / 4.0)
         assert np.allclose(got, ref, rtol=1e-14)
     assert radial_basis(BasisIndex(0, 0), 1.0, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("r", [-1.0, [0.5, -1e-300], float("nan"), float("inf")],
+                         ids=["negative", "array-negative", "nan", "inf"])
+def test_radial_basis_checks_r(r):
+    with pytest.raises(ValueError, match="r must be finite and >= 0"):
+        radial_basis(BasisIndex(2, 1), 1.0, r)
 
 
 @pytest.mark.parametrize("q,k", [(0, 0), (3, -3), (7, 2), (40, 200)])
@@ -245,9 +253,11 @@ def test_toeplitz_entry_non_finite_fails_loudly(monkeypatch):
 
 
 def test_toeplitz_entry_non_finite_band_fails_loudly(monkeypatch):
-    # the anisotropic band stays on the batched quadrature
-    monkeypatch.setattr(landau, "_band_batch",
-                        lambda vfun, B, q, n1, a1, n2, a2: np.full(len(a1), np.nan))
+    # the anisotropic band stays on the batched quadrature: mode 2's profile
+    # is NaN there, and the diagonal keeps its own
+    modes = landau._mode_map
+    monkeypatch.setattr(landau, "_mode_map",
+                        lambda model: {**modes(model), 2: lambda r: np.full_like(r, np.nan)})
     with pytest.raises(ContractError, match=r"entry-quadrature.*q=40\b.*j=2\b.*k=-1\b"):
         toeplitz_entry(ANISO, 1.0, 40, 1, -1)
     assert math.isfinite(toeplitz_entry(ANISO, 1.0, 40, 1, 1))
@@ -472,13 +482,15 @@ def test_chebyshev_band_certificate_fails_loudly(monkeypatch):
 
 
 def test_chebyshev_band_non_finite_node_fails_loudly(monkeypatch):
-    # a non-finite node value of the fit names the node's own real k
-    batch = landau._band_batch
+    # a non-finite node value of the fit names the node's own real k; the
+    # diagonal's certificate, the same quadrature on equal rows, stays finite
+    quad = landau._window_quadrature
 
-    def far_nan(vfun, B, q, n1, a1, n2, a2):
-        return np.where(a1 > 1000, np.nan, batch(vfun, B, q, n1, a1, n2, a2))
+    def far_nan(vfun, B, n1, a1, n2, a2, order):
+        far_band = (a1 > 1000) & (a1 != a2)
+        return np.where(far_band, np.nan, quad(vfun, B, n1, a1, n2, a2, order))
 
-    monkeypatch.setattr(landau, "_band_batch", far_nan)
+    monkeypatch.setattr(landau, "_window_quadrature", far_nan)
     with pytest.raises(ContractError, match=r"entry-quadrature.*q=48\b.*j=2\b.*k=1\d{3}\.\d"):
         landau._level_bands(ANISO, LandauConfig(B=1.0, q=48, k_max=3580))
 

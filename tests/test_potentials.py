@@ -205,6 +205,12 @@ def test_profiles_check_rho_and_r(profile, rho, r, match):
         profile(rho, r)
 
 
+@pytest.mark.parametrize("m", [float("nan"), 2.5, True], ids=["nan", "half", "bool"])
+def test_mode_profile_refuses_a_non_integer_mode(m):
+    with pytest.raises(ValueError, match="m must be an integer"):
+        mean_value_mode_profile(0.5, m, 1.3)
+
+
 NAN, INF = float("nan"), float("inf")
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcl import PotentialModel, specfun
+from lcl import PotentialModel, landau, specfun
 from lcl.errors import ConfigurationError
-from lcl.landau import _band_batch, _xi_window
+from lcl.landau import _window_quadrature, _xi_window
 from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
                          laguerre_function_multi, laguerre_laplace, laguerre_weighted,
@@ -131,9 +131,10 @@ def test_laguerre_function_high_degree_oracle(n, a):
 def test_laguerre_function_gram_degree_1000(a):
     # <psi_1000, psi_1000> = 1 and <psi_1000, psi_999> = 0 by the entry
     # quadrature with a unit profile
-    alpha = np.array([a])
-    norm = _band_batch(np.ones_like, 1.0, 1000, 1000, alpha, 1000, alpha)[0]
-    cross = _band_batch(np.ones_like, 1.0, 1000, 1000, alpha, 999, alpha)[0]
+    alpha, n = np.array([a]), np.array([1000])
+    order = landau._QUAD_BASE + math.ceil(landau._NODES_PER_N * 1000)  # level 1000's band rule
+    norm = _window_quadrature(np.ones_like, 1.0, n, alpha, n, alpha, order)[0]
+    cross = _window_quadrature(np.ones_like, 1.0, n, alpha, n - 1, alpha, order)[0]
     assert abs(norm - 1.0) < 1e-10
     assert abs(cross) < 1e-10
 
