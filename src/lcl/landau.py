@@ -51,10 +51,11 @@ A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
 the block is the direct sum of m tridiagonal residue chains: the positions
 i = r (mod m) for r = 0 .. m - 1.  :func:`level_spectrum` truncates the
-level, bounds its tail, summarises it from its diagonal, and solves each chain
-from its slices diag[r::m] and band[r::m] by Sturm counts and Newton steps,
-with no matrix formed (for the trace sweep, only the eigenvalues inside phi's
-support); the dense block of :func:`toeplitz_matrix` is only a view for tests
+level, bounds its tail, summarises it from its diagonal, and solves its
+chains, the slices diag[r::m] and band[r::m] concatenated, in one call of
+Sturm counts and Newton steps that share every count pass, with no matrix
+formed (for the trace sweep, only the eigenvalues inside phi's support); the
+dense block of :func:`toeplitz_matrix` is only a view for tests
 and small cases.
 """
 from __future__ import annotations
@@ -500,12 +501,12 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     dict); the summary is taken from the level's diagonal, as
     ``ToeplitzBlock.summary`` takes it.  Radial models skip the matrix, return
     every value whatever the window, and have residual 0.  An anisotropic
-    block is the direct sum of m tridiagonal residue chains: each goes to
-    ``tridiagonal_eig`` as (diag[r::m], band[r::m]) with the window, for
-    eigenvalues only, found and certified by Sturm counts.  The values are
-    merged and the largest chain certificate reported; a full spectrum is
-    held to the dense cap per chain, first the largest, r = 0, and the whole
-    block is never stored.
+    block is the direct sum of m tridiagonal residue chains (diag[r::m],
+    band[r::m]): they go to ``tridiagonal_eig`` in one call, concatenated
+    with a zero coupling between each pair, so that every Sturm count pass
+    runs over all of them at once, for eigenvalues only, found and certified
+    by Sturm counts.  A full spectrum is held to the dense cap per chain, and
+    the whole block is never stored.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
@@ -514,23 +515,28 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     if not bands:
         return np.sort(diag), k_max, tail, 0.0, summary
     (m, band), = bands.items()
-    specs = [tridiagonal_eig(diag[r::m], band[r::m], window) for r in range(m)]
-    values = np.sort(np.concatenate([s.values for s in specs]))
-    return values, k_max, tail, max(s.residual_bound for s in specs), summary
+    chains = range(min(m, len(diag)))  # a level of dimension below m has empty chains
+    spec = tridiagonal_eig(np.concatenate([diag[r::m] for r in chains]),
+                           np.concatenate([np.append(0.0, band[r::m]) for r in chains])[1:],
+                           window)
+    return spec.values, k_max, tail, spec.residual_bound, summary
 
 
 def indicator_basis_mass(idx: BasisIndex, B: float, radius: float) -> float:
     """<1_radius phi_{k,q}, phi_{k,q}> = int_0^radius R^2 r dr.
 
     Integrated in s = sqrt(xi) where the Laguerre oscillations are uniform;
-    the quadrature never crosses the indicator kink at r = radius.
+    the quadrature never crosses the indicator kink at r = radius.  Past the
+    window edge sqrt(hi) psi is negligible, so the rule stops there and its
+    length does not grow with the radius.
     """
     landau_level(B, idx.q)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"radius must be positive and finite, got {radius!r}")
-    s_max = math.sqrt(0.5 * B) * radius
     _, hi = _xi_window(idx.n, float(idx.alpha))
-    M = 64 + int(math.ceil(1.8 * s_max * math.sqrt(float(hi[0]))))
+    edge = math.sqrt(float(hi[0]))
+    s_max = min(math.sqrt(0.5 * B) * radius, edge)
+    M = 64 + int(math.ceil(1.8 * s_max * edge))
     s, ws = panel_rule([0.0, s_max], M)
     psi = laguerre_function(idx.n, float(idx.alpha), s * s)
     return float(np.dot(ws, 2.0 * s * psi * psi))

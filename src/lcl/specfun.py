@@ -187,15 +187,20 @@ def _laguerre_function_core(n, a, t):
     growth = float(np.nanmax(t, initial=0.0) + 3.0 * n_max + 2.0 * np.max(a)) + 1.0
     carry = _power_of_two_carry(growth)
     buf = np.empty_like(p0)
+    # step j's coefficients 2j+1+a, sqrt(j(j+a)) and sqrt((j+1)(j+1+a)), by
+    # row, built once with the same float operations
+    js = np.arange(n_max, dtype=float).reshape((-1,) + (1,) * a.ndim)
+    grow, back = 2.0 * js + 1.0 + a, np.sqrt(js * (js + a))
+    scale = np.sqrt((js + 1.0) * (js + 1.0 + a))
     for j in range(1, n_max):
         r = slice(start[j + 1], None)  # the rows that reach degree j + 1
-        ar, q0, q1, b = a[r], p0[r], p1[r], buf[r]
-        np.subtract(2.0 * j + 1.0 + ar, t[r], out=b)
-        b *= q1
-        q0 *= np.sqrt(j * (j + ar))
-        b -= q0
+        q0, q1, b = p0[r], p1[r], buf[r]
+        np.subtract(grow[j, r], t[r], b)
+        np.multiply(b, q1, b)
+        np.multiply(q0, back[j, r], q0)
+        np.subtract(b, q0, b)
         # divide rather than multiply by the reciprocal: L_q(0) = 1 stays exact
-        b /= np.sqrt((j + 1.0) * (j + 1.0 + ar))
+        np.divide(b, scale[j, r], b)
         p0, p1, buf = p1, buf, p0
         carry(j, e[r], q1, b)
         read_off(p1, j + 1)

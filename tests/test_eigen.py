@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from lcl import eigen
-from lcl.eigen import EigenSpectrum, _sturm_count, sym_eig, tridiagonal_eig
+from lcl.eigen import DENSE_CAP, EigenSpectrum, _sturm_count, sym_eig, tridiagonal_eig
 from lcl.errors import CapacityError, ContractError, NumericalError
-from lcl.landau import LandauConfig, _level_bands, truncation_bound
+from lcl.landau import LandauConfig, _level_bands, level_spectrum, truncation_bound
 from lcl.potentials import PotentialModel
 
 
@@ -110,8 +110,9 @@ def test_non_square_rejected():
 def test_dimension_cap():
     with pytest.raises(CapacityError):
         sym_eig(np.zeros((4097, 4097)))
+    # the cap holds per piece between zero couplings: one connected chain
     with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
-        tridiagonal_eig(np.zeros(4097), np.zeros(4096))
+        tridiagonal_eig(np.zeros(4097), np.ones(4096))
 
 
 def test_spectrum_dataclass_validation():
@@ -168,19 +169,19 @@ def test_residual_certificate_fails_loudly(monkeypatch, moved):
     # it is
     n = 2000
     d, e = np.arange(n, dtype=float), np.full(n - 1, 0.25)
-    real, calls = eigen._sturm_count, []
+    real, calls = eigen._sturm_rows, []
 
-    def miscount(d, e, x, early_exit=False, slope=False):
-        counts = real(d, e, x, early_exit, slope)
+    def miscount(s, x, piece, early_exit=False, slope=False):
+        counts, total = real(s, x, piece, early_exit, slope)
         if not calls:
             counts = counts - ((x < moved + 0.7) & (counts == moved + 1))
         calls.append(np.size(x))
-        return counts
+        return counts, total
 
-    monkeypatch.setattr(eigen, "_sturm_count", miscount)
+    monkeypatch.setattr(eigen, "_sturm_rows", miscount)
     with pytest.raises(NumericalError, match=rf"eigen-residual.*\b{moved}\b.*\b2000\b"):
         tridiagonal_eig(d, e)
-    monkeypatch.setattr(eigen, "_sturm_count", real)
+    monkeypatch.setattr(eigen, "_sturm_rows", real)
     assert tridiagonal_eig(d, e).residual_bound <= 1e-12
 
 
@@ -349,14 +350,14 @@ def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
     d, e = chain()
     ref = np.linalg.eigvalsh(_tridiag(d, e))  # the oracle, in tests only
     want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
-    real, newton_shifts = eigen._sturm_count, []
+    real, newton_shifts = eigen._sturm_rows, []
 
-    def record(d, e, x, early_exit=False, slope=False):
+    def record(s, x, piece, early_exit=False, slope=False):
         if slope:
-            newton_shifts.append((float(d[0]), np.array(x)))
-        return real(d, e, x, early_exit, slope)
+            newton_shifts.append((float(s.d[0]), np.array(x)))
+        return real(s, x, piece, early_exit, slope)
 
-    monkeypatch.setattr(eigen, "_sturm_count", record)
+    monkeypatch.setattr(eigen, "_sturm_rows", record)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         spec = tridiagonal_eig(d, e, window)
@@ -369,13 +370,13 @@ def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
 
 
 def _counted_passes(monkeypatch):
-    real, calls = eigen._sturm_count, []
+    real, calls = eigen._sturm_rows, []
 
     def counted(*args, **kwargs):
-        calls.append(np.size(args[2]))
+        calls.append(np.size(args[1]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(eigen, "_sturm_count", counted)
+    monkeypatch.setattr(eigen, "_sturm_rows", counted)
     return calls
 
 
@@ -424,3 +425,102 @@ def test_slope_mode_counts_as_the_plain_count(early_exit):
         _, slope = _sturm_count(d, e, mid, slope=True)
         err = np.abs(slope - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
         assert np.max(err) <= 1e-9
+
+
+def _glue(*chains):
+    # the direct sum of tridiagonal chains: one matrix, zero between each pair
+    d = np.concatenate([np.asarray(c[0], dtype=float) for c in chains])
+    e = np.concatenate([np.append(0.0, c[1]) for c in chains])[1:]
+    return d, e
+
+
+def _each_alone(*chains):
+    # the oracle, in tests only: every piece's eigvalsh, merged
+    return np.sort(np.concatenate([np.linalg.eigvalsh(_tridiag(*c)) for c in chains]))
+
+
+def _split_chain():
+    # one chain with an exact zero coupling inside it
+    d, e = _chain(60)
+    return (d[:26], e[:25]), (d[26:], e[26:])
+
+
+def _unequal():
+    return _chain(50, 1), _chain(7, 2), ([0.3], []), _chain(23, 4)
+
+
+def _apart():
+    # the second piece lies above the first: (8, 14) holds none of the first
+    d, e = _chain(20, 6)
+    return _chain(40, 5), (d + 11.0, e)
+
+
+@pytest.mark.parametrize("chains,window", [
+    (_split_chain, None), (_split_chain, (0.2, 2.0)), (_split_chain, (-2.0, -0.2)),
+    (_unequal, None), (_unequal, (0.1, 3.0)), (_unequal, (-3.0, -0.1)),
+    (_apart, None), (_apart, (8.0, 14.0)), (_apart, (0.5, 9.0)),
+], ids=["zero-coupling", "zero-coupling-window", "zero-coupling-negative", "unequal",
+        "unequal-window", "unequal-negative", "apart", "window-misses-a-piece",
+        "window-spans-the-gap"])
+def test_direct_sum_is_each_piece_alone(chains, window):
+    pieces = chains()
+    d, e = _glue(*pieces)
+    ref = _each_alone(*pieces)
+    want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = tridiagonal_eig(d, e, window)
+    assert spec.dimension == len(want) > 0
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
+    assert spec.residual_bound <= 1e-12
+    if window is None:
+        # the whole-matrix count at each gap midpoint is the values below it
+        mid = 0.5 * (spec.values[:-1] + spec.values[1:])
+        gap = spec.values[1:] - spec.values[:-1] > 1e-9
+        assert np.array_equal(_sturm_count(d, e, mid[gap]), np.flatnonzero(gap) + 1)
+
+
+def _toeplitz_chain(n, a, b):
+    # d = a, e = b: eigenvalues a + 2b cos(j pi / (n + 1)), j = 1 .. n
+    return np.full(n, a), np.full(n - 1, b)
+
+
+def test_dense_cap_holds_per_piece():
+    # 4097 rows in all, in pieces of 2049 and 2048: solved
+    sizes = [(2049, 0.0, 1.0), (2048, 0.5, 0.75)]
+    d, e = _glue(*(_toeplitz_chain(*s) for s in sizes))
+    assert len(d) > DENSE_CAP
+    want = np.sort(np.concatenate([a + 2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+                                   for n, a, b in sizes]))
+    spec = tridiagonal_eig(d, e)
+    assert spec.dimension == len(d)
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert spec.residual_bound <= 1e-12
+    # one piece of 4097 rows, whatever follows it: refused, naming that piece
+    with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
+        tridiagonal_eig(*_glue(_toeplitz_chain(4097, 0.0, 1.0), _chain(5)))
+
+
+@pytest.mark.parametrize("early_exit", [False, True])
+@pytest.mark.parametrize("slope", [False, True])
+def test_count_above_a_long_chain_does_not_wrap(early_exit, slope):
+    # signs are tallied in uint8 a block at a time: 1000 rows must count 1000
+    d, e = _chain(1000, 8)
+    top = float(np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    counts = _sturm_count(d, e, [-top - 1.0, top + 1.0], early_exit, slope)
+    counts = counts[0] if slope else counts
+    assert counts.tolist() == [0, 1000]
+
+
+@pytest.mark.parametrize("window", [None, (0.5, 0.8)], ids=["full", "window"])
+def test_level_takes_one_set_of_count_passes(monkeypatch, window):
+    # the test-09 level q = 48: its two chains share every count pass, so the
+    # level takes what one chain took (22 and 24 passes in two chain solves)
+    q, model = 48, PotentialModel.anisotropic(0.5, 0.3, 2)
+    if window is not None:
+        window = tuple(s * (2 * q + 1) ** -0.25 for s in window)
+    calls = _counted_passes(monkeypatch)
+    values, _, _, residual, summary = level_spectrum(model, 1.0, q, 0.47, 0.5, window)
+    assert len(calls) <= (12 if window is None else 13), calls
+    assert residual <= 1e-12
+    assert len(values) == summary["dimension"] if window is None else len(values) > 100

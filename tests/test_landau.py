@@ -541,6 +541,22 @@ def test_indicator_mass_splits_at_radius():
     assert abs(vals[-1] - 1.0) < 1e-9
 
 
+def test_indicator_mass_rule_stops_at_the_window_edge(monkeypatch):
+    # every radius here lies past the window edge, where psi is negligible:
+    # the rule ends there, so its length does not grow with the radius, and
+    # 1e300 no longer asks NumPy for an array beyond its size limit
+    real, nodes = landau.panel_rule, []
+
+    def recorded(interval, order):
+        nodes.append(order)
+        return real(interval, order)
+
+    monkeypatch.setattr(landau, "panel_rule", recorded)
+    for radius in (10.0, 1e3, 1e300):
+        assert abs(indicator_basis_mass(BasisIndex(2, 1), 2.0, radius) - 1.0) <= 1e-14
+    assert len(set(nodes)) == 1, nodes
+
+
 def test_exports(tmp_path):
     cfg = LandauConfig(B=1.0, q=1, k_max=6)
     blk = toeplitz_matrix(ANISO, cfg)
