@@ -330,26 +330,28 @@ def _selfchecks(cfg: RunConfig):
         perm = rng.permutation(6)
         spec_p = sym_eig(A[np.ix_(perm, perm)])
         gap = float(np.max(np.abs(spec.values - spec_p.values)))
-        # a 200-row chain, and that chain glued by a zero coupling to a copy
-        # shifted by 1/2, solved as level_spectrum solves a level: each value
-        # of the pair is its piece's own within their brackets, and the
-        # whole-matrix Sturm count at every gap midpoint is the values below it
+        # a 200-row chain and its copy shifted by 1/2, interleaved at offset 2
+        # and solved in one call, as level_spectrum solves a level: each value
+        # of the pair is its chain's own within their brackets, and the two
+        # chains' Sturm counts at every gap midpoint sum to the values below it
         d, e = np.arange(200.0), rng.uniform(0.1, 0.5, 199)
         chain, shifted = tridiagonal_eig(d, e), tridiagonal_eig(d + 0.5, e)
-        d2, e2 = np.concatenate([d, d + 0.5]), np.concatenate([e, [0.0], e])
-        pair = tridiagonal_eig(d2, e2)
+        d2, e2 = np.empty(400), np.empty(398)
+        d2[0::2], d2[1::2], e2[0::2], e2[1::2] = d, d + 0.5, e, e
+        pair = tridiagonal_eig(d2, e2, m=2)
         alone = np.sort(np.concatenate([chain.values, shifted.values]))
-        norm = 200.0 + 2.0 * float(np.max(e))  # bounds each piece's Gershgorin norm
+        norm = 200.0 + 2.0 * float(np.max(e))  # bounds each chain's Gershgorin norm
         moved = float(np.max(np.abs(pair.values - alone))) / norm
         radius = max(chain.residual_bound, shifted.residual_bound) + pair.residual_bound
         miss = 0
-        for dd, ee, vals in ((d, e, chain.values), (d2, e2, pair.values)):
+        for diags, vals in (([d], chain.values), ([d, d + 0.5], pair.values)):
             mid = 0.5 * (vals[:-1] + vals[1:])
-            miss += int(np.count_nonzero(_sturm_count(dd, ee, mid) != np.arange(1, len(vals))))
+            counts = sum(_sturm_count(dd, e, mid) for dd in diags)
+            miss += int(np.count_nonzero(counts != np.arange(1, len(vals))))
         ok = (spec.residual_bound < 1e-12 and gap < 1e-10 and chain.residual_bound < 1e-12
               and pair.residual_bound < 1e-12 and moved <= radius and miss == 0)
         return ok, (f"residual {spec.residual_bound:.2e}, permutation gap {gap:.2e}, "
-                    f"chain bracket radius {chain.residual_bound:.2e}, two-piece sum "
+                    f"chain bracket radius {chain.residual_bound:.2e}, interleaved pair "
                     f"radius {pair.residual_bound:.2e}, moved {moved:.2e} <= {radius:.2e}, "
                     f"Sturm-count misses {miss} of 598")
 

@@ -2,22 +2,23 @@
 
 ``sym_eig`` takes a dense matrix to LAPACK's `numpy.linalg.eigh`, every
 eigenvector included, and certifies it by sampled eigenpair residuals.
-``tridiagonal_eig`` takes a symmetric tridiagonal matrix as its diagonal d and
-off-diagonal e (a level block's residue chains, concatenated) to Sturm counts
-(Barth, Martin and Wilkinson, *Numer. Math.* 9 (1967); Demmel, *Applied
-Numerical Linear Algebra*, §5.3), with no matrix formed.  It splits the
-matrix at its zero couplings into pieces, as LAPACK's ``dstebz`` does, and
-every count pass runs one row loop, ``_sturm_rows``, over all of them, the
-pieces side by side as lanes of shifts: a multisection grid per piece, then
+``tridiagonal_eig`` takes a symmetric matrix with one band at offset m, the
+direct sum of m tridiagonal residue chains (m = 1: one tridiagonal matrix),
+as its diagonal d and band e to Sturm counts (Barth, Martin and Wilkinson,
+*Numer. Math.* 9 (1967); Demmel, *Applied Numerical Linear Algebra*, §5.3),
+with no matrix formed.  The chains lie side by side as the columns of
+front-padded (L, m) arrays, so that row t of each is one row of the layout,
+and every count pass runs one row loop, ``_sturm_rows``, over all of them,
+one lane of shifts per chain: a multisection grid per chain, then
 multisection of the brackets that hold more than one eigenvalue, and
 safeguarded Newton steps on det(T - x) inside each bracket that isolates one,
 their slope summed from the same pivots (Li and Zeng, *SIAM J. Sci. Comput.*
 15 (1994)).  Every eigenvalue, or only those in a window, is proven to lie in
 its final bracket by fresh counts at both ends.  This module owns the
 contract around both: finite and well-shaped input, the dense dimension cap
-(``eigh``, and each piece of a full tridiagonal spectrum), and one
-certificate block (the eigenvalue error bound, then the trace and Frobenius
-identities) that raises NumericalError.
+(``eigh``, and each chain of a full banded spectrum), and one certificate
+block (the eigenvalue error bound, then the trace and Frobenius identities)
+that raises NumericalError.
 """
 from __future__ import annotations
 
@@ -47,7 +48,7 @@ _PASS_SHIFTS = 2048  # shifts per refinement pass: below this, a count costs mos
 class EigenSpectrum:
     """Sorted eigenvalues and `residual_bound`, their certified error: the
     half-width of the widest Sturm-count bracket from ``tridiagonal_eig``,
-    relative to its piece's Gershgorin bound on max |lambda|, or the worst sampled
+    relative to its chain's Gershgorin bound on max |lambda|, or the worst sampled
     eigenpair residual from ``sym_eig``, relative to max |lambda|."""
 
     values: np.ndarray = field(repr=False)
@@ -65,71 +66,78 @@ def _check_dense_cap(n: int) -> None:
         raise CapacityError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
 
 
-class _Pieces(NamedTuple):
-    """A symmetric tridiagonal matrix split at its zero couplings (e_i^2 = 0)
-    into pieces, rows start .. start + size - 1 each.  Its rows are flat,
-    with one inert row appended at index n: +inf on the diagonal and no
-    coupling, so its pivot is +inf, counts nothing and adds -0 to the slope.
-    Per piece: its Gershgorin interval [lo, hi], widened by 16 eps norm so
-    that the rounded disc ends still bound it, and `norm`, its Gershgorin
-    bound on max |lambda|."""
+class _Chains(NamedTuple):
+    """A banded symmetric matrix, diagonal d plus one band at offset m, as its
+    m tridiagonal residue chains: the columns of (L, m) arrays, chain c holding
+    the rows i = c - pad (mod m), front-padded so that every chain ends at row
+    L - 1.  A pad row is inert: +inf on the diagonal and no coupling, so its
+    pivot is +inf, counts nothing and adds -0 to the slope.  Per chain: its
+    Gershgorin interval [lo, hi], widened by 16 eps norm so that the rounded
+    disc ends still bound it, and `norm`, its Gershgorin bound on max
+    |lambda|."""
 
-    d: np.ndarray  # the diagonal, with +0 for -0
-    e2: np.ndarray  # e2[i] = e^2 couples rows i - 1 and i: 0 at a piece's first row
+    d: np.ndarray  # the diagonal, with +0 for -0, +inf in the pad
+    e2: np.ndarray  # e2[t] = e^2 couples rows t - 1 and t: 0 at a chain's first row
     e: np.ndarray  # |e|, likewise
-    top: np.ndarray  # each row's disc top
-    start: np.ndarray
+    top: np.ndarray  # each row's disc top, -inf in the pad
+    cut: np.ndarray  # the rows t > 0 where some chain has e2[t] = 0 below a real row
     size: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     norm: np.ndarray
 
 
-def _split(d, e) -> _Pieces:
-    """(d, e) split into the pieces between its zero couplings."""
-    n, a, e2 = len(d), np.abs(e), np.square(e)
-    start = np.flatnonzero(np.concatenate([[True], e2 == 0.0]))
-    size = np.diff(np.append(start, n))
-    r = np.concatenate([a, [0.0]]) + np.concatenate([[0.0], a])
-    low, top, piece = d - r, d + r, np.repeat(np.arange(len(start)), size)
-    norm, lo, hi = np.full((3, len(start)), [[_TINY / _EPS], [np.inf], [-np.inf]])
-    np.fmax.at(norm, piece, np.maximum(-low, top))
-    np.fmin.at(lo, piece, low)
-    np.fmax.at(hi, piece, top)
+def _chains(d, e, m) -> _Chains:
+    """The banded matrix with diagonal d and band e at offset m, laid out as
+    its m chains."""
+    n = len(d)
+    rows = -(-n // m)
+    pad = rows * m - n
+    dd, a = np.full(rows * m, np.inf), np.zeros((rows + 1) * m)
+    dd[pad:], a[pad + m:pad + n] = d + 0.0, np.abs(e)
+    dd, a = dd.reshape(rows, m), a.reshape(rows + 1, m)
+    real, r = np.isfinite(dd), a[:-1] + a[1:]
+    low, top = np.where(real, dd - r, np.inf), np.where(real, dd + r, -np.inf)
+    norm = np.max(np.maximum(-low, top), axis=0, initial=_TINY / _EPS)
     edge = 16.0 * _EPS * norm
-    return _Pieces(np.append(d + 0.0, np.inf), np.concatenate([[0.0], e2, [0.0]]),
-                   np.concatenate([[0.0], a, [0.0]]), top, start, size,
-                   lo - edge, hi + edge, norm)
+    e2 = np.square(a[:-1])
+    cut = 1 + np.flatnonzero(np.any((e2[1:] == 0.0) & real[:-1], axis=1))
+    return _Chains(dd, e2, a[:-1], top, cut, np.count_nonzero(real, axis=0),
+                   np.min(low, axis=0, initial=np.inf) - edge,
+                   np.max(top, axis=0, initial=-np.inf) + edge, norm)
 
 
-def _sturm_rows(s: _Pieces, x, piece, early_exit=False, slope=False):
-    """The one Sturm loop: (counts, S) for shifts x, shift j on piece
-    piece[j] of s.  Its count is the number of the piece's eigenvalues
+def _sturm_rows(s: _Chains, x, chain, early_exit=False, slope=False):
+    """The one Sturm loop: (counts, S) for shifts x, shift j on chain
+    chain[j] of s.  Its count is the number of the chain's eigenvalues
     strictly below x_j, the negative pivots q_i = (d_i - x) - e_{i-1}^2 /
     q_{i-1} of the LDL^T factorization of T - x.
 
-    Each piece's shifts fill lanes of w slots, the last slots of a lane
-    repeating the piece's first shift; w is the most shifts on one piece or
-    nx over the pieces that have any, whichever takes fewer slots.  The loop
-    runs on (lanes, w) rows in blocks of at most _BLOCK rows and, past one
-    row, BLOCK_POINTS slots: d_i - x and e_{i-1}^2 for a block by one
-    broadcast each, then two ufunc calls a row on arrays of one shape, with
+    Each chain's shifts fill its lane of w slots, w the most shifts on one
+    chain; a spare slot holds the top of every chain's Gershgorin interval,
+    so its pivots stay below -|e| and never hold up an early exit.  The loop
+    runs on the (m, w) lanes in blocks of at most _BLOCK rows and, past one
+    row, BLOCK_POINTS slots: d_i - x for a block by one broadcast
+    subtraction, e_{i-1}^2 by one broadcast copy, each a contiguous slice of
+    the layout, then two ufunc calls a row on arrays of one shape, with
     positional outputs, and the signs tallied once a block in uint8.
 
     IEEE arithmetic stands in for a pivot guard (Marques, Riedy and Vömel,
     *SIAM J. Sci. Comput.* 28 (2006)): d is taken with +0 for -0, so a zero
-    pivot is +0, not counted, and the next one is -inf, counted; e_i = 0
-    only at the first row of a piece, after a pivot of +inf, so no 0/0
-    arises.
+    pivot is +0, not counted, and the next one is -inf, counted.  e_i^2 = 0
+    follows a pivot of +inf at a chain's first row and in its pad; a zero
+    coupling inside a chain (s.cut) starts a block, whose chains with e_i^2 =
+    0 there restart from the pivot +inf, so no 0/0 arises and the count is
+    that of the chain's pieces, exactly.
 
     With `early_exit`, the rows past the last one whose Gershgorin disc
-    reaches the least shift of its lane, less a rounding margin, lie below
+    reaches the least shift of its chain, less a rounding margin, lie below
     every shift.  Once every pivot there is <= -|e_i|, so is every later one
     (-e_i^2 / q_i <= |e_i| and the next disc lies below x), and the rows
     left are counted without being factored.
 
     With `slope`, S = sum_i q_i' / q_i is the derivative of log |det(T - x)|
-    of the shift's piece, from the same pivots: u_i = q_i' / q_i with
+    of the shift's chain, from the same pivots: u_i = q_i' / q_i with
     q_i' = (e_{i-1}^2 / q_{i-1}) u_{i-1} - 1.  Rows past an early exit add
     nothing to S: their pivots stay <= -|e_i|, so the terms left out vary
     smoothly with x and only change the remainder R in Newton's error
@@ -139,52 +147,37 @@ def _sturm_rows(s: _Pieces, x, piece, early_exit=False, slope=False):
     count, total = np.zeros(nx, dtype=np.intp), np.zeros(nx)
     if not nx:
         return count, total
-    order = np.argsort(piece, kind="stable")
-    k = np.bincount(piece, minlength=len(s.size))
-    w = min(int(np.max(k)), -(-nx // np.count_nonzero(k)),
-            key=lambda w: w * int(np.sum(-(-k // w))))  # the fewer slots
-    w = max(w, 2)  # a ufunc call on one-element arrays costs about twice as much
-    lanes = -(-k // w)
-    col, first = np.repeat(np.arange(len(k)), lanes), np.cumsum(k) - k
-    slot = np.repeat((np.cumsum(lanes) - lanes) * w - first, k) + np.arange(nx)
-    x = x[order]
-    xs = np.repeat(x[first[col]], w)
-    xs[slot] = x
-    xs = xs.reshape(len(col), w)
-    # the pieces aligned at their last row: lane c's row i is flat row
-    # base[c] + i, or the inert row before its piece starts
-    rows, inert = int(np.max(s.size)), len(s.d) - 1
-    base, begin = s.start[col] - (rows - s.size[col]), s.start[col]
-    step = max(1, min(_BLOCK, BLOCK_POINTS // xs.size))
-    ramp = base + np.arange(step)[:, None]
-
-    def flat(i, end):
-        at = ramp[:end - i] + i
-        return np.where(at < begin, inert, at)
-
+    rows, m = s.d.shape
+    order = np.argsort(chain, kind="stable")
+    k = np.bincount(chain, minlength=m)
+    w = max(int(np.max(k)), 2)  # a ufunc call on one-element arrays costs about twice as much
+    slot = np.repeat(np.arange(m) * w - (np.cumsum(k) - k), k) + np.arange(nx)
+    xs = np.full((m, w), float(np.max(s.hi)))
+    xs.flat[slot] = x[order]
     stop = rows
     if early_exit:
         margin = 16.0 * _EPS * (float(np.max(s.norm)) + float(np.max(np.abs(x))))
-        least = np.full(len(k), np.inf)
-        np.minimum.at(least, col, np.min(xs, axis=1))
-        piece = np.repeat(np.arange(len(k)), s.size)
-        reach = np.flatnonzero(s.top >= least[piece] - margin)
-        reach += (rows - s.size - s.start)[piece[reach]]  # as aligned rows
+        least = np.full(m, np.inf)
+        np.minimum.at(least, chain, x)
+        reach = np.flatnonzero(np.any(s.top >= least - margin, axis=1))
         stop = int(np.max(reach, initial=-1)) + 1
+    step = max(1, min(_BLOCK, BLOCK_POINTS // xs.size))
+    restarts = set(s.cut.tolist())
+    starts = sorted(restarts.union(range(0, rows, step)))
     counts, sums = np.zeros(xs.shape, dtype=np.intp), np.zeros(xs.shape)
     q0, u0, r = np.full(xs.shape, np.inf), np.zeros(xs.shape), np.empty(xs.shape)
     q, u = q0, u0  # the pivot and u of the row above
     qb, ub, eb = np.empty((3, step) + xs.shape)
     below = np.empty(qb.shape, dtype=bool)
     qrows, urows, erows = list(qb), list(ub), list(eb)
-    de2 = np.column_stack([s.d, s.e2])  # one gather a block for both
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(0, rows, step):
-            end = min(i + step, rows)
-            de, qs = de2[flat(i, end)], qb[:end - i]
-            np.copyto(qs, de[:, :, :1])
-            np.subtract(qs, xs, qs)
-            np.copyto(eb[:end - i], de[:, :, 1:])
+        for i, end in zip(starts, starts[1:] + [rows]):
+            if i in restarts:
+                fresh = s.e2[i] == 0.0
+                q0[fresh], u0[fresh] = np.inf, 0.0
+            qs = qb[:end - i]
+            np.subtract(s.d[i:end, :, None], xs, qs)
+            np.copyto(eb[:end - i], s.e2[i:end, :, None])
             if slope:
                 for qi, ui, ei in zip(qrows, urows, erows[:end - i]):
                     np.divide(ei, q, r)
@@ -196,7 +189,7 @@ def _sturm_rows(s: _Pieces, x, piece, early_exit=False, slope=False):
                 for qi, ei in zip(qrows, erows[:end - i]):
                     q = np.subtract(qi, np.divide(ei, q, r), qi)
             counts += np.add.reduce(np.less(qs, 0.0, below[:end - i]), axis=0, dtype=np.uint8)
-            if stop <= end < rows and np.all(q <= -s.e[flat(end, end + 1).T]):
+            if stop <= end < rows and np.all(q <= -s.e[end][:, None]):
                 counts += rows - end
                 break
             np.copyto(q0, q)
@@ -208,26 +201,24 @@ def _sturm_rows(s: _Pieces, x, piece, early_exit=False, slope=False):
 
 def _sturm_count(d, e, x, early_exit=False, slope=False):
     """Eigenvalues of the symmetric tridiagonal (d, e) strictly below x,
-    vectorized over shifts x: the counts of every piece between its zero
-    couplings, summed, from one pass of ``_sturm_rows``.  With `slope`, it
-    returns (counts, S), S the derivative of log |det(T - x)|, summed over
-    the pieces likewise."""
+    vectorized over shifts x, from one pass of ``_sturm_rows`` on the one
+    chain (m = 1).  With `slope`, it returns (counts, S), S the derivative
+    of log |det(T - x)|."""
     x = np.asarray(x, dtype=float)
-    s = _split(np.asarray(d, dtype=float), np.asarray(e, dtype=float))
-    m = len(s.size)
-    count, total = (v.reshape(m, -1).sum(axis=0).reshape(x.shape) for v in _sturm_rows(
-        s, np.tile(x.reshape(-1), m), np.repeat(np.arange(m), x.size), early_exit, slope))
+    s = _chains(np.asarray(d, dtype=float), np.asarray(e, dtype=float), 1)
+    count, total = (v.reshape(x.shape) for v in _sturm_rows(
+        s, x.reshape(-1), np.zeros(x.size, dtype=np.intp), early_exit, slope))
     return (count, total) if slope else count
 
 
-def _bisect(s: _Pieces, lo, hi, piece, index):
-    """Eigenvalues `index` (ascending within each piece) of the pieces
-    `piece` of s, each in [lo, hi] of its piece, and their radii relative to
-    its norm, in three phases that share their count passes over all pieces.
-    Each eigenvalue keeps to its own piece: its grid, its tolerance
+def _bisect(s: _Chains, lo, hi, chain, index):
+    """Eigenvalues `index` (ascending within each chain) of the chains
+    `chain` of s, each in [lo, hi] of its chain, and their radii relative to
+    its norm, in three phases that share their count passes over all chains.
+    Each eigenvalue keeps to its own chain: its grid, its tolerance
     tol = _TIGHT_RTOL norm, its bracket and its counts.
 
-    1. One multisection pass of four cells per eigenvalue of each piece
+    1. One multisection pass of four cells per eigenvalue of each chain
        brackets each and keeps the counts at both ends of every bracket.
     2. A bracket whose end counts differ by more than one is split into 2^b
        cells, with (2^b - 1) k <= _PASS_SHIFTS shifts in all, until it
@@ -249,19 +240,19 @@ def _bisect(s: _Pieces, lo, hi, piece, index):
     count(a_i) <= i < count(b_i) proves eigenvalue i in [a_i, b_i]; a bracket
     that fails it has radius inf.
     """
-    k, tol = len(index), _TIGHT_RTOL * s.norm[piece]
-    # piece p's grid: 4 k_p + 1 points on [lo_p, hi_p], spaced as np.linspace
-    # spaces them; its counts, offset by p (n + 1), rise across the pieces
-    n4 = 4 * np.bincount(piece, minlength=len(s.size))
+    k, tol = len(index), _TIGHT_RTOL * s.norm[chain]
+    # chain p's grid: 4 k_p + 1 points on [lo_p, hi_p], spaced as np.linspace
+    # spaces them; its counts, offset by p (L + 1), rise across the chains
+    n4 = 4 * np.bincount(chain, minlength=len(s.size))
     num = n4 + (n4 > 0)
     first = np.cumsum(num) - num
     at = np.repeat(np.arange(len(n4)), num)
     grid = (np.arange(at.size) - first[at]) * ((hi - lo) / np.maximum(n4, 1))[at] + lo[at]
     grid[first[n4 > 0] + n4[n4 > 0]] = hi[n4 > 0]
     counts = _sturm_rows(s, grid, at, True)[0]
-    shift = len(s.d)
-    j = np.searchsorted(counts + at * shift, index + piece * shift, side="right") - 1
-    j = first[piece] + np.clip(j - first[piece], 0, n4[piece] - 1)
+    shift = s.d.shape[0] + 1
+    j = np.searchsorted(counts + at * shift, index + chain * shift, side="right") - 1
+    j = first[chain] + np.clip(j - first[chain], 0, n4[chain] - 1)
     a, b, ca, cb = grid[j], grid[j + 1], counts[j], counts[j + 1]
     x, start = 0.5 * (a + b), b - a  # the next Newton iterate, the isolating width
     passes = np.zeros(k, dtype=np.intp)
@@ -278,7 +269,7 @@ def _bisect(s: _Pieces, lo, hi, piece, index):
         cells = a[split, None] + (b - a)[split, None] * (np.arange(m + 1) / m)
         cells[:, -1] = b[split]
         c, slope = _sturm_rows(s, np.concatenate([x[live], cells[:, 1:-1].ravel()]),
-                               np.concatenate([piece[live], np.repeat(piece[split], m - 1)]),
+                               np.concatenate([chain[live], np.repeat(chain[split], m - 1)]),
                                True, slope=True)
         if split.size:
             cc = np.column_stack([ca[split], c[live.size:].reshape(split.size, m - 1),
@@ -310,9 +301,9 @@ def _bisect(s: _Pieces, lo, hi, piece, index):
             held[live] = np.where(take, np.nan, prop)
             held_step[live] = np.where(take, np.inf, size)
             done[live] = bl - al <= tl
-    counts = _sturm_rows(s, np.concatenate([a, b]), np.concatenate([piece, piece]), True)[0]
+    counts = _sturm_rows(s, np.concatenate([a, b]), np.concatenate([chain, chain]), True)[0]
     proven = (counts[:k] <= index) & (index < counts[k:])
-    return 0.5 * (a + b), np.where(proven, 0.5 * (b - a), np.inf) / s.norm[piece]
+    return 0.5 * (a + b), np.where(proven, 0.5 * (b - a), np.inf) / s.norm[chain]
 
 
 def _certify(vals, bound, worst, n, identities=None) -> EigenSpectrum:
@@ -370,61 +361,66 @@ def sym_eig(matrix) -> EigenSpectrum:
                     (float(np.trace(A)), float(np.sum(A * A)), scale))
 
 
-def tridiagonal_eig(d, e, window=None) -> EigenSpectrum:
-    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, ascending: all n of them, or with window=(lo, hi) and
-    0 < lo < hi only those in [lo, hi).  A window lo < hi < 0 is solved as
-    (-hi, -lo) on (-d, e) and mirrored back, so its values lie in (lo, hi].
+def tridiagonal_eig(d, e, window=None, *, m=1) -> EigenSpectrum:
+    """Eigenvalues of the symmetric matrix with diagonal d and one band e at
+    offset m, ascending: all n of them, or with window=(lo, hi) and 0 < lo <
+    hi only those in [lo, hi).  m = 1 is a tridiagonal matrix; an offset m
+    makes the matrix the direct sum of m tridiagonal residue chains, the
+    rows i = r (mod m), as in an anisotropic level block.  A window lo < hi <
+    0 is solved as (-hi, -lo) on (-d, e) and mirrored back, so its values lie
+    in (lo, hi].
 
-    The matrix is split at its zero couplings (e_i^2 = 0 after scaling) into
-    pieces, as LAPACK's ``dstebz`` splits it, and every count pass of the
-    solve runs over all of them in one row loop; each eigenvalue keeps its
-    own piece's grid, tolerance, bracket and certificate.  The full spectrum
-    is held to the dense cap per piece and, after the bracket certificate,
-    to the trace and Frobenius identities of the whole matrix.  A window has
-    no cap: its counts early-exit past the last row whose Gershgorin disc
+    The chains are laid out side by side, and every count pass of the solve
+    runs over all of them in one row loop; each eigenvalue keeps its own
+    chain's grid, tolerance, bracket and certificate.  The full spectrum is
+    held to the dense cap per chain and, after the bracket certificate, to
+    the trace and Frobenius identities of the whole matrix.  A window has no
+    cap: its counts early-exit past the last row whose Gershgorin disc
     reaches lo.  Raises ContractError for ill-shaped or non-finite input or a
-    window that straddles 0, CapacityError for a full spectrum with a piece
+    window that straddles 0, CapacityError for a full spectrum with a chain
     above the dense cap, and NumericalError (``eigen-residual`` naming the
-    index and n) for a bracket wider than 1e-9 of its piece's Gershgorin norm
+    index and n) for a bracket wider than 1e-9 of its chain's Gershgorin norm
     or not proven by its counts.
     """
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
-    if d.ndim != 1 or e.shape != (max(len(d) - 1, 0),):
-        raise ContractError(f"expected d of length n and e of length n - 1, got "
+    if not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise ContractError(f"band offset must be a positive integer, got {m!r}")
+    if d.ndim != 1 or e.shape != (max(len(d) - m, 0),):
+        raise ContractError(f"expected d of length n and e of length n - {m}, got "
                             f"shapes {d.shape} and {e.shape}")
     n = len(d)
     scale = float(np.max(np.abs(np.concatenate([d, e])), initial=0.0))
     if not np.isfinite(scale):
-        raise ContractError("tridiagonal matrix has a non-finite entry")
+        raise ContractError("banded matrix has a non-finite entry")
+    if window is not None:
+        lo, hi = (float(w) for w in window)
+        if not (math.isfinite(hi - lo) and lo < hi and (lo > 0.0 or hi < 0.0)):
+            raise ContractError(f"window must be finite (lo, hi) with 0 < lo < hi "
+                                f"or lo < hi < 0, got {window!r}")
+    if scale == 0.0:  # every eigenvalue is 0, and no window holds 0
+        vals = np.zeros(n if window is None else 0)
+        return EigenSpectrum(values=vals, residual_bound=0.0, dimension=len(vals))
     # one power of two takes max|entry| into [1/2, 1), exactly, so that the
     # squares of e in the Sturm count neither overflow nor underflow
     p = math.frexp(scale)[1]
     d, e, scale = np.ldexp(d, -p), np.ldexp(e, -p), math.ldexp(scale, -p)
     if window is None:
-        if scale == 0.0:
-            return EigenSpectrum(values=np.zeros(n), residual_bound=0.0, dimension=n)
-        s = _split(d, e)
-        _check_dense_cap(int(np.max(s.size)))
+        _check_dense_cap(-(-n // m))
+        s = _chains(d, e, m)
         lo, hi, base, k = s.lo, s.hi, np.zeros_like(s.size), s.size
     else:
-        lo, hi = (float(w) for w in window)
-        if not (math.isfinite(hi - lo) and lo < hi and (lo > 0.0 or hi < 0.0)):
-            raise ContractError(f"window must be finite (lo, hi) with 0 < lo < hi "
-                                f"or lo < hi < 0, got {window!r}")
         lo, hi = math.ldexp(lo, -p), math.ldexp(hi, -p)
         if hi < 0.0:
-            spec = tridiagonal_eig(-d, e, (-hi, -lo))
+            spec = tridiagonal_eig(-d, e, (-hi, -lo), m=m)
             return replace(spec, values=-np.ldexp(spec.values[::-1], p))
-        s = _split(d, e)
-        m = len(s.size)
+        s = _chains(d, e, m)
         c = _sturm_rows(s, np.repeat([lo, hi], m), np.tile(np.arange(m), 2), True)[0]
         lo, hi, base, k = np.full(m, lo), np.full(m, hi), c[:m], c[m:] - c[:m]
     if not np.sum(k):
         return EigenSpectrum(values=np.empty(0), residual_bound=0.0, dimension=0)
-    piece = np.repeat(np.arange(len(k)), k)
-    index = np.arange(len(piece)) - np.repeat(np.cumsum(k) - k - base, k)
-    vals, radius = _bisect(s, lo, hi, piece, index)
+    chain = np.repeat(np.arange(len(k)), k)
+    index = np.arange(len(chain)) - np.repeat(np.cumsum(k) - k - base, k)
+    vals, radius = _bisect(s, lo, hi, chain, index)
     order = np.argsort(vals, kind="stable")
     vals, radius = vals[order], radius[order]
     worst = int(np.argmax(radius))

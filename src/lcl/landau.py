@@ -51,12 +51,12 @@ A level is assembled once, as its diagonal and one band per positive mode.
 A model has at most one positive mode m, and it couples only k and k + m, so
 the block is the direct sum of m tridiagonal residue chains: the positions
 i = r (mod m) for r = 0 .. m - 1.  :func:`level_spectrum` truncates the
-level, bounds its tail, summarises it from its diagonal, and solves its
-chains, the slices diag[r::m] and band[r::m] concatenated, in one call of
-Sturm counts and Newton steps that share every count pass, with no matrix
-formed (for the trace sweep, only the eigenvalues inside phi's support); the
-dense block of :func:`toeplitz_matrix` is only a view for tests
-and small cases.
+level, bounds its tail, summarises it from its diagonal, and hands the
+diagonal, the band and its offset m to one call of Sturm counts and Newton
+steps, which lays the chains side by side so that they share every count
+pass, with no matrix formed (for the trace sweep, only the eigenvalues
+inside phi's support); the dense block of :func:`toeplitz_matrix` is only a
+view for tests and small cases.
 """
 from __future__ import annotations
 
@@ -502,11 +502,11 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     ``ToeplitzBlock.summary`` takes it.  Radial models skip the matrix, return
     every value whatever the window, and have residual 0.  An anisotropic
     block is the direct sum of m tridiagonal residue chains (diag[r::m],
-    band[r::m]): they go to ``tridiagonal_eig`` in one call, concatenated
-    with a zero coupling between each pair, so that every Sturm count pass
-    runs over all of them at once, for eigenvalues only, found and certified
-    by Sturm counts.  A full spectrum is held to the dense cap per chain, and
-    the whole block is never stored.
+    band[r::m]): its diagonal, its band and the offset m go to
+    ``tridiagonal_eig`` as they are, and every Sturm count pass runs over all
+    the chains at once, for eigenvalues only, found and certified by Sturm
+    counts.  A full spectrum is held to the dense cap per chain, and the
+    whole block is never stored.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
@@ -515,10 +515,7 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     if not bands:
         return np.sort(diag), k_max, tail, 0.0, summary
     (m, band), = bands.items()
-    chains = range(min(m, len(diag)))  # a level of dimension below m has empty chains
-    spec = tridiagonal_eig(np.concatenate([diag[r::m] for r in chains]),
-                           np.concatenate([np.append(0.0, band[r::m]) for r in chains])[1:],
-                           window)
+    spec = tridiagonal_eig(diag, band, window, m=m)
     return spec.values, k_max, tail, spec.residual_bound, summary
 
 

@@ -110,7 +110,7 @@ def test_non_square_rejected():
 def test_dimension_cap():
     with pytest.raises(CapacityError):
         sym_eig(np.zeros((4097, 4097)))
-    # the cap holds per piece between zero couplings: one connected chain
+    # the cap holds per chain: one tridiagonal chain of 4097 rows
     with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
         tridiagonal_eig(np.zeros(4097), np.ones(4096))
 
@@ -354,7 +354,7 @@ def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
 
     def record(s, x, piece, early_exit=False, slope=False):
         if slope:
-            newton_shifts.append((float(s.d[0]), np.array(x)))
+            newton_shifts.append((float(s.d[0, 0]), np.array(x)))
         return real(s, x, piece, early_exit, slope)
 
     monkeypatch.setattr(eigen, "_sturm_rows", record)
@@ -485,20 +485,88 @@ def _toeplitz_chain(n, a, b):
     return np.full(n, a), np.full(n - 1, b)
 
 
-def test_dense_cap_holds_per_piece():
-    # 4097 rows in all, in pieces of 2049 and 2048: solved
+def test_dense_cap_holds_per_chain():
+    # 4097 rows at offset 2, in chains of 2049 and 2048: solved
     sizes = [(2049, 0.0, 1.0), (2048, 0.5, 0.75)]
-    d, e = _glue(*(_toeplitz_chain(*s) for s in sizes))
+    d, e = np.empty(4097), np.empty(4095)
+    for r, size in enumerate(sizes):
+        d[r::2], e[r::2] = _toeplitz_chain(*size)
     assert len(d) > DENSE_CAP
     want = np.sort(np.concatenate([a + 2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
                                    for n, a, b in sizes]))
-    spec = tridiagonal_eig(d, e)
+    spec = tridiagonal_eig(d, e, m=2)
     assert spec.dimension == len(d)
     assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert spec.residual_bound <= 1e-12
-    # one piece of 4097 rows, whatever follows it: refused, naming that piece
+    # a chain of 4097 rows at offset 2: refused, naming that chain
     with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
-        tridiagonal_eig(*_glue(_toeplitz_chain(4097, 0.0, 1.0), _chain(5)))
+        tridiagonal_eig(np.zeros(8193), np.ones(8191), m=2)
+
+
+def _banded(d, e, m):
+    # the dense matrix of diagonal d and band e at offset m, in tests only
+    return np.diag(d) + np.diag(e, m) + np.diag(e, -m)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("window", [None, (0.2, 2.0), (-2.0, -0.2)],
+                         ids=["full", "positive", "negative"])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_banded_form_matches_eigvalsh(m, window, sign):
+    # 61 rows: at m = 2, 3, 5 the chains differ by a row, so the layout pads
+    rng = np.random.Generator(np.random.Philox(40 + m))
+    d, e = sign * rng.standard_normal(61), sign * rng.standard_normal(61 - m)
+    ref = np.linalg.eigvalsh(_banded(d, e, m))  # the oracle, in tests only
+    want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = tridiagonal_eig(d, e, window, m=m)
+    assert spec.dimension == len(want) > 0
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
+    assert spec.residual_bound <= 1e-12
+
+
+@pytest.mark.parametrize("m,match", [(0, "offset"), (1.5, "offset"), (2, "length n - 2")])
+def test_band_offset_rejected(m, match):
+    with pytest.raises(ContractError, match=match):
+        tridiagonal_eig(np.ones(4), np.ones(3), m=m)
+
+
+@pytest.mark.parametrize("window", [None, (0.5, 0.8)], ids=["full", "window"])
+def test_level_without_anisotropy_is_its_diagonal(window):
+    # epsilon = 0: the band at offset 2 is all zeros, so every row of both
+    # chains restarts the count, and the spectrum is the sorted diagonal
+    q, model = 8, PotentialModel.anisotropic(0.5, 0.0, 2)
+    k_max = truncation_bound(model, 1.0, q, 0.47, rho_scale=0.5)
+    diag, bands = _level_bands(model, LandauConfig(B=1.0, q=q, k_max=k_max))
+    assert list(bands) == [2] and not np.any(bands[2])
+    want = np.sort(diag)
+    if window is not None:
+        window = tuple(s * (2 * q + 1) ** -0.25 for s in window)
+        want = want[(want >= window[0]) & (want < window[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values, _, _, residual, _ = level_spectrum(model, 1.0, q, 0.47, 0.5, window)
+    assert len(values) == len(want) > 50
+    assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(diag))
+    assert residual <= 1e-12
+
+
+def test_shift_on_a_decoupled_entry_counts_exactly():
+    # a shift equal to a diagonal entry with no coupling above it: the rows
+    # below restart, so that entry is not counted, whatever the pivot above
+    rng = np.random.Generator(np.random.Philox(29))
+    d = rng.integers(-4, 5, 40).astype(float)
+    counts = _sturm_count(d, np.zeros(39), d)
+    assert np.array_equal(counts, np.count_nonzero(d[None, :] < d[:, None], axis=1))
+    # [[1, 1], [1, 1]] has the eigenvalue 2, so its last pivot at x = 2 is
+    # +0, and the zero coupling below it restarts the count at d = 3
+    d, e = [1.0, 1.0, 3.0], [1.0, 0.0]
+    assert _sturm_count(d, e, [2.0, 3.0]).tolist() == [1, 2]
+    # the window [2, 3) holds the eigenvalue at its lower end, and not the one at its upper
+    for m in (1, 2):
+        spec = tridiagonal_eig([1.0, 2.0, 3.0], [0.0] * (3 - m), (2.0, 3.0), m=m)
+        assert spec.dimension == 1 and abs(spec.values[0] - 2.0) <= 1e-12 * 3.0
 
 
 @pytest.mark.parametrize("early_exit", [False, True])
