@@ -9,16 +9,16 @@ as its diagonal d and band e to Sturm counts (Barth, Martin and Wilkinson,
 with no matrix formed.  The chains lie side by side as the columns of
 front-padded (L, m) arrays, so that row t of each is one row of the layout,
 and every count pass runs one row loop, ``_sturm_rows``, over all of them,
-one lane of shifts per chain: a multisection grid per chain, then
-multisection of the brackets that hold more than one eigenvalue, and
-safeguarded Newton steps on det(T - x) inside each bracket that isolates one,
-their slope summed from the same pivots (Li and Zeng, *SIAM J. Sci. Comput.*
-15 (1994)).  Every eigenvalue, or only those in a window, is proven to lie in
-its final bracket by fresh counts at both ends.  This module owns the
-contract around both: finite and well-shaped input, the dense dimension cap
-(``eigh``, and each chain of a full banded spectrum), and one certificate
-block (the eigenvalue error bound, then the trace and Frobenius identities)
-that raises NumericalError.
+one lane of shifts per chain: a multisection grid per chain, then passes of
+one count per eigenvalue, which bisect each bracket that holds more than one
+eigenvalue and take safeguarded Newton steps on det(T - x) inside each that
+isolates one, their slope summed from the same pivots (Li and Zeng,
+*SIAM J. Sci. Comput.* 15 (1994)).  Every eigenvalue, or only those in a
+window, is proven to lie in its final bracket by fresh counts at both ends.
+This module owns the contract around both: finite and well-shaped input, the
+dense dimension cap (``eigh``, and each chain of a full banded spectrum), and
+one certificate block (the eigenvalue error bound, then the trace and
+Frobenius identities) that raises NumericalError.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _TIGHT_RTOL = 2.0 ** 10 * _EPS  # final bracket width, relative to the Gershgorin norm
 _BLOCK = 32  # most rows of a Sturm count between sign tallies and early-exit tests
 _ONE = np.ones(())  # 1 as an array operand: a ufunc call costs less than with a float
-_PASS_SHIFTS = 2048  # shifts per refinement pass: below this, a count costs mostly per row
 
 
 @dataclass(frozen=True)
@@ -214,27 +213,27 @@ def _sturm_count(d, e, x, early_exit=False, slope=False):
 def _bisect(s: _Chains, lo, hi, chain, index):
     """Eigenvalues `index` (ascending within each chain) of the chains
     `chain` of s, each in [lo, hi] of its chain, and their radii relative to
-    its norm, in three phases that share their count passes over all chains.
+    its norm, in two phases that share their count passes over all chains.
     Each eigenvalue keeps to its own chain: its grid, its tolerance
     tol = _TIGHT_RTOL norm, its bracket and its counts.
 
     1. One multisection pass of four cells per eigenvalue of each chain
        brackets each and keeps the counts at both ends of every bracket.
-    2. A bracket whose end counts differ by more than one is split into 2^b
-       cells, with (2^b - 1) k <= _PASS_SHIFTS shifts in all, until it
-       isolates its eigenvalue or is tol wide.
-    3. Inside an isolating bracket, safeguarded Newton on det(T - x): each
-       pass counts at the iterate, which tightens the bracket, and sums the
-       slope S = d/dx log|det(T - x)| from the same pivots.  The next iterate
-       is x - 1/S if that lies inside the bracket and, after t passes, the
-       bracket is at most 2^(1 - floor(t/2)) of its isolating width;
-       otherwise it is the midpoint, so the bracket halves at least every two
-       passes after the first two, and no eigenvalue takes more than twice
-       the passes of bisection, plus three.  A proposal passed over for the
-       midpoint is kept while its step is the shorter.  A step below tol/4 is
-       closed: the next iterate lies tol/4 beyond it, so that its count ends
-       the bracket under tol/2 wide, and a step that misjudged the distance
-       costs only that count.
+    2. Each refinement pass counts every eigenvalue not yet tol-bracketed
+       once, at its iterate, which tightens its bracket, and sums the slope
+       S = d/dx log|det(T - x)| from the same pivots.  A bracket whose end
+       counts differ by more than one is bisected, with its width as its
+       isolating width and t = 0.  Inside a bracket that isolated its
+       eigenvalue before the pass, safeguarded Newton on det(T - x): the
+       next iterate is x - 1/S if that lies inside the bracket and, after t
+       passes, the bracket is at most 2^(1 - floor(t/2)) of its isolating
+       width; otherwise it is the midpoint, so the bracket halves at least
+       every two passes after the first two, and no isolated eigenvalue
+       takes more than twice the passes of bisection, plus three.  A
+       proposal passed over for the midpoint is kept while its step is the
+       shorter.  A step below tol/4 is closed: the next iterate lies tol/4
+       beyond it, so that its count ends the bracket under tol/2 wide, and a
+       step that misjudged the distance costs only that count.
 
     The ends a_i, b_i of the final brackets are then counted afresh:
     count(a_i) <= i < count(b_i) proves eigenvalue i in [a_i, b_i]; a bracket
@@ -254,53 +253,36 @@ def _bisect(s: _Chains, lo, hi, chain, index):
     j = np.searchsorted(counts + at * shift, index + chain * shift, side="right") - 1
     j = first[chain] + np.clip(j - first[chain], 0, n4[chain] - 1)
     a, b, ca, cb = grid[j], grid[j + 1], counts[j], counts[j + 1]
-    x, start = 0.5 * (a + b), b - a  # the next Newton iterate, the isolating width
+    x, start = 0.5 * (a + b), b - a  # the next iterate, the isolating width
     passes = np.zeros(k, dtype=np.intp)
     held, held_step = np.full(k, np.nan), np.full(k, np.inf)  # a proposal not taken
     done = b - a <= tol
     while not np.all(done):
-        live = np.flatnonzero(~done & (cb - ca == 1))
-        split = np.flatnonzero(~done & (cb - ca != 1))
-        m = 1
-        if split.size:
-            per_pass = max(1, int(math.log2(1 + _PASS_SHIFTS / split.size)))
-            bits = math.ceil(math.log2(float(np.max((b[split] - a[split]) / tol[split]))))
-            m = 2 ** min(per_pass, max(bits, 1))
-        cells = a[split, None] + (b - a)[split, None] * (np.arange(m + 1) / m)
-        cells[:, -1] = b[split]
-        c, slope = _sturm_rows(s, np.concatenate([x[live], cells[:, 1:-1].ravel()]),
-                               np.concatenate([chain[live], np.repeat(chain[split], m - 1)]),
-                               True, slope=True)
-        if split.size:
-            cc = np.column_stack([ca[split], c[live.size:].reshape(split.size, m - 1),
-                                  cb[split]])
-            j = np.count_nonzero(cc[:, 1:-1] <= index[split, None], axis=1)
-            rows = np.arange(split.size)
-            a[split], b[split] = cells[rows, j], cells[rows, j + 1]
-            ca[split], cb[split] = cc[rows, j], cc[rows, j + 1]
-            x[split], start[split] = 0.5 * (a[split] + b[split]), b[split] - a[split]
-            done[split] = b[split] - a[split] <= tol[split]
-        if live.size:
-            xl, c, tl = x[live], c[:live.size], tol[live]
-            up = c <= index[live]  # the eigenvalue lies above the iterate
-            a[live], ca[live] = np.where(up, xl, a[live]), np.where(up, c, ca[live])
-            b[live], cb[live] = np.where(up, b[live], xl), np.where(up, cb[live], c)
-            al, bl = a[live], b[live]
-            passes[live] += 1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = -1.0 / slope[:live.size]
-            size, prop = np.abs(step), xl + step
-            close = (size < 0.25 * tl) & (al <= prop) & (prop <= bl)
-            prop = np.where(close, prop + np.where(up, 0.25, -0.25) * tl, prop)
-            # the held proposal, if its step is shorter or this one is NaN
-            old = ~close & ~(held_step[live] >= size) & (al < held[live]) & (held[live] < bl)
-            prop, size = np.where(old, held[live], prop), np.where(old, held_step[live], size)
-            take = ((al < prop) & (prop < bl)
-                    & (bl - al <= np.ldexp(start[live], 1 - passes[live] // 2)))
-            x[live] = np.where(take, prop, 0.5 * (al + bl))
-            held[live] = np.where(take, np.nan, prop)
-            held_step[live] = np.where(take, np.inf, size)
-            done[live] = bl - al <= tl
+        live = np.flatnonzero(~done)
+        xl, tl = x[live], tol[live]
+        alone = cb[live] - ca[live] == 1  # isolated before this pass
+        c, slope = _sturm_rows(s, xl, chain[live], True, slope=True)
+        up = c <= index[live]  # the eigenvalue lies above the iterate
+        a[live], ca[live] = np.where(up, xl, a[live]), np.where(up, c, ca[live])
+        b[live], cb[live] = np.where(up, b[live], xl), np.where(up, cb[live], c)
+        al, bl = a[live], b[live]
+        passes[live] = np.where(alone, passes[live] + 1, 0)
+        start[live] = np.where(alone, start[live], bl - al)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -1.0 / slope
+        size, prop = np.abs(step), xl + step
+        close = (size < 0.25 * tl) & (al <= prop) & (prop <= bl)
+        prop = np.where(close, prop + np.where(up, 0.25, -0.25) * tl, prop)
+        # the held proposal, if its step is shorter or this one is NaN
+        old = ~close & ~(held_step[live] >= size) & (al < held[live]) & (held[live] < bl)
+        prop, size = np.where(old, held[live], prop), np.where(old, held_step[live], size)
+        take = alone & ((al < prop) & (prop < bl)
+                        & (bl - al <= np.ldexp(start[live], 1 - passes[live] // 2)))
+        keep = alone & ~take
+        x[live] = np.where(take, prop, 0.5 * (al + bl))
+        held[live] = np.where(keep, prop, np.nan)
+        held_step[live] = np.where(keep, size, np.inf)
+        done[live] = bl - al <= tl
     counts = _sturm_rows(s, np.concatenate([a, b]), np.concatenate([chain, chain]), True)[0]
     proven = (counts[:k] <= index) & (index < counts[k:])
     return 0.5 * (a + b), np.where(proven, 0.5 * (b - a), np.inf) / s.norm[chain]
@@ -348,6 +330,8 @@ def sym_eig(matrix) -> EigenSpectrum:
     if scale > 0.0 and asym > _SYM_RTOL * scale:
         raise ContractError(
             f"matrix is not symmetric: relative asymmetry {asym / scale:.3e}")
+    if not n:
+        return EigenSpectrum(values=np.empty(0), residual_bound=0.0, dimension=0)
     try:
         vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:

@@ -154,7 +154,7 @@ def _laguerre_function_core(n, a, t):
         return out
     # Centered exponent: evaluating log psi_0 relative to a reference point
     # keeps the node-to-node jitter at machine precision even for huge alpha.
-    tc = np.clip(np.max(t, axis=-1, keepdims=True), 1.0, None)
+    tc = np.max(t, axis=-1, keepdims=True, initial=1.0)
     lg = _lgamma_arr(a + 1.0)
     const = 0.5 * (a * np.log(tc) - tc) - 0.5 * lg
     with np.errstate(divide="ignore", invalid="ignore"):

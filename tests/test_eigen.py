@@ -21,6 +21,12 @@ def test_two_by_two_closed_form():
     assert np.allclose(spec.values, [-1.0, 3.0])
 
 
+def test_empty_matrix_has_the_empty_spectrum():
+    # as tridiagonal_eig([], []) has
+    spec = sym_eig(np.zeros((0, 0)))
+    assert spec.dimension == 0 and spec.values.shape == (0,) and spec.residual_bound == 0.0
+
+
 def _householder_tridiag(A):
     # test-side reduction to tridiagonal form (independent of the solver)
     A = A.copy()
@@ -367,6 +373,10 @@ def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
     if chain is _weak_first_row:
         # the zero pivot is on the Newton path, as the chain intends
         assert any(np.any(x == d0) for d0, x in newton_shifts)
+    # each refinement pass counts an unfinished eigenvalue once, a cluster's
+    # bracket bisected, and a finished one no more
+    sizes = [spec.dimension] + [x.size for _, x in newton_shifts]
+    assert all(later <= sooner for sooner, later in zip(sizes, sizes[1:])), sizes
 
 
 def _counted_passes(monkeypatch):

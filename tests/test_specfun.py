@@ -13,6 +13,7 @@ from lcl.specfun import (QuadratureRule, assoc_laguerre, bessel_j0, gauss_nodes,
                          laguerre, laguerre_bessel_gap, laguerre_function,
                          laguerre_function_multi, laguerre_laplace, laguerre_weighted,
                          legendre_rule)
+from lcl.symbols import psi_q
 
 mp.mp.dps = 40
 
@@ -174,6 +175,18 @@ def test_laguerre_function_at_zero():
     assert laguerre_function(3, 0.0, 0.0) == 1.0
     vals = laguerre_function_multi([2, 0, 4], [1.0, 2.0, 0.0], np.zeros((3, 2)))
     assert np.array_equal(vals, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: laguerre_function(3, 2.0, t),
+    lambda t: laguerre_weighted(3, t),
+    lambda t: landau.radial_basis(landau.BasisIndex(3, 0), 1.0, t),
+    lambda t: psi_q(3, t, t),
+    lambda t: laguerre_bessel_gap(3, t),
+], ids=["laguerre_function", "laguerre_weighted", "radial_basis", "psi_q", "gap"])
+def test_empty_argument_gives_an_empty_result(call):
+    # the recurrence's scale max(t, 1) had no identity on an empty t
+    assert np.size(call(np.empty(0))) == 0
 
 
 def _laplace_oracle(n, a, c):
