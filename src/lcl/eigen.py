@@ -9,12 +9,16 @@ as its diagonal d and band e to Sturm counts (Barth, Martin and Wilkinson,
 with no matrix formed.  The chains lie side by side as the columns of
 front-padded (L, m) arrays, so that row t of each is one row of the layout,
 and every count pass runs one row loop, ``_sturm_rows``, over all of them,
-one lane of shifts per chain: a multisection grid per chain, then passes of
-one count per eigenvalue, which bisect each bracket that holds more than one
-eigenvalue and take safeguarded Newton steps on det(T - x) inside each that
-isolates one, their slope summed from the same pivots (Li and Zeng,
-*SIAM J. Sci. Comput.* 15 (1994)).  Every eigenvalue, or only those in a
-window, is proven to lie in its final bracket by fresh counts at both ends.
+one lane of shifts per chain, in which each shift stops at its own
+Gershgorin reach: a multisection grid per chain, then passes of one count
+per eigenvalue, which bisect each bracket that holds more than one
+eigenvalue and take safeguarded steps on det(T - x) inside each that
+isolates one, their slope summed from the same pivots up to the shift's
+exit (Li and Zeng, *SIAM J. Sci. Comput.* 15 (1994)).  The step fits
+S = 1/(x - lambda) + c through the iterate and the one before it, so that c
+takes in the far field; with one point it is Newton's.  Every eigenvalue, or
+only those in a window, is proven to lie in its final bracket by fresh
+counts at both ends.
 This module owns the contract around both: finite and well-shaped input, the
 dense dimension cap (``eigh``, and each chain of a full banded spectrum), and
 one certificate block (the eigenvalue error bound, then the trace and
@@ -70,15 +74,17 @@ class _Chains(NamedTuple):
     m tridiagonal residue chains: the columns of (L, m) arrays, chain c holding
     the rows i = c - pad (mod m), front-padded so that every chain ends at row
     L - 1.  A pad row is inert: +inf on the diagonal and no coupling, so its
-    pivot is +inf, counts nothing and adds -0 to the slope.  Per chain: its
-    Gershgorin interval [lo, hi], widened by 16 eps norm so that the rounded
-    disc ends still bound it, and `norm`, its Gershgorin bound on max
-    |lambda|."""
+    pivot is +inf, counts nothing and adds -0 to the slope.  `reach` is the
+    highest Gershgorin disc top of each row and the rows below it, a disc
+    with a NaN band entry left out: row t lies wholly below every shift above
+    reach[t].  Per chain: its Gershgorin interval [lo, hi], widened by 16 eps
+    norm so that the rounded disc ends still bound it, and `norm`, its
+    Gershgorin bound on max |lambda|."""
 
     d: np.ndarray  # the diagonal, with +0 for -0, +inf in the pad
     e2: np.ndarray  # e2[t] = e^2 couples rows t - 1 and t: 0 at a chain's first row
     e: np.ndarray  # |e|, likewise
-    top: np.ndarray  # each row's disc top, -inf in the pad
+    reach: np.ndarray  # the highest disc top of row t and every later row
     cut: np.ndarray  # the rows t > 0 where some chain has e2[t] = 0 below a real row
     size: np.ndarray
     lo: np.ndarray
@@ -97,11 +103,13 @@ def _chains(d, e, m) -> _Chains:
     dd, a = dd.reshape(rows, m), a.reshape(rows + 1, m)
     real, r = np.isfinite(dd), a[:-1] + a[1:]
     low, top = np.where(real, dd - r, np.inf), np.where(real, dd + r, -np.inf)
-    norm = np.max(np.maximum(-low, top), axis=0, initial=_TINY / _EPS)
+    top[np.isnan(top)] = -np.inf  # a disc with a NaN band entry reaches no shift
+    norm = np.max(np.fmax(-low, top), axis=0, initial=_TINY / _EPS)
     edge = 16.0 * _EPS * norm
     e2 = np.square(a[:-1])
     cut = 1 + np.flatnonzero(np.any((e2[1:] == 0.0) & real[:-1], axis=1))
-    return _Chains(dd, e2, a[:-1], top, cut, np.count_nonzero(real, axis=0),
+    reach = np.maximum.accumulate(top[::-1], axis=0)[::-1]
+    return _Chains(dd, e2, a[:-1], reach, cut, np.count_nonzero(real, axis=0),
                    np.min(low, axis=0, initial=np.inf) - edge,
                    np.max(top, axis=0, initial=-np.inf) + edge, norm)
 
@@ -112,14 +120,15 @@ def _sturm_rows(s: _Chains, x, chain, early_exit=False, slope=False):
     strictly below x_j, the negative pivots q_i = (d_i - x) - e_{i-1}^2 /
     q_{i-1} of the LDL^T factorization of T - x.
 
-    Each chain's shifts fill its lane of w slots, w the most shifts on one
-    chain; a spare slot holds the top of every chain's Gershgorin interval,
-    so its pivots stay below -|e| and never hold up an early exit.  The loop
-    runs on the (m, w) lanes in blocks of at most _BLOCK rows and, past one
-    row, BLOCK_POINTS slots: d_i - x for a block by one broadcast
-    subtraction, e_{i-1}^2 by one broadcast copy, each a contiguous slice of
-    the layout, then two ufunc calls a row on arrays of one shape, with
-    positional outputs, and the signs tallied once a block in uint8.
+    Each chain's shifts fill its lane of w slots in ascending order, w the
+    most shifts on one chain; a spare slot holds a shift above every chain's
+    Gershgorin interval and every shift, so it never holds up an exit.  The
+    loop runs on the (m, w') lanes of the w' live slots in blocks of at most
+    _BLOCK rows and, past one row, BLOCK_POINTS slots: d_i - x for a block by
+    one broadcast subtraction, e_{i-1}^2 by one broadcast copy, each a
+    contiguous slice of the layout, then two ufunc calls a row on contiguous
+    arrays of one shape, with positional outputs, and the signs tallied once
+    a block in uint8.
 
     IEEE arithmetic stands in for a pivot guard (Marques, Riedy and Vömel,
     *SIAM J. Sci. Comput.* 28 (2006)): d is taken with +0 for -0, so a zero
@@ -129,53 +138,63 @@ def _sturm_rows(s: _Chains, x, chain, early_exit=False, slope=False):
     0 there restart from the pivot +inf, so no 0/0 arises and the count is
     that of the chain's pieces, exactly.
 
-    With `early_exit`, the rows past the last one whose Gershgorin disc
-    reaches the least shift of its chain, less a rounding margin, lie below
-    every shift.  Once every pivot there is <= -|e_i|, so is every later one
-    (-e_i^2 / q_i <= |e_i| and the next disc lies below x), and the rows
-    left are counted without being factored.
+    With `early_exit`, each slot has its own reach: the rows past the last
+    one whose Gershgorin disc, in any lane, reaches the slot's shift less a
+    rounding margin lie below it.  Once a slot's pivots there are all <=
+    -|e_i|, so is every later one (-e_i^2 / q_i <= |e_i| and the next disc
+    lies below x), and its rows left are counted without being factored.
+    The lanes ascend, so the reach falls along them: after each block the
+    trailing slots past their reach with such pivots retire, and the live
+    slots, still a prefix, are copied into narrower contiguous lanes.
 
     With `slope`, S = sum_i q_i' / q_i is the derivative of log |det(T - x)|
     of the shift's chain, from the same pivots: u_i = q_i' / q_i with
-    q_i' = (e_{i-1}^2 / q_{i-1}) u_{i-1} - 1.  Rows past an early exit add
-    nothing to S: their pivots stay <= -|e_i|, so the terms left out vary
-    smoothly with x and only change the remainder R in Newton's error
-    e^2 R / (1 + e R).  A zero pivot makes S inf or NaN.  Without it S is 0.
+    q_i' = (e_{i-1}^2 / q_{i-1}) u_{i-1} - 1.  Rows past a shift's own exit
+    add nothing to its S: their pivots stay <= -|e_i|, so the terms left out
+    vary smoothly with x, a far field that ``_bisect``'s step absorbs.  A
+    zero pivot makes S inf or NaN.  Without it S is 0.
     """
     nx = x.size
     count, total = np.zeros(nx, dtype=np.intp), np.zeros(nx)
     if not nx:
         return count, total
     rows, m = s.d.shape
-    order = np.argsort(chain, kind="stable")
+    order = np.lexsort((x, chain))
     k = np.bincount(chain, minlength=m)
     w = max(int(np.max(k)), 2)  # a ufunc call on one-element arrays costs about twice as much
     slot = np.repeat(np.arange(m) * w - (np.cumsum(k) - k), k) + np.arange(nx)
-    xs = np.full((m, w), float(np.max(s.hi)))
+    xs = np.full((m, w), max(float(np.max(s.hi)), float(np.max(x))))
     xs.flat[slot] = x[order]
-    stop = rows
+    stop = np.full(w, rows)  # the rows slot j counts before it may retire, falling in j
     if early_exit:
         margin = 16.0 * _EPS * (float(np.max(s.norm)) + float(np.max(np.abs(x))))
-        least = np.full(m, np.inf)
-        np.minimum.at(least, chain, x)
-        reach = np.flatnonzero(np.any(s.top >= least - margin, axis=1))
-        stop = int(np.max(reach, initial=-1)) + 1
-    step = max(1, min(_BLOCK, BLOCK_POINTS // xs.size))
-    restarts = set(s.cut.tolist())
-    starts = sorted(restarts.union(range(0, rows, step)))
+        stop = np.max([np.searchsorted(-s.reach[:, c], margin - xs[c], side="right")
+                       for c in range(m)], axis=0)
     counts, sums = np.zeros(xs.shape, dtype=np.intp), np.zeros(xs.shape)
-    q0, u0, r = np.full(xs.shape, np.inf), np.zeros(xs.shape), np.empty(xs.shape)
-    q, u = q0, u0  # the pivot and u of the row above
-    qb, ub, eb = np.empty((3, step) + xs.shape)
-    below = np.empty(qb.shape, dtype=bool)
-    qrows, urows, erows = list(qb), list(ub), list(eb)
+    carry = np.empty((3, xs.size))  # q and u carried into a block, and e_i^2 / q
+    carry[0], carry[1] = np.inf, 0.0
+    q, u = carry[:2].reshape(2, m, w)  # the pivot and u of the row above
+    cap = max(1, min(_BLOCK, BLOCK_POINTS // xs.size)) * xs.size
+    flat, flag = np.empty((3, cap)), np.empty(cap, dtype=bool)
+    cuts, i, live, width = s.cut.tolist() + [rows], 0, w, 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i, end in zip(starts, starts[1:] + [rows]):
-            if i in restarts:
+        while live and i < rows:
+            if live != width:  # lay the live slots out contiguously
+                width = live
+                q0, u0, r = carry[:, :m * live].reshape(3, m, live)
+                step = min(_BLOCK, cap // r.size)
+                qb, ub, eb = flat[:, :step * r.size].reshape(3, step, m, live)
+                below = flag[:qb.size].reshape(qb.shape)
+                qrows, urows, erows = list(qb), list(ub), list(eb)
+            np.copyto(q0, q[:, :live])
+            np.copyto(u0, u[:, :live])
+            if i == cuts[0]:
                 fresh = s.e2[i] == 0.0
                 q0[fresh], u0[fresh] = np.inf, 0.0
-            qs = qb[:end - i]
-            np.subtract(s.d[i:end, :, None], xs, qs)
+                del cuts[0]
+            end = min(i + step, cuts[0])
+            q, u, qs = q0, u0, qb[:end - i]
+            np.subtract(s.d[i:end, :, None], xs[:, :live], qs)
             np.copyto(eb[:end - i], s.e2[i:end, :, None])
             if slope:
                 for qi, ui, ei in zip(qrows, urows, erows[:end - i]):
@@ -183,17 +202,18 @@ def _sturm_rows(s: _Chains, x, chain, early_exit=False, slope=False):
                     np.subtract(np.multiply(r, u, ui), _ONE, ui)
                     q = np.subtract(qi, r, qi)
                     u = np.divide(ui, q, ui)
-                sums += np.add.reduce(ub[:end - i], axis=0)
+                sums[:, :live] += np.add.reduce(ub[:end - i], axis=0)
             else:
                 for qi, ei in zip(qrows, erows[:end - i]):
                     q = np.subtract(qi, np.divide(ei, q, r), qi)
-            counts += np.add.reduce(np.less(qs, 0.0, below[:end - i]), axis=0, dtype=np.uint8)
-            if stop <= end < rows and np.all(q <= -s.e[end][:, None]):
-                counts += rows - end
-                break
-            np.copyto(q0, q)
-            np.copyto(u0, u)
-            q, u = q0, u0
+            counts[:, :live] += np.add.reduce(np.less(qs, 0.0, below[:end - i]), axis=0,
+                                              dtype=np.uint8)
+            i = end
+            if i < rows and stop[live - 1] <= i:
+                first = int(np.searchsorted(-stop[:live], -i))  # the first slot past its reach
+                held = np.flatnonzero(~np.all(q[:, first:] <= -s.e[i][:, None], axis=0))
+                live = first + (int(held[-1]) + 1 if held.size else 0)
+                counts[:, live:width] += rows - i
     count[order], total[order] = counts.ravel()[slot], sums.ravel()[slot]
     return count, total
 
@@ -210,6 +230,23 @@ def _sturm_count(d, e, x, early_exit=False, slope=False):
     return (count, total) if slope else count
 
 
+def _pole_step(h, ds, slope):
+    """The step t from an iterate x, with slope S, to the pole lambda = x + t
+    of the model S(y) = 1/(y - lambda) + c through (x, S) and the iterate
+    before it, (x - h, S + ds): a root of t^2 + h t - h/ds = 0.  The root
+    taken is the one whose far field c = S + 1/t is the smaller (the root
+    nearer x took 18 passes, not 10, on a q = 48 level's full spectrum);
+    with no previous iterate (h NaN) or no finite root, the step is
+    Newton's -1/S."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = h / ds
+        far = -0.5 * (h + np.copysign(np.sqrt(h * h + 4.0 * g), h))
+        near = -g / far
+        cn, cf = np.abs(slope + 1.0 / near), np.abs(slope + 1.0 / far)
+        return np.where(np.minimum(cn, cf) < np.inf, np.where(cn <= cf, near, far),
+                        -1.0 / slope)
+
+
 def _bisect(s: _Chains, lo, hi, chain, index):
     """Eigenvalues `index` (ascending within each chain) of the chains
     `chain` of s, each in [lo, hi] of its chain, and their radii relative to
@@ -224,16 +261,22 @@ def _bisect(s: _Chains, lo, hi, chain, index):
        S = d/dx log|det(T - x)| from the same pivots.  A bracket whose end
        counts differ by more than one is bisected, with its width as its
        isolating width and t = 0.  Inside a bracket that isolated its
-       eigenvalue before the pass, safeguarded Newton on det(T - x): the
-       next iterate is x - 1/S if that lies inside the bracket and, after t
-       passes, the bracket is at most 2^(1 - floor(t/2)) of its isolating
-       width; otherwise it is the midpoint, so the bracket halves at least
-       every two passes after the first two, and no isolated eigenvalue
-       takes more than twice the passes of bisection, plus three.  A
-       proposal passed over for the midpoint is kept while its step is the
-       shorter.  A step below tol/4 is closed: the next iterate lies tol/4
-       beyond it, so that its count ends the bracket under tol/2 wide, and a
-       step that misjudged the distance costs only that count.
+       eigenvalue before the pass, a safeguarded step on det(T - x).  Its
+       proposal is ``_pole_step``'s, the pole of the model S(x) = 1/(x -
+       lambda) + c through this iterate and the previous one: c takes in
+       the far field of the other eigenvalues and of the rows past each
+       shift's own exit, which Newton's x - 1/S leaves in its error, so
+       that its steps can overshoot an eigenvalue near the far end of its
+       bracket pass after pass.  The next iterate is the proposal if
+       that lies inside the bracket and, after t passes, the bracket is at
+       most 2^(1 - floor(t/2)) of its isolating width; otherwise it is the
+       midpoint, so the bracket halves at least every two passes after the
+       first two, and no isolated eigenvalue takes more than twice the
+       passes of bisection, plus three.  A proposal passed over for the
+       midpoint is kept while its step is the shorter.  A step below tol/4
+       is closed: the next iterate lies tol/4 beyond it, so that its count
+       ends the bracket under tol/2 wide, and a step that misjudged the
+       distance costs only that count.
 
     The ends a_i, b_i of the final brackets are then counted afresh:
     count(a_i) <= i < count(b_i) proves eigenvalue i in [a_i, b_i]; a bracket
@@ -256,6 +299,7 @@ def _bisect(s: _Chains, lo, hi, chain, index):
     x, start = 0.5 * (a + b), b - a  # the next iterate, the isolating width
     passes = np.zeros(k, dtype=np.intp)
     held, held_step = np.full(k, np.nan), np.full(k, np.inf)  # a proposal not taken
+    x1, s1 = np.full(k, np.nan), np.full(k, np.nan)  # the previous iterate and its S
     done = b - a <= tol
     while not np.all(done):
         live = np.flatnonzero(~done)
@@ -268,8 +312,8 @@ def _bisect(s: _Chains, lo, hi, chain, index):
         al, bl = a[live], b[live]
         passes[live] = np.where(alone, passes[live] + 1, 0)
         start[live] = np.where(alone, start[live], bl - al)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = -1.0 / slope
+        step = _pole_step(xl - x1[live], s1[live] - slope, slope)
+        x1[live], s1[live] = xl, slope
         size, prop = np.abs(step), xl + step
         close = (size < 0.25 * tl) & (al <= prop) & (prop <= bl)
         prop = np.where(close, prop + np.where(up, 0.25, -0.25) * tl, prop)
@@ -359,8 +403,8 @@ def tridiagonal_eig(d, e, window=None, *, m=1) -> EigenSpectrum:
     chain's grid, tolerance, bracket and certificate.  The full spectrum is
     held to the dense cap per chain and, after the bracket certificate, to
     the trace and Frobenius identities of the whole matrix.  A window has no
-    cap: its counts early-exit past the last row whose Gershgorin disc
-    reaches lo.  Raises ContractError for ill-shaped or non-finite input or a
+    cap.  Each count stops past the last row whose Gershgorin disc reaches
+    its shift.  Raises ContractError for ill-shaped or non-finite input or a
     window that straddles 0, CapacityError for a full spectrum with a chain
     above the dense cap, and NumericalError (``eigen-residual`` naming the
     index and n) for a bracket wider than 1e-9 of its chain's Gershgorin norm

@@ -316,6 +316,38 @@ def test_early_exit_count_matches_full_count():
     assert np.array_equal(_sturm_count(d, poisoned, x, early_exit=True), full)
 
 
+@pytest.mark.parametrize("slope", [False, True])
+def test_per_shift_exit_counts_match_on_three_lanes(slope):
+    # three chains at offset 3, of 199, 200 and 200 rows, on Gershgorin
+    # intervals of their own; chain 2 has a zero coupling inside it.  Each
+    # lane holds its own number of shifts: its chain's eigenvalues, each
+    # nudged both ways, the disc tops that end its rows' reach, and uniform
+    # ones spanning its interval and past both ends.  Every shift exits at
+    # its own reach.
+    rng = np.random.Generator(np.random.Philox(31))
+    n, m = 599, 3
+    d = rng.standard_normal(n) * np.resize([1.0, 3.0, 0.2], n) + np.resize([0.0, 5.0, -1.0], n)
+    e = rng.standard_normal(n - m) * np.resize([1.0, 2.0, 0.1], n - m)
+    e[3 * 120 + 1] = 0.0
+    s = eigen._chains(d, e, m)
+    chains = [np.flatnonzero((np.arange(n) + s.d.size - n) % m == c) for c in range(m)]
+    # the oracle, in tests only: each chain's eigvalsh
+    vals = [np.linalg.eigvalsh(_banded(d, e, m)[np.ix_(rows, rows)]) for rows in chains]
+    x, chain = [], []
+    for c, size in enumerate([300, 40, 170]):
+        span = s.hi[c] - s.lo[c]
+        tops = np.unique(s.reach[:, c])
+        x += [vals[c] * (1.0 - 1e-12), vals[c] * (1.0 + 1e-12), tops,
+              rng.uniform(s.lo[c] - 0.1 * span, s.hi[c] + 0.1 * span, size)]
+        chain.append(np.full(2 * len(vals[c]) + len(tops) + size, c))
+    x, chain = np.concatenate(x), np.concatenate(chain)
+    full = eigen._sturm_rows(s, x, chain, False, slope)[0]
+    assert np.array_equal(eigen._sturm_rows(s, x, chain, True, slope)[0], full)
+    for c in range(m):
+        below = np.count_nonzero(vals[c][None, :] < x[chain == c, None], axis=1)
+        assert np.array_equal(full[chain == c], below)
+
+
 def test_window_outside_the_spectrum_is_empty():
     d, e = _chain(50)
     top = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e)))
@@ -339,21 +371,39 @@ def _glued_wilkinson():
 
 
 def _weak_first_row():
-    # row 0 is coupled by 1e-9, so its eigenvalue rounds to d_0 = 0.5 and a
-    # Newton iterate lands on it: there the pivot q_0 is +0, q_1 is -inf and
-    # the slope NaN
+    # row 0 is coupled by 1e-9, so its eigenvalue lies within about 1e-18 of
+    # d_0 = 0.5: one-point Newton steps from above overshoot past it
     return np.array([0.5, 2.0, 3.0, 4.0, 5.0]), np.array([1e-9, 1.0, 1.0, 1.0])
+
+
+def _zero_pivot_row(window):
+    # the weak row 0 again, with d_0 moved to the midpoint of the grid cell
+    # that holds its eigenvalue: 4k cells on the Gershgorin interval or the
+    # window, after the solver's exact scaling by 2^-3.  That midpoint is the
+    # first refinement iterate, and there the pivot q_0 is +0, q_1 is -inf
+    # and the slope NaN.  Row 0 is no end of the Gershgorin interval, so
+    # moving d_0 does not move the grid.
+    d, e = np.array([2.1, 2.0, 3.0, 4.0, 5.0]), np.array([1e-9, 1.0, 1.0, 1.0])
+    if window is None:
+        s = eigen._chains(d / 8.0, e / 8.0, 1)
+        lo, hi, k = s.lo[0], s.hi[0], len(d)
+    else:
+        d[0], (lo, hi), k = 0.5, np.divide(window, 8.0), 1
+    width = (hi - lo) / (4 * k)
+    j = (d[0] / 8.0 - lo) // width
+    d[0] = 4.0 * ((j * width + lo) + ((j + 1) * width + lo))
+    return d, e
 
 
 @pytest.mark.parametrize("chain,window", [
     (_wilkinson, None), (_wilkinson, (0.5, 11.0)), (_wilkinson, (-2.0, -0.5)),
     (_glued_wilkinson, None), (_glued_wilkinson, (0.5, 11.0)),
     (_glued_wilkinson, (-2.0, -0.5)),
-    (_weak_first_row, None), (_weak_first_row, (0.25, 1.0)),
+    (_zero_pivot_row, None), (_zero_pivot_row, (0.25, 1.0)),
 ], ids=["wilkinson", "wilkinson-window", "wilkinson-negative", "glued", "glued-window",
         "glued-negative", "zero-pivot", "zero-pivot-window"])
 def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
-    d, e = chain()
+    d, e = chain(window) if chain is _zero_pivot_row else chain()
     ref = np.linalg.eigvalsh(_tridiag(d, e))  # the oracle, in tests only
     want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
     real, newton_shifts = eigen._sturm_rows, []
@@ -370,8 +420,8 @@ def test_clustered_and_glued_chains_match_eigvalsh(monkeypatch, chain, window):
     assert spec.dimension == len(want) > 0
     assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
     assert spec.residual_bound <= 1e-12
-    if chain is _weak_first_row:
-        # the zero pivot is on the Newton path, as the chain intends
+    if chain is _zero_pivot_row:
+        # the zero pivot is on the refinement path, as the chain intends
         assert any(np.any(x == d0) for d0, x in newton_shifts)
     # each refinement pass counts an unfinished eigenvalue once, a cluster's
     # bracket bisected, and a finished one no more
@@ -388,6 +438,48 @@ def _counted_passes(monkeypatch):
 
     monkeypatch.setattr(eigen, "_sturm_rows", counted)
     return calls
+
+
+@pytest.mark.parametrize("window", [None, (0.25, 1.0)], ids=["full", "window"])
+def test_eigenvalue_at_its_bracket_end_takes_few_count_passes(monkeypatch, window):
+    # Newton steps from above land past d_0, where the eigenvalue lies, so a
+    # one-point step left the midpoint to bisect it a bit a pass (27 and 17
+    # passes); the two-point step's far field takes in the rest of the chain
+    d, e = _weak_first_row()
+    ref = np.linalg.eigvalsh(_tridiag(d, e))
+    want = ref if window is None else ref[(ref > window[0]) & (ref < window[1])]
+    calls = _counted_passes(monkeypatch)
+    spec = tridiagonal_eig(d, e, window)
+    assert spec.dimension == len(want) > 0
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(ref))
+    assert spec.residual_bound <= 1e-12
+    assert len(calls) <= 10, calls
+
+
+@pytest.mark.parametrize("fake", [
+    lambda x, slope: np.ones_like(slope),
+    lambda x, slope: np.full_like(slope, np.nan),
+    lambda x, slope: x,
+], ids=["equal-slopes", "nan-slope", "negative-discriminant"])
+def test_two_point_step_falls_back_quietly(monkeypatch, fake):
+    # slopes that break the two-point model: equal at both points (the
+    # quadratic divides by 0), NaN, and rising with x (dS/dx = 1, so the
+    # discriminant h^2 - 4 is negative); the step falls back to Newton and
+    # the safeguard to bisection, warning-free, and every bracket is proven
+    d, e = _chain(12, 3)
+    ref = np.linalg.eigvalsh(_tridiag(d, e))
+    real = eigen._sturm_rows
+
+    def faked(s, x, piece, early_exit=False, slope=False):
+        counts, total = real(s, x, piece, early_exit, slope)
+        return counts, (fake(x, total) if slope else total)
+
+    monkeypatch.setattr(eigen, "_sturm_rows", faked)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        spec = tridiagonal_eig(d, e)
+    assert np.max(np.abs(spec.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert spec.residual_bound <= 1e-12
 
 
 @pytest.mark.parametrize("amplitude", [1.0, -1.0])
