@@ -168,19 +168,19 @@ def _cmd_trace_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 
 def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
-    # the hs-distance slope needs a nonzero isotropic model: the configured
-    # one, or one of the config's decay order
-    iso = cfg.model
-    if iso.kind != "isotropic-long-range":
+    # the hs-distance slope needs a nonzero radial long-range model: the
+    # configured one, or the isotropic model of the config's decay order
+    hs_model = cfg.model
+    if not (hs_model.long_range and hs_model.radial):
         if not 0.0 < cfg.rho < 1.0:
             return _usage_error("config.rho: symbol-check's isotropic model needs rho in (0, 1)")
-        iso = PotentialModel.isotropic(cfg.rho)
-    if iso.amplitude == 0.0:
+        hs_model = PotentialModel.isotropic(cfg.rho)
+    if hs_model.amplitude == 0.0:
         return _usage_error("config.model.amplitude: symbol-check needs a nonzero amplitude")
     outputs = []
     hs_rows = []
     for q in (4, 8, 16, 32):
-        val = hs_distance(iso, cfg.B, q)
+        val = hs_distance(hs_model, cfg.B, q)
         hs_rows.append((q, landau_level(cfg.B, q), float(val)))
     lams = np.log([r[1] for r in hs_rows])
     vals = np.log([r[2] for r in hs_rows])
@@ -188,8 +188,8 @@ def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
     write_csv(outdir / "hs_distance.csv", "q,lambda_q,hs_distance",
               [(r[0], float(r[1]), r[2]) for r in hs_rows])
     outputs.append("hs_distance.csv")
-    hs_phys = hs_distance(iso, cfg.B, 1)
-    hs_four = hs_distance_fourier(iso, cfg.B, 1)
+    hs_phys = hs_distance(hs_model, cfg.B, 1)
+    hs_four = hs_distance_fourier(hs_model, cfg.B, 1)
     gap_rows = []
     rg = np.linspace(0.01, 50.0, 500)
     for q in range(0, 65, 8):
@@ -226,7 +226,7 @@ def _cmd_measure(cfg: RunConfig, outdir: Path) -> int:
         return _usage_error("measure requires a long-range model")
     lim = LimitingMeasure(cfg.model, cfg.B, seed=cfg.seed, samples=2_000_000)
     lo, hi = cfg.phi.support
-    primary = "radial-inversion" if cfg.model.kind == "isotropic-long-range" else "grid-2d"
+    primary = "radial-inversion" if cfg.model.radial else "grid-2d"
     mu_a = lim.mu_interval(lo, hi, method=primary)
     den_a = lim.density_integral(cfg.phi, method="radial")
     den_g = lim.density_integral(cfg.phi, method="grid-2d")

@@ -16,7 +16,7 @@ Both are (1/2piB) int f(T(x)) dx, f the indicator of [a, b] B^-rho or
 phi(B^rho .): one integrator takes either on a polar rule (the 2-d midpoint
 grid, or Gauss-Legendre panels in r and half-period angles for the density)
 or by counter-based Monte Carlo over profile tables, beside radial inversion
-(mu, isotropic model).  One Monte Carlo pass of the draws sums any number of
+(mu, radial model).  One Monte Carlo pass of the draws sums any number of
 integrands (`LimitingMeasure.monte_carlo` takes both).  The integrand is
 summed in blocks of at most BLOCK_POINTS points, never built as one array,
 so scratch memory does not grow with the rule or the sample count.
@@ -160,7 +160,7 @@ _METHODS = ("radial-inversion", "grid-2d", "monte-carlo")  # of mu_interval
 _DENSITY_METHODS = ("radial", "grid-2d", "monte-carlo")
 _TABLE_POINTS = 8192  # uniform profile-table nodes on [0, r_out] for Monte Carlo
 _GRID_RADII = 4000  # grid-2d midpoint cells in r
-_GRID_ANGLES = 720  # ... and in theta (anisotropic model only)
+_GRID_ANGLES = 720  # ... and in theta (a radial model takes one angle)
 _RADIAL_PANELS = 96  # 12-point Gauss-Legendre panels in r of the radial rule
 _SCAN_RADII = 5001  # the envelope scan: radii 0, 0.01, ..., 50
 _LEVEL_CUTS = 64  # cells per bracket and pass of the level-radius search
@@ -195,16 +195,14 @@ class LimitingMeasure:
         return mean_value_radial_profile(self.rho, r)
 
     def mode_profile(self, r):
-        """g_m(r): radial profile of the cos(m theta) component (or zeros)."""
-        if self.model.kind == "anisotropic-long-range":
+        """g_m(r): radial profile of the cos(m theta) component (zeros if radial)."""
+        if not self.model.radial:
             return mean_value_mode_profile(self.rho, self.model.mode, r)
         return np.zeros(np.shape(r)) if np.ndim(r) else 0.0
 
     def envelope(self, r):
         """Upper bound for |T| on the circle of radius r."""
-        base = self.base_profile(r)
-        if self.model.kind == "anisotropic-long-range":
-            base = base + self.model.epsilon * np.abs(self.mode_profile(r))
+        base = self.base_profile(r) + self.model.epsilon * np.abs(self.mode_profile(r))
         return abs(self.model.amplitude) * base
 
     @functools.cached_property
@@ -280,7 +278,8 @@ class LimitingMeasure:
         for bit."""
         parts = [self._integrand("monte-carlo", interval=(alpha, beta)),
                  self._integrand("monte-carlo", phi=phi)]
-        sums = iter(self._monte_carlo([p for p in parts if isinstance(p, tuple)]))
+        live = [p for p in parts if isinstance(p, tuple)]
+        sums = iter(self._monte_carlo(live) if live else ())
         mu, density = (next(sums) if isinstance(p, tuple) else p for p in parts)
         return mu, density
 
@@ -290,9 +289,9 @@ class LimitingMeasure:
     def _integrand(self, method: str, interval=None, phi=None):
         """The integrand (f, r_out) of mu_interval(*interval) or, given phi,
         of density_integral(phi) by `method`, or the value where that takes
-        no integral: 0 for a zero amplitude, for an interval on the other
-        side of 0 from T (T has the amplitude's sign) and for a level above
-        the envelope's peak, and the radial inversion's area."""
+        no integral: 0 for a zero amplitude, for an interval or a support of
+        phi on the other side of 0 from T (T has the amplitude's sign) and for
+        a level above the envelope's peak, and the radial inversion's area."""
         if phi is None:
             alpha, beta = interval
             if not alpha < beta:
@@ -306,21 +305,17 @@ class LimitingMeasure:
         amp = self.model.amplitude
         if amp == 0.0:
             return 0.0
+        # the ends of the interval or of phi's support as levels of |T|, nearer 0 first
+        a, b = interval if phi is None else phi.support
+        lo, hi = (a, b) if amp > 0.0 else (-b, -a)
         down = self.B ** (-self.rho)
+        t_lo, t_hi = lo * down, hi * down
+        if hi < 0.0 or t_lo > self.envelope_peak():
+            return 0.0
         if phi is not None:
-            level = phi.support_abs_low * down
-            if level > self.envelope_peak():
-                return 0.0
             up = self.B ** self.rho
             return (lambda v: phi(np.multiply(v, up, out=v)),
-                    self._level_radius([level])[0] * 1.02)
-        # the interval's ends as levels of |T|, the one nearer 0 first
-        lo, hi = (alpha, beta) if amp > 0.0 else (-beta, -alpha)
-        if hi < 0.0:
-            return 0.0
-        t_lo, t_hi = lo * down, hi * down
-        if t_lo > self.envelope_peak():
-            return 0.0
+                    self._level_radius([t_lo])[0] * 1.02)
         if method == "radial-inversion":
             return self._mu_radial_inversion(t_lo, t_hi)
         r_out, = self._level_radius([t_lo])
@@ -328,8 +323,8 @@ class LimitingMeasure:
         return lambda v: (v >= t_a) & (v <= t_b), r_out
 
     def _mu_radial_inversion(self, t_lo: float, t_hi: float) -> float:
-        if self.model.kind != "isotropic-long-range":
-            raise MethodError("radial-inversion applies to the isotropic model; use grid-2d")
+        if not self.model.radial:
+            raise MethodError("radial-inversion applies to a radial model; use grid-2d")
         _, env, i = self._scan
         if np.any(np.diff(env[i:]) >= 0.0):
             raise MethodError("profile not monotone beyond its peak; use grid-2d")
@@ -346,7 +341,7 @@ class LimitingMeasure:
         mode[i] c[j], c = cos(psi) at the mode's angle psi = m theta, and its
         area is area[i] w[j].  Midpoint cells ("grid-2d"), or Gauss-Legendre
         panels in r and, as T is even in psi, Gauss-Legendre in psi over a
-        half period ("radial"); the isotropic model takes one angle, psi = 0."""
+        half period ("radial"); a radial model takes one angle, psi = 0."""
         if method == "grid-2d":
             dr = r_out / _GRID_RADII
             r, wr = (np.arange(_GRID_RADII) + 0.5) * dr, dr
@@ -356,16 +351,16 @@ class LimitingMeasure:
             r, wr = panel_rule(np.linspace(0.0, r_out, _RADIAL_PANELS + 1), 12)
             s, ws = panel_rule([0.0, 1.0], 48)
             psi, wpsi = math.pi * s, 2.0 * math.pi * ws
-        if self.model.kind != "anisotropic-long-range":
+        if self.model.radial:
             psi, wpsi = np.zeros(1), 2.0 * math.pi
         amp = self.model.amplitude
         return (amp * self.base_profile(r), amp * self.model.epsilon * self.mode_profile(r),
                 r * wr, np.cos(psi), wpsi)
 
     def _mode_factor(self, th):
-        """eps cos(m th), in place of the angles th; None for the isotropic
-        model, whose T does not read them."""
-        if self.model.kind != "anisotropic-long-range":
+        """eps cos(m th), in place of the angles th; None for a radial model,
+        whose T does not read them."""
+        if self.model.radial:
             return None
         th *= self.model.mode
         np.cos(th, out=th)
@@ -402,7 +397,7 @@ class LimitingMeasure:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
         r_out: `_monte_carlo`, or a polar rule ("grid-2d" or "radial", see
         `_grid`) summed in blocks of whole radii, at most BLOCK_POINTS points
-        (the isotropic grids and the radial rule are one block).  f is
+        (a radial model's grids and radial rule are one block).  f is
         vectorised and may overwrite its argument."""
         if method == "monte-carlo":
             return self._monte_carlo([(f, r_out)])[0]
@@ -420,10 +415,10 @@ class LimitingMeasure:
         scaled by each r_out.  Consecutive samples are summed in blocks of at
         most BLOCK_POINTS, in scratch allocated once per call.  The angles
         come from a second Philox(seed) advanced past all radii's draws, so
-        the points are those of one unblocked stream; the isotropic model
-        draws none."""
+        the points are those of one unblocked stream; a radial model draws
+        none."""
         tables = [self._tables(r_out) for _, r_out in integrands]
-        aniso = self.model.kind == "anisotropic-long-range"
+        aniso = not self.model.radial
         u, r, th, dr, vals, g = np.empty((6, min(self.samples, BLOCK_POINTS)))
         scratch = (dr, vals, g, np.empty(u.size, np.intp), np.empty(u.size, bool))
         radii = np.random.Generator(np.random.Philox(self.seed))

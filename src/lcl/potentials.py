@@ -96,9 +96,9 @@ class PotentialModel:
         if self.kind != "compact-gaussian-bump":
             if not 0.0 < self.rho < 1.0:
                 raise ValueError("rho must lie in (0, 1) for long-range kinds")
+        if not 0.0 <= self.epsilon < 1.0:  # every kind: the envelope reads eps |g_m|
+            raise ValueError("epsilon must lie in [0, 1)")
         if self.kind == "anisotropic-long-range":
-            if not 0.0 <= self.epsilon < 1.0:
-                raise ValueError("epsilon must lie in [0, 1)")
             if not _is_integer(self.mode) or self.mode < 1:
                 raise ValueError(f"mode must be a positive integer, got {self.mode!r}")
 
@@ -122,6 +122,11 @@ class PotentialModel:
     def long_range(self) -> bool:
         return self.kind != "compact-gaussian-bump"
 
+    @property
+    def radial(self) -> bool:
+        """V depends on |x| alone: every model but an anisotropic one with eps > 0."""
+        return self.kind != "anisotropic-long-range" or self.epsilon == 0.0
+
     def value(self, x1, x2):
         """V(x) = sum_j v_j(|x|) cos(j arg x) over the angular modes,
         broadcasting over coordinate arrays."""
@@ -136,12 +141,12 @@ class PotentialModel:
     def angular_modes(self) -> tuple[AngularModeProfile, ...]:
         """Nonzero modes of V(r, theta) = sum_j v_j(r) e^{ij theta}."""
         a = self.amplitude
-        if self.kind == "compact-gaussian-bump":
+        if not self.long_range:
             w2 = self.width ** 2
             return (AngularModeProfile(0, lambda r: a * np.exp(-np.square(r) / (2 * w2))),)
         rho = self.rho
         v0 = AngularModeProfile(0, lambda r: a * (1.0 + np.square(r)) ** (-rho / 2.0))
-        if self.kind == "isotropic-long-range":
+        if self.radial:
             return (v0,)
         eps, m = self.epsilon, self.mode
         def vm(r):
@@ -264,7 +269,7 @@ class TailField:
         if self.b_rescale is not None:  # tail(-x2/sqrt(B), -x1/sqrt(B))
             x1, x2, r2 = -x2, -x1, r2 / self.b_rescale
         out = r2 ** (-model.rho / 2.0)
-        if model.kind == "anisotropic-long-range":
+        if not model.radial:
             out = out * (1.0 + model.epsilon * np.cos(model.mode * np.arctan2(x2, x1)))
         return model.amplitude * out
 
@@ -541,7 +546,7 @@ def circle_average(u, center, radius: float) -> float:
     sr = max(s * radius, 1e-300)
     if isinstance(u, TailField):
         delta = abs(s - radius) / math.sqrt(sr)
-    elif u.kind == "compact-gaussian-bump":
+    elif not u.long_range:
         delta = u.width * math.sqrt(2.0 / sr)
     else:
         delta = math.sqrt((1.0 + (s - radius) ** 2) / sr)

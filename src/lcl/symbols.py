@@ -139,7 +139,7 @@ _HS_TAIL_TARGET = 1e-7
 
 def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False):
     """Hilbert-Schmidt distance ((1/2pi) int |V_B*Psi_q - V_B*delta_k|^2 dz)^(1/2),
-    k = sqrt(2q+1), for the radial isotropic model (fast radial reduction).
+    k = sqrt(2q+1), for a radial long-range model (fast radial reduction).
 
     The plane integral reduces to int_0^inf D(s)^2 s ds with D the radial
     difference profile, whose circle averages are power-cosine averages
@@ -152,8 +152,8 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
     of the dropped tail: at q = 1 it is about 3 times that tail, so
     `relative_tail` overstates the error about threefold.
     """
-    if model.kind != "isotropic-long-range":
-        raise MethodError("hs_distance implements the radial isotropic fast path only")
+    if not (model.long_range and model.radial):
+        raise MethodError("hs_distance implements the radial long-range fast path only")
     if not 0 <= q <= _HS_MAX_Q:
         raise ValueError(f"q must lie in [0, {_HS_MAX_Q}] for hs_distance, got {q!r}")
     landau_level(B, q)
@@ -225,8 +225,8 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int) -> float:
     with vhat_B the radial transform of the rescaled potential.  Serves as
     the independent cross check of :func:`hs_distance` at small q.
     """
-    if model.kind != "isotropic-long-range":
-        raise MethodError("hs_distance_fourier implements the isotropic model only")
+    if not (model.long_range and model.radial):
+        raise MethodError("hs_distance_fourier implements radial long-range models only")
     landau_level(B, q)
     k = math.sqrt(2.0 * q + 1.0)
     zeta_max = 45.0 / math.sqrt(B)

@@ -190,6 +190,27 @@ def test_spectrum_anisotropic_block_summary(tmp_path):
     assert manifest["outputs"] == ["block_q2.json", "spectrum_q2.csv"]
 
 
+def test_epsilon_zero_config_runs_as_the_isotropic_model(tmp_path):
+    # an anisotropic model with epsilon 0, given or omitted, is radial: every
+    # subcommand writes the isotropic config's files, bit for bit, and only
+    # the manifest, which records the config, tells them apart
+    models = {"isotropic": {"kind": "isotropic-long-range", "rho": 0.5, "amplitude": 1.5},
+              "epsilon-0": {**ANISO_MODEL, "epsilon": 0, "amplitude": 1.5},
+              "no-epsilon": {"kind": "anisotropic-long-range", "rho": 0.5, "mode": 3,
+                             "amplitude": 1.5}}
+    for cmd in (["trace-sweep"], ["spectrum", "--q", "16"], ["measure"], ["symbol-check"]):
+        files = {}
+        for name, model in models.items():
+            (tmp_path / name).mkdir(exist_ok=True)
+            path = _write_config(tmp_path / name, model=model, q_list=[8, 16])
+            out = tmp_path / name / cmd[0]
+            assert main([*cmd, "--config", str(path), "--output", str(out)]) == 0, name
+            files[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                           if p.name != "manifest.json"}
+        assert files["isotropic"], cmd
+        assert files["epsilon-0"] == files["isotropic"] == files["no-epsilon"], cmd
+
+
 def test_spectrum_non_finite_entries_exit_1(tmp_path, capsys, monkeypatch):
     # the diagonal comes from the Laplace-transform kernel
     monkeypatch.setattr(landau, "laguerre_laplace",

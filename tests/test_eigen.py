@@ -635,23 +635,29 @@ def test_band_offset_rejected(m, match):
 
 
 @pytest.mark.parametrize("window", [None, (0.5, 0.8)], ids=["full", "window"])
-def test_level_without_anisotropy_is_its_diagonal(window):
-    # epsilon = 0: the band at offset 2 is all zeros, so every row of both
-    # chains restarts the count, and the spectrum is the sorted diagonal
+def test_level_without_anisotropy_is_its_diagonal(window, monkeypatch):
+    # epsilon = 0: V is radial, so the level has no band and takes no Sturm
+    # pass; its spectrum is the sorted diagonal, all of it whatever the
+    # window, as for the isotropic model
     q, model = 8, PotentialModel.anisotropic(0.5, 0.0, 2)
     k_max = truncation_bound(model, 1.0, q, 0.47, rho_scale=0.5)
-    diag, bands = _level_bands(model, LandauConfig(B=1.0, q=q, k_max=k_max))
-    assert list(bands) == [2] and not np.any(bands[2])
-    want = np.sort(diag)
+    cfg = LandauConfig(B=1.0, q=q, k_max=k_max)
+    diag, bands = _level_bands(model, cfg)
+    assert bands == {}
+    assert np.array_equal(diag, _level_bands(PotentialModel.isotropic(0.5), cfg)[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a radial level takes no Sturm pass")
+
+    monkeypatch.setattr(eigen, "_sturm_rows", refuse)
     if window is not None:
         window = tuple(s * (2 * q + 1) ** -0.25 for s in window)
-        want = want[(want >= window[0]) & (want < window[1])]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        values, _, _, residual, _ = level_spectrum(model, 1.0, q, 0.47, 0.5, window)
-    assert len(values) == len(want) > 50
-    assert np.max(np.abs(values - want)) <= 1e-12 * np.max(np.abs(diag))
-    assert residual <= 1e-12
+        values, _, _, residual, summary = level_spectrum(model, 1.0, q, 0.47, 0.5, window)
+    assert len(values) == len(diag) > 50
+    assert np.array_equal(values, np.sort(diag))
+    assert residual == 0.0 and summary["bandwidth"] == 0
 
 
 def test_shift_on_a_decoupled_entry_counts_exactly():

@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tracemalloc
 
@@ -350,6 +351,40 @@ def test_monte_carlo_pair_early_values(model):
         assert lim.monte_carlo(alpha, beta, phi) == want, (alpha, beta, phi)
     assert pos.monte_carlo(5.0, 6.0, TestFunction(9.0, 0.5)) == (0.0, 0.0)
     assert neg.monte_carlo(0.3, 0.6, PHI)[0] == 0.0
+
+
+@pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])
+def test_phi_on_the_other_side_of_zero_takes_no_integral(model, monkeypatch):
+    # T has the amplitude's sign, so phi(B^rho T) is 0 everywhere for a phi
+    # whose support lies on the other side of 0: the value is 0.0, taken with
+    # no rule and no draw
+    def refuse(*args):
+        raise AssertionError("no integral expected")
+
+    monkeypatch.setattr(LimitingMeasure, "_integral", refuse)
+    monkeypatch.setattr(LimitingMeasure, "_monte_carlo", refuse)
+    for amplitude, (alpha, beta, phi) in ((1.0, (-0.6, -0.3, TestFunction(-0.5, 0.3))),
+                                          (-1.0, (0.3, 0.6, PHI))):
+        lim = LimitingMeasure(replace(model, amplitude=amplitude), 1.0, samples=5000)
+        for method in ("radial", "grid-2d", "monte-carlo"):
+            assert lim.density_integral(phi, method) == 0.0, (amplitude, method)
+        assert lim.monte_carlo(alpha, beta, phi) == (0.0, 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(min_value=0.05, max_value=0.95), st.integers(min_value=1, max_value=8),
+       st.floats(min_value=-5.0, max_value=5.0))
+def test_epsilon_zero_is_the_isotropic_model(rho, m, amplitude):
+    # with epsilon = 0 the tail a |x|^-rho (1 + eps cos(m th)) is radial:
+    # one angular mode, and the limiting side's profiles of the isotropic model
+    flat = PotentialModel.anisotropic(rho, 0.0, m, amplitude)
+    iso = PotentialModel.isotropic(rho, amplitude)
+    assert flat.radial and not replace(flat, epsilon=0.3).radial
+    assert len(flat.angular_modes()) == 1
+    r = np.linspace(0.0, 5.0, 201)
+    for name in ("envelope", "mode_profile"):
+        got, want = (getattr(LimitingMeasure(u, 1.0), name)(r) for u in (flat, iso))
+        assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("model", [ISO, ANISO], ids=["isotropic", "anisotropic"])

@@ -527,6 +527,15 @@ def test_model_refuses_fields_that_break_later(build):
         build()
 
 
+@pytest.mark.parametrize("kind", ["isotropic-long-range", "compact-gaussian-bump"])
+def test_model_refuses_epsilon_outside_its_range_on_every_kind(kind):
+    # a radial model's limiting side reads eps |g_m| with g_m = 0, so epsilon
+    # must lie in [0, 1) on every kind, not only where it sets the anisotropy
+    for eps in (math.nan, math.inf, -0.5, 1.0):
+        with pytest.raises(ValueError, match="^epsilon must"):
+            PotentialModel(kind, rho=0.5, epsilon=eps)
+
+
 def test_model_accepts_a_numpy_integer_mode():
     model = PotentialModel.anisotropic(0.5, 0.3, np.int64(2))
     assert json.dumps(model.to_json()) == json.dumps(ANISO.to_json())
