@@ -169,12 +169,12 @@ def _cmd_trace_sweep(cfg: RunConfig, outdir: Path) -> int:
 
 def _cmd_symbol_check(cfg: RunConfig, outdir: Path) -> int:
     # the hs-distance slope needs a nonzero radial long-range model: the
-    # configured one, or the isotropic model of the config's decay order
+    # configured one, or the isotropic model of the config's rho and amplitude
     hs_model = cfg.model
     if not (hs_model.long_range and hs_model.radial):
         if not 0.0 < cfg.rho < 1.0:
             return _usage_error("config.rho: symbol-check's isotropic model needs rho in (0, 1)")
-        hs_model = PotentialModel.isotropic(cfg.rho)
+        hs_model = PotentialModel.isotropic(cfg.rho, cfg.model.amplitude)
     if hs_model.amplitude == 0.0:
         return _usage_error("config.model.amplitude: symbol-check needs a nonzero amplitude")
     outputs = []

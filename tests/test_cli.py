@@ -72,11 +72,13 @@ def test_jobs_is_set_by_the_flag_alone(tmp_path, capsys, monkeypatch):
      "config.model.amplitude"),
     ({"model": {"kind": "compact-gaussian-bump", "width": 1.0}, "rho": 1.0},
      "config.rho"),
-], ids=["zero-amplitude", "bump-rho-1"])
+    ({"model": dict(ANISO_MODEL, amplitude=0.0)}, "config.model.amplitude"),
+], ids=["zero-amplitude", "bump-rho-1", "non-radial-zero-amplitude"])
 def test_symbol_check_refuses_configs_without_its_isotropic_model(tmp_path, capsys,
                                                                   overrides, field):
-    # both used to end in a traceback: log(0) then a division by zero, and
-    # an isotropic model of decay order 1
+    # the first two used to end in a traceback: log(0) then a division by
+    # zero, and an isotropic model of decay order 1; a non-radial config's
+    # isotropic model takes the configured amplitude, so a zero one is refused
     path = _write_config(tmp_path, **overrides)
     code = main(["symbol-check", "--config", str(path), "--output", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -321,6 +323,23 @@ def test_symbol_check_outputs(tmp_path):
     ident = (out / "scaled_identity.csv").read_text().splitlines()
     assert ident[0] == "q,z1,z2,lhs,rhs,abs_diff"
     assert all(float(line.split(",")[-1]) < 1e-7 for line in ident[1:])
+
+
+def test_symbol_check_hs_distance_scales_with_the_amplitude(tmp_path):
+    # the isotropic model that stands in for a non-radial one takes the
+    # configured amplitude: the distances double with it, the slope stays
+    rows, slopes = {}, {}
+    for amplitude in (1.0, 2.0):
+        path = _write_config(tmp_path, **SMALL, model=dict(ANISO_MODEL, amplitude=amplitude))
+        out = tmp_path / f"out{amplitude}"
+        assert main(["symbol-check", "--config", str(path), "--output", str(out)]) == 0
+        lines = (out / "hs_distance.csv").read_text().splitlines()[1:]
+        rows[amplitude] = [float(line.split(",")[-1]) for line in lines]
+        slopes[amplitude] = json.loads((out / "manifest.json").read_text())["tolerances"]["hs_slope"]
+    assert len(rows[1.0]) == 4
+    for one, two in zip(rows[1.0], rows[2.0]):
+        assert abs(two - 2.0 * one) <= 1e-12 * one, (one, two)
+    assert abs(slopes[2.0] - slopes[1.0]) <= 1e-12
 
 
 def test_symbol_check_manifest_is_json_at_a_huge_amplitude(tmp_path, capsys):

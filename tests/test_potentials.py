@@ -259,12 +259,14 @@ def _power_cos_oracle(a, b, rho):
         return mp.quad(f, br) / mp.pi
 
 
-@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("rho", [0.05, 0.3, 0.5, 0.9, 0.99, 0.999, 0.9999])
 def test_power_cos_average_against_mpmath(rho):
     # the series switch at z = 2b/(a+b) = 1/2 (a = 3b), b = 0, the circle
     # a = b, and a far from b; 1e-13 at rho = 0.99, where the two terms of
-    # the connection formula cancel
-    tol = 1e-13 if rho == 0.99 else 1e-14
+    # the connection formula cancel, and as rho -> 1 more: 40 random points
+    # were off by 1.2e-13 at 0.999 and 4.8e-13 at 0.9999, bounded here with
+    # 4x headroom
+    tol = {0.99: 1e-13, 0.999: 5e-13, 0.9999: 2e-12}.get(rho, 1e-14)
     points = [(2.0 / z - 1.0, 1.0) for z in (0.5 - 1e-12, 0.5, 0.5 + 1e-12)]
     points += [(2.5, 0.0), (1e12, 0.0), (1.0, 1.0), (7.0, 7.0), (1e12, 1e12),
                (1e12, 1.0), (1e12, 9e11), (1.0 + 1e-9, 1.0), (40.0, 3.0)]
@@ -272,6 +274,33 @@ def test_power_cos_average_against_mpmath(rho):
         want = _power_cos_oracle(a, b, rho)
         got = power_cos_average(a, b, rho)
         assert abs(got - want) <= tol * want, (a, b, got, float(want))
+
+
+_MODE_CASES = [(m, rho) for m in (1, 2, 3) for rho in (0.3, 0.5, 0.9)]
+_MODE_CASES += [(1, 1e-4), (30, 0.5)] + [(m, rho) for m in (6, 12, 20) for rho in (0.01, 0.99)]
+
+
+@pytest.mark.parametrize("m, rho", _MODE_CASES)
+def test_mode_profile_against_mpmath(m, rho):
+    # g_m's Gauss forms in mpmath at 30 digits, from the float r taken as
+    # exact: C((m-rho)/2, m) r^m F((m+rho)/2, (m+rho)/2; m+1; r^2) inside
+    # the circle, r^-rho F((rho-m)/2, (rho+m)/2; 1; r^-2) on and outside it.
+    # The error is scaled by m0(r) >= |g_m(r)|, the scale of the transform,
+    # since g_m vanishes at r = 0 and falls as r^m inside.  Measured: at most
+    # 1.6e-15 of m0 over these modes and radii (rho near 0 and 1, m up to
+    # 30 included), so the bound 1e-14 has 6x headroom
+    radii = [0.0, 0.3, 1.0 - 1e-9, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.0 + 1e-9, 2.0, 60.0]
+    got = mean_value_mode_profile(rho, m, np.array(radii))
+    scale = mean_value_radial_profile(rho, np.array(radii))
+    h = mp.mpf(rho) / 2
+    for r, g, s in zip(radii, got, scale):
+        x = mp.mpf(r)
+        if x < 1:
+            want = mp.binomial(m / mp.mpf(2) - h, m) * x ** m * mp.hyp2f1(
+                m / mp.mpf(2) + h, m / mp.mpf(2) + h, m + 1, x * x)
+        else:
+            want = x ** (-2 * h) * mp.hyp2f1(h - m / mp.mpf(2), h + m / mp.mpf(2), 1, 1 / (x * x))
+        assert abs(g - want) <= 1e-14 * s, (r, g, float(want))
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
