@@ -82,7 +82,12 @@ class TestFunction:
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        s = np.atleast_1d(t - self.center)
+        s = self._into(np.array(t, ndmin=1))
+        return s if t.ndim else float(s[0])
+
+    def _into(self, s):
+        """The bump at the points s, a float array, in place of s."""
+        s -= self.center
         s /= self.half_width
         inside = (s > -1.0) & (s < 1.0)  # |s| < 1, with no float temporary
         x = s[inside]  # exp(1 - 1/(1 - s^2)), in place
@@ -93,7 +98,7 @@ class TestFunction:
         np.exp(x, out=x)
         s[...] = 0.0
         s[inside] = x
-        return s if t.ndim else float(s[0])
+        return s
 
 
 def _values_of(spec) -> np.ndarray:
@@ -314,7 +319,7 @@ class LimitingMeasure:
             return 0.0
         if phi is not None:
             up = self.B ** self.rho
-            return (lambda v: phi(np.multiply(v, up, out=v)),
+            return (lambda v: phi._into(np.multiply(v, up, out=v)),
                     self._level_radius([t_lo])[0] * 1.02)
         if method == "radial-inversion":
             return self._mu_radial_inversion(t_lo, t_hi)
@@ -397,16 +402,22 @@ class LimitingMeasure:
         """(1/2piB) int f(T(x)) dx, the integrand 0 outside the disc of radius
         r_out: `_monte_carlo`, or a polar rule ("grid-2d" or "radial", see
         `_grid`) summed in blocks of whole radii, at most BLOCK_POINTS points
-        (a radial model's grids and radial rule are one block).  f is
-        vectorised and may overwrite its argument."""
+        (a radial model's grids and radial rule are one block), in scratch
+        allocated once per call.  f is vectorised and may overwrite its
+        argument."""
         if method == "monte-carlo":
             return self._monte_carlo([(f, r_out)])[0]
         base, mode, area, c, w = self._grid(r_out, method)
         total, step = 0.0, max(BLOCK_POINTS // c.size, 1)
+        vals = np.empty((min(step, base.size), c.size))  # T, then f(T) area
+        areas = np.empty((vals.shape[0], np.size(w)))
         for i in range(0, base.size, step):
             blk = slice(i, i + step)
-            vals = base[blk, None] + mode[blk, None] * c
-            total += np.sum(f(vals) * (area[blk, None] * w))
+            n = area[blk].size
+            v = np.multiply(mode[blk, None], c, out=vals[:n])
+            v += base[blk, None]
+            wa = np.multiply(area[blk, None], w, out=areas[:n])
+            total += np.sum(np.multiply(f(v), wa, out=vals[:n]))
         return float(total) / (2.0 * math.pi * self.B)
 
     def _monte_carlo(self, integrands) -> list[float]:

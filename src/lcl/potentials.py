@@ -18,8 +18,10 @@ Euler's integral on 200 nodes in log s and one head node for the others.
 
 The power-cosine average (1/pi) int_0^pi (a - b cos t)^(-rho/2) dt behind
 the radial profile m0 and the Hilbert-Schmidt distance is a Gauss
-hypergeometric function, summed as a series (`power_cos_average`) in one
-vectorized pass whatever the size of its input, so callers pass batches.  The
+hypergeometric function (`power_cos_average`): its series and those of its
+connection formula, each on [0, 1/2], are economized once per rho from 64
+Taylor terms to about 21 Chebyshev-truncated ones and summed by Horner in one
+vectorized pass whatever the size of the input, so callers pass batches.  The
 mean-value transform (average over the unit circle centered at x), the mode
 profile g_m and every other circle average of a model or tail run on one
 angle rule, `_angle_rule`, for (1/pi) int_0^pi f(t) dt where f varies on the
@@ -42,6 +44,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as C
+from numpy.polynomial import polynomial as P
 
 from .errors import AccuracyError, QuadratureError
 from .specfun import BLOCK_POINTS, panel_rule
@@ -357,23 +361,25 @@ def _angle_rule_groups(delta: np.ndarray, rho: float):
 
 _SERIES_TERMS = 64
 _SERIES_TOL = 2.0 ** -56
+_CERT_ULPS = 4
 
 
 class _PowerCosSeries(NamedTuple):
-    """The series behind `power_cos_average` for one rho, highest order
-    first."""
+    """The polynomials behind `power_cos_average` for one rho: each series on
+    its argument v in [0, 1/2] as a polynomial in y = 4v - 1, its
+    coefficients highest power first."""
 
     nu: float
-    near: tuple  # c_k of F(nu, 1/2; 1; z)
-    far: tuple   # (A1 d_k, A2 e_k), the two series of the connection formula
+    near: tuple  # (F(nu, 1/2; 1; z) - 1) / z, so that F(nu, 1/2; 1; 0) = 1
+    far: tuple   # (A1 d, A2 e), the two series of the connection formula
 
 
-@functools.cache
-def _power_cos_series(rho: float) -> _PowerCosSeries:
-    """Coefficients of F(nu, 1/2; 1; z) and of the two series of its
-    connection formula at 1 - z (A&S 15.3.6), nu = rho/2, built on first
-    use.  Every coefficient lies in (0, 1]; the build certifies that the
-    first omitted term at argument 1/2 stays below 2^-56 of the sum."""
+def _taylor_tables(rho: float):
+    """The _SERIES_TERMS Taylor coefficients, lowest order first, of
+    F(nu, 1/2; 1; z) and of the two series A1 d and A2 e of its connection
+    formula at 1 - z (A&S 15.3.6), nu = rho/2.  Before the factors A1 and A2
+    every coefficient lies in (0, 1]; the tables are certified: the first
+    omitted term at argument 1/2 stays below 2^-56 of the sum."""
     nu = 0.5 * rho
     tables = []
     for p, c in ((nu, 1.0), (nu, nu + 0.5), (1.0 - nu, 1.5 - nu)):
@@ -385,30 +391,71 @@ def _power_cos_series(rho: float) -> _PowerCosSeries:
             raise AccuracyError(
                 f"hypergeometric series for rho={rho} not converged in "
                 f"{_SERIES_TERMS} terms at argument 1/2")
-        tables.append(coef[-2::-1])
+        tables.append(np.array(coef[:-1]))
     near, d, e = tables
     a1 = math.gamma(0.5 - nu) / (math.sqrt(math.pi) * math.gamma(1.0 - nu))
     a2 = math.gamma(nu - 0.5) / (math.sqrt(math.pi) * math.gamma(nu))
-    return _PowerCosSeries(nu, tuple(near),
-                           tuple((a1 * dk, a2 * ek) for dk, ek in zip(d, e)))
+    return near, a1 * d, a2 * e
 
 
-def _near_sum(z, ser: _PowerCosSeries):
-    """F(nu, 1/2; 1; z) by Horner on all _SERIES_TERMS terms."""
-    acc = 0.0
-    for c in ser.near:
-        acc = acc * z + c
+def _economize(coef):
+    """sum_k coef[k] v^k on [0, 1/2] as a polynomial in y = 4v - 1, lowest
+    power first: its Chebyshev series in y without the trailing coefficients
+    whose absolute sum stays below _SERIES_TOL of coef[0].  The series
+    converges like (3 + 2 sqrt 2)^-n, as its only singularity is at v = 1
+    (Trefethen, ATAP ch. 8).  coef is all of one sign, so re-expanding it in
+    y and taking its Chebyshev series add terms of one sign only."""
+    in_y = np.zeros(coef.size)
+    for k, c in enumerate(coef[::-1]):  # Horner: in_y <- in_y (1 + y) / 4 + c
+        in_y[1:k + 1] += in_y[:k]
+        in_y *= 0.25
+        in_y[0] += c
+    cheb = C.poly2cheb(in_y)
+    tail = np.cumsum(np.abs(cheb[::-1]))[::-1]  # tail[n]: sum of |cheb[n:]|
+    return C.cheb2poly(cheb[:np.count_nonzero(tail >= _SERIES_TOL * abs(coef[0]))])
+
+
+@functools.cache
+def _power_cos_series(rho: float) -> _PowerCosSeries:
+    """The Taylor tables of `_taylor_tables`, the near one without its
+    constant 1, each economized by `_economize` (about 21 terms where the
+    Taylor series takes 64), built on first use.  The build certifies each
+    polynomial against its Taylor sum at 65 Chebyshev points of [0, 1/2]:
+    within _CERT_ULPS ulps."""
+    v = 0.25 * (1.0 + np.cos(np.linspace(0.0, math.pi, 65)))
+    near, p, q = _taylor_tables(rho)
+    polys = []
+    for coef in (near[1:], p, q):
+        poly = _economize(coef)[::-1]
+        want, got = P.polyval(v, coef), _horner(4.0 * v - 1.0, poly)
+        if not np.all(np.abs(got - want) <= _CERT_ULPS * np.spacing(np.abs(want))):
+            raise AccuracyError(
+                f"economized hypergeometric series for rho={rho} off its "
+                f"Taylor sum by more than {_CERT_ULPS} ulps")
+        polys.append(tuple(poly.tolist()))
+    near, p, q = polys
+    return _PowerCosSeries(0.5 * rho, near, (p, q))
+
+
+def _horner(y, poly):
+    """sum_j poly[j] y^(n-1-j), highest power first, in one array."""
+    acc = np.full(np.shape(y), poly[0])
+    for c in poly[1:]:
+        acc *= y
+        acc += c
     return acc
 
 
+def _near_sum(z, ser: _PowerCosSeries):
+    """F(nu, 1/2; 1; z), z in [0, 1/2]; exactly 1 at z = 0."""
+    return 1.0 + z * _horner(4.0 * z - 1.0, ser.near)
+
+
 def _far_sum(w, ser: _PowerCosSeries):
-    """F(nu, 1/2; 1; 1 - w) by the connection formula, both of its series
-    in one Horner pass on all _SERIES_TERMS terms."""
-    p = q = 0.0
-    for c1, c2 in ser.far:
-        p = p * w + c1
-        q = q * w + c2
-    return p + w ** (0.5 - ser.nu) * q
+    """F(nu, 1/2; 1; 1 - w), w in [0, 1/2], by the connection formula."""
+    y = 4.0 * w - 1.0
+    p, q = ser.far
+    return _horner(y, p) + w ** (0.5 - ser.nu) * _horner(y, q)
 
 
 def power_cos_average(a, b, rho: float, *, gap=None):
@@ -418,8 +465,10 @@ def power_cos_average(a, b, rho: float, *, gap=None):
     on-circle singular case (finite for 0 < rho < 1).  With nu = rho/2,
     s = a + b and z = 2b/s it equals s^(-nu) F(nu, 1/2; 1; z): the power
     series in z for z <= 1/2, above that the connection formula in
-    w = 1 - z = (a-b)/s (A&S 15.3.6), each summed on all of its terms (to
-    below 2^-56 relative), so a value does not depend on the rest of the call.
+    w = 1 - z = (a-b)/s (A&S 15.3.6).  Each series is summed by Horner on
+    its economized polynomial in 4z - 1 or 4w - 1 (`_power_cos_series`,
+    within a few ulps of its 64-term Taylor sum, itself within 2^-56), on
+    all of its terms, so a value does not depend on the rest of the call.
     s, z and w are formed from b and gap = a - b, which does not cancel
     near the circle if the caller knows it in a cancellation-free form (for
     instance (r-1)^2 for the radial profile) and passes it as `gap`.

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from lcl import potentials
 from lcl.errors import AccuracyError
 from lcl.potentials import (PotentialModel, TailField, _angle_rule, _angle_rule_groups,
-                            _gauss_jacobi01, _power_cos_series, circle_average,
+                            _economize, _far_sum, _gauss_jacobi01, _near_sum,
+                            _power_cos_series, _taylor_tables, circle_average,
                             evaluate, evaluate_tail, mean_value_mode_profile,
                             mean_value_radial_profile, mean_value_transform,
                             orbit_average, power_cos_average)
@@ -183,7 +184,9 @@ def test_mean_value_dual_quadrature_oracle():
 
 
 def test_profile_at_zero_and_monotone_tail():
-    assert mean_value_radial_profile(0.5, 0.0) == 1.0
+    # m0(0) = F(nu, 1/2; 1; 0) = 1 exactly, for every rho
+    for rho in np.linspace(0.01, 0.99, 99):
+        assert mean_value_radial_profile(float(rho), 0.0) == 1.0, rho
     rs = np.linspace(2.0, 40.0, 50)
     prof = mean_value_radial_profile(0.5, rs)
     assert np.all(np.diff(prof) < 0)
@@ -355,7 +358,9 @@ def test_power_cos_series_cached_and_read_only():
     assert _power_cos_series(0.5) is ser
     fresh = _power_cos_series.__wrapped__(0.5)
     assert fresh.near == ser.near and fresh.far == ser.far
-    assert len(ser.near) == len(ser.far) == potentials._SERIES_TERMS
+    near, p, q = _taylor_tables(0.5)
+    lengths = tuple(len(_economize(t)) for t in (near[1:], p, q))
+    assert (len(ser.near), *map(len, ser.far)) == lengths
     with pytest.raises(TypeError):
         ser.near[0] = 0.0
     with pytest.raises(TypeError):
@@ -369,6 +374,62 @@ def test_power_cos_series_certifies_its_truncation(monkeypatch):
     monkeypatch.setattr(potentials, "_SERIES_TERMS", 8)
     with pytest.raises(AccuracyError, match="not converged"):
         _power_cos_series.__wrapped__(0.5)
+
+
+@pytest.mark.parametrize("corrupt", ["coefficient", "tolerance"])
+def test_power_cos_series_certifies_its_economization(monkeypatch, corrupt):
+    # a constant term 1e-14 off, or a Chebyshev tail cut at 2^-30 (10 or 11
+    # terms), moves the polynomial by far more than 4 ulps of the Taylor sum
+    if corrupt == "coefficient":
+        economize = potentials._economize
+
+        def corrupted(coef):
+            poly = economize(coef)
+            poly[0] *= 1.0 + 1e-14
+            return poly
+
+        monkeypatch.setattr(potentials, "_economize", corrupted)
+    else:
+        monkeypatch.setattr(potentials, "_SERIES_TOL", 2.0 ** -30)
+    with pytest.raises(AccuracyError, match="economized"):
+        _power_cos_series.__wrapped__(0.5)
+
+
+def _taylor_horner(v, coef):
+    """The raw Taylor sum of a table of `_taylor_tables`, by Horner on all
+    of its _SERIES_TERMS terms: the exact path behind the economized kernel."""
+    acc = np.zeros_like(v)
+    for c in coef[::-1]:
+        acc = acc * v + c
+    return acc
+
+
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1, 0.5, 0.9, 0.99, 0.9999])
+def test_economized_kernel_matches_the_taylor_oracle(rho):
+    # dense grids of [0, 1/2] with both ends and the seam at z = 1/2 +- 1e-12
+    # (w = 1/2 - 1e-12 on the far branch).  Near branch: within 4 ulps of
+    # the Taylor sum.  Far branch: within 4 ulps of the scale of its two
+    # terms, since they cancel as rho -> 1 (measured: 1 and 2 ulps)
+    near, p, q = _taylor_tables(rho)
+    ser = _power_cos_series(rho)
+    v = np.concatenate([np.linspace(0.0, 0.5, 20001), [0.5 - 1e-12, 1e-12, 1e-300],
+                        np.random.default_rng(5).uniform(0.0, 0.5, 20000)])
+    want = _taylor_horner(v, near)
+    assert np.all(np.abs(_near_sum(v, ser) - want) <= 4 * np.spacing(want))
+    root = v ** (0.5 - ser.nu)
+    want = _taylor_horner(v, p) + root * _taylor_horner(v, q)
+    scale = np.abs(_taylor_horner(v, p)) + root * np.abs(_taylor_horner(v, q))
+    assert np.all(np.abs(_far_sum(v, ser) - want) <= 4 * np.spacing(scale))
+
+
+def test_economized_tables_stay_short():
+    # a count guard in place of a timing: about 21 terms, never the 64 of
+    # the Taylor tables, for rho across (0, 1)
+    rhos = np.concatenate([[1e-4, 1e-3, 0.01], np.linspace(0.05, 0.95, 19),
+                           [0.99, 0.999, 0.9999]])
+    for rho in rhos:
+        ser = _power_cos_series(float(rho))
+        assert max(len(ser.near), *map(len, ser.far)) <= 24, rho
 
 
 def test_profile_tail_normalization():
