@@ -20,7 +20,7 @@ takes in the far field; with one point it is Newton's.  Every eigenvalue, or
 only those in a window, is proven to lie in its final bracket by fresh
 counts at both ends.
 This module owns the contract around both: finite and well-shaped input, the
-dense dimension cap (``eigh``, and each chain of a full banded spectrum), and
+dense dimension cap of ``eigh``, the one solver here that stores a matrix, and
 one certificate block (the eigenvalue error bound, then the trace and
 Frobenius identities) that raises NumericalError.
 """
@@ -400,15 +400,14 @@ def tridiagonal_eig(d, e, window=None, *, m=1) -> EigenSpectrum:
 
     The chains are laid out side by side, and every count pass of the solve
     runs over all of them in one row loop; each eigenvalue keeps its own
-    chain's grid, tolerance, bracket and certificate.  The full spectrum is
-    held to the dense cap per chain and, after the bracket certificate, to
-    the trace and Frobenius identities of the whole matrix.  A window has no
-    cap.  Each count stops past the last row whose Gershgorin disc reaches
-    its shift.  Raises ContractError for ill-shaped or non-finite input or a
-    window that straddles 0, CapacityError for a full spectrum with a chain
-    above the dense cap, and NumericalError (``eigen-residual`` naming the
-    index and n) for a bracket wider than 1e-9 of its chain's Gershgorin norm
-    or not proven by its counts.
+    chain's grid, tolerance, bracket and certificate.  No matrix is stored,
+    so no dimension cap applies.  The full spectrum is held, after the
+    bracket certificate, to the trace and Frobenius identities of the whole
+    matrix.  Each count stops past the last row whose Gershgorin disc
+    reaches its shift.  Raises ContractError for ill-shaped or non-finite
+    input or a window that straddles 0, and NumericalError
+    (``eigen-residual`` naming the index and n) for a bracket wider than
+    1e-9 of its chain's Gershgorin norm or not proven by its counts.
     """
     d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     if not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -433,7 +432,6 @@ def tridiagonal_eig(d, e, window=None, *, m=1) -> EigenSpectrum:
     p = math.frexp(scale)[1]
     d, e, scale = np.ldexp(d, -p), np.ldexp(e, -p), math.ldexp(scale, -p)
     if window is None:
-        _check_dense_cap(-(-n // m))
         s = _chains(d, e, m)
         lo, hi, base, k = s.lo, s.hi, np.zeros_like(s.size), s.size
     else:

@@ -366,11 +366,11 @@ def _chebyshev_tail(rows, rho: float, q: int, j: int, k_a: int, k_b: int) -> np.
     return fit(np.log(m)) / m ** (0.5 * rho)
 
 
-def _check_cap(k_max: int) -> None:
-    """The one angular capacity cap: k_max <= K_HARD_CAP."""
+def _check_cap(k_max: int, q: int) -> None:
+    """The one angular capacity cap: k_max <= K_HARD_CAP at level q."""
     if k_max > K_HARD_CAP:
         raise CapacityError(
-            f"k_max {k_max} exceeds hard cap {K_HARD_CAP}; increase delta")
+            f"k_max {k_max} exceeds hard cap {K_HARD_CAP} at q={q}; increase delta")
 
 
 def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
@@ -379,7 +379,7 @@ def radial_diagonal(model: PotentialModel, cfg: LandauConfig) -> np.ndarray:
     This is the storage-free fast path for radial models (the full block is
     diagonal); it is also the diagonal of the banded anisotropic block.
     """
-    _check_cap(cfg.k_max)
+    _check_cap(cfg.k_max, cfg.q)
     return _diagonal_window(model, cfg.B, cfg.q, -cfg.q, cfg.k_max)
 
 
@@ -505,8 +505,8 @@ def level_spectrum(model: PotentialModel, B: float, q: int, delta: float,
     band[r::m]): its diagonal, its band and the offset m go to
     ``tridiagonal_eig`` as they are, and every Sturm count pass runs over all
     the chains at once, for eigenvalues only, found and certified by Sturm
-    counts.  A full spectrum is held to the dense cap per chain, and the
-    whole block is never stored.
+    counts.  The block is never stored, so only K_HARD_CAP bounds its
+    dimension, at K_HARD_CAP + q + 1.
     """
     k_max = truncation_bound(model, B, q, delta, rho_scale=rho)
     diag, bands = _level_bands(model, LandauConfig(B=B, q=q, k_max=k_max))
@@ -567,7 +567,7 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
     thr = delta * lam ** (-rho_scale / 2.0)
     lo, hi = 0, 1
     while _row_bound(model, B, q, hi) >= thr:
-        _check_cap(hi)
+        _check_cap(hi, q)
         lo, hi = hi, min(2 * hi, K_HARD_CAP + 1)
     while lo < hi - 1:
         mid = (lo + hi) // 2
@@ -576,8 +576,8 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
         else:
             hi = mid
     K = hi
-    _check_cap(K)
+    _check_cap(K, q)
     while _row_bound(model, B, q, K + 1) >= thr:  # guard against local bumps
         K += 1
-        _check_cap(K)
+        _check_cap(K, q)
     return K

@@ -514,6 +514,8 @@ def convergence_study(model: PotentialModel, B: float, rho: float,
         raise ValueError(f"rho must be finite, got {rho!r}")
     if model.long_range and abs(rho - model.rho) > 1e-12:
         raise ValueError("rho must match the model's decay order")
+    if rhs_method not in _DENSITY_METHODS:
+        raise ValueError(f"unknown method {rhs_method!r}")
     if model.long_range and model.amplitude != 0.0:
         rhs = LimitingMeasure(model, B).density_integral(phi, method=rhs_method)
     else:

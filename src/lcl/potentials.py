@@ -532,19 +532,28 @@ def mean_value_mode_profile(rho: float, m: int, r):
         raise ValueError("r must be finite and >= 0")
     out = np.empty_like(r_arr)
     delta = np.abs(r_arr - 1.0) / np.sqrt(np.maximum(r_arr, 1e-2))
-    for rows, t, w in _angle_rule_groups(delta, rho):
-        rows, step = np.flatnonzero(rows), max(BLOCK_POINTS // t.size, 1)
+    groups = [(np.flatnonzero(rows), t, w, max(BLOCK_POINTS // t.size, 1))
+              for rows, t, w in _angle_rule_groups(delta, rho)]
+    # scratch of the largest block, allocated once per call: |x - w|^2, then
+    # the summand; arg(x - w), then its weighted cosine
+    size = max((min(step, rows.size) * t.size for rows, t, _, step in groups), default=0)
+    d2_buf, ang_buf = np.empty((2, size))
+    for rows, t, w, step in groups:
         # x - w = ((r-1) + 2 sin^2(t/2), -sin t) and |x - w|^2 =
         # (r-1)^2 + 4 r sin^2(t/2): no cancellation near (1, 0)
-        s2, sin_t = np.sin(0.5 * t) ** 2, np.sin(t)
+        s2, neg_sin = np.sin(0.5 * t) ** 2, -np.sin(t)
         for i in range(0, rows.size, step):
             blk = rows[i:i + step]
             rv = r_arr[blk][:, None]
-            d2 = (rv - 1.0) ** 2 + 4.0 * rv * s2
-            ang = np.arctan2(-sin_t, (rv - 1.0) + 2.0 * s2)
+            d2 = d2_buf[:blk.size * t.size].reshape(blk.size, t.size)
+            ang = ang_buf[:d2.size].reshape(d2.shape)
+            np.add((rv - 1.0) ** 2, np.multiply(4.0 * rv, s2, out=d2), out=d2)
+            np.arctan2(neg_sin, np.add(rv - 1.0, 2.0 * s2, out=ang), out=ang)
+            np.power(d2, -rho / 2.0, out=d2)
+            np.multiply(np.cos(np.multiply(m, ang, out=ang), out=ang), w, out=ang)
             # a row-wise sum, not BLAS, so a row's bits depend neither on the
             # other rows nor on the block it is in
-            out[blk] = (d2 ** (-rho / 2.0) * (np.cos(m * ang) * w)).sum(axis=1)
+            out[blk] = np.multiply(d2, ang, out=d2).sum(axis=1)
     return out if np.ndim(r) else float(out[0])
 
 

@@ -192,6 +192,18 @@ def test_spectrum_anisotropic_block_summary(tmp_path):
     assert manifest["outputs"] == ["block_q2.json", "spectrum_q2.csv"]
 
 
+def test_spectrum_anisotropic_level_above_4096_rows(tmp_path):
+    # the test-09 model at delta = 0.19: q = 4 has two chains of 5144 rows,
+    # and the full spectrum is solved with no matrix stored
+    path = _write_config(tmp_path, model=ANISO_MODEL, q_list=[4])
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(path), "--output", str(out), "--q", "4"]) == 0
+    assert len((out / "spectrum_q4.csv").read_text().splitlines()) == 1 + 10288
+    assert json.loads((out / "block_q4.json").read_text())["dimension"] == 10288
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"]["eig_residual_bound"] <= 1e-9
+
+
 def test_epsilon_zero_config_runs_as_the_isotropic_model(tmp_path):
     # an anisotropic model with epsilon 0, given or omitted, is radial: every
     # subcommand writes the isotropic config's files, bit for bit, and only

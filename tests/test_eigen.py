@@ -115,10 +115,15 @@ def test_non_square_rejected():
 
 def test_dimension_cap():
     with pytest.raises(CapacityError):
-        sym_eig(np.zeros((4097, 4097)))
-    # the cap holds per chain: one tridiagonal chain of 4097 rows
-    with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
-        tridiagonal_eig(np.zeros(4097), np.ones(4096))
+        sym_eig(np.zeros((DENSE_CAP + 1, DENSE_CAP + 1)))
+    # the Sturm solver stores no matrix, so the cap is sym_eig's alone: one
+    # tridiagonal chain of 4097 rows is solved
+    n, a, b = DENSE_CAP + 1, 0.5, 0.75
+    want = a + 2.0 * b * np.cos(np.arange(n, 0, -1) * np.pi / (n + 1))
+    spec = tridiagonal_eig(*_toeplitz_chain(n, a, b))
+    assert spec.dimension == n
+    assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
+    assert spec.residual_bound <= 1e-12
 
 
 def test_spectrum_dataclass_validation():
@@ -587,22 +592,18 @@ def _toeplitz_chain(n, a, b):
     return np.full(n, a), np.full(n - 1, b)
 
 
-def test_dense_cap_holds_per_chain():
-    # 4097 rows at offset 2, in chains of 2049 and 2048: solved
+def test_chains_of_unequal_length_match_closed_form():
+    # 4097 rows at offset 2, in chains of 2049 and 2048
     sizes = [(2049, 0.0, 1.0), (2048, 0.5, 0.75)]
     d, e = np.empty(4097), np.empty(4095)
     for r, size in enumerate(sizes):
         d[r::2], e[r::2] = _toeplitz_chain(*size)
-    assert len(d) > DENSE_CAP
     want = np.sort(np.concatenate([a + 2.0 * b * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
                                    for n, a, b in sizes]))
     spec = tridiagonal_eig(d, e, m=2)
     assert spec.dimension == len(d)
     assert np.max(np.abs(spec.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert spec.residual_bound <= 1e-12
-    # a chain of 4097 rows at offset 2: refused, naming that chain
-    with pytest.raises(CapacityError, match=r"\b4097\b.*\b4096\b"):
-        tridiagonal_eig(np.zeros(8193), np.ones(8191), m=2)
 
 
 def _banded(d, e, m):

@@ -517,9 +517,10 @@ def test_truncation_bound_monotone_in_delta():
 
 
 def test_truncation_bound_capacity_error():
-    with pytest.raises(CapacityError):
+    # the message names the level
+    with pytest.raises(CapacityError, match=r"\bq=128\b"):
         truncation_bound(ISO, 1.0, 128, 1e-3)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match=r"\bq=4\b"):
         radial_diagonal(ISO, LandauConfig(B=1.0, q=4, k_max=landau.K_HARD_CAP + 1))
 
 

@@ -13,7 +13,7 @@ import tracemalloc
 
 from lcl import measures, potentials, symbols
 from lcl.eigen import _sturm_count, sym_eig
-from lcl.errors import CapacityError, ContractError, MethodError
+from lcl.errors import ContractError, MethodError
 from lcl.landau import (LandauConfig, _block_summary, _level_bands, landau_level,
                         level_spectrum, radial_diagonal, toeplitz_matrix)
 from lcl.measures import (ConvergenceRow, EmpiricalClusterMeasure,
@@ -617,6 +617,19 @@ def test_convergence_study_validation():
             convergence_study(model, 1.0, float("nan"), PHI, [2], 0.1)
 
 
+@pytest.mark.parametrize("model", [ISO, PotentialModel.gaussian_bump(),
+                                   PotentialModel.isotropic(0.5, 0.0)],
+                         ids=["isotropic", "bump", "zero-amplitude"])
+def test_convergence_study_refuses_unknown_rhs_method(model, monkeypatch):
+    # a bump or a zero amplitude takes rhs = 0 with no integral, and used to
+    # accept any method; the method is refused before any level runs
+    def no_level(*args):
+        raise AssertionError("a level ran before the method was checked")
+    monkeypatch.setattr(measures, "_study_row", no_level)
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        convergence_study(model, 1.0, 0.5, PHI, [2, 4], 0.1, rhs_method="bogus")
+
+
 @pytest.mark.parametrize("mode,q", [(2, 2), (2, 8), (3, 4), (1, 2), (2, 32)])
 def test_level_spectrum_chains_match_dense_oracle(mode, q):
     # mode m splits the block into m residue chains; mode 1 is one chain,
@@ -731,29 +744,42 @@ def test_sweep_and_spectrum_need_no_dense_solver(monkeypatch, tmp_path):
     assert len((out / "spectrum_q8.csv").read_text().splitlines()) == 1 + 636
 
 
-def test_level_spectrum_dense_cap_is_per_chain():
-    # dimension 4676 > 4096 in four chains of 1169
-    mode4 = PotentialModel.anisotropic(0.5, 0.3, 4)
-    values, k_max, _, _, summary = level_spectrum(mode4, 1.0, 2, 0.2, 0.5)
-    assert summary["dimension"] == len(values) == 4676
-    diag, bands = _level_bands(mode4, LandauConfig(B=1.0, q=2, k_max=k_max))
-    assert list(bands) == [4]
-    band = bands[4]
+def _assert_chains_hold(model, q, values, k_max):
+    # the trace and Frobenius sums from the bands, and vectorized LDL^T Sturm
+    # counts per chain at 64 gap midpoints equal to the merged counts
+    diag, bands = _level_bands(model, LandauConfig(B=1.0, q=q, k_max=k_max))
+    (m, band), = bands.items()
+    assert m == model.mode
     scale = float(np.max(np.abs(values)))
     tol = 1e-12 * len(values) * scale
     assert abs(np.sum(values) - np.sum(diag)) <= tol
     assert abs(np.sum(values ** 2) - np.sum(diag ** 2) - 2.0 * np.sum(band ** 2)) <= tol * scale
-    # shifts in the middle of 64 gaps of the merged spectrum
     i = np.linspace(0, len(values) - 2, 64).astype(int)
     shifts = 0.5 * (values[i] + values[i + 1])
-    counts = sum(_sturm_count(diag[r::4], band[r::4], shifts) for r in range(4))
+    counts = sum(_sturm_count(diag[r::m], band[r::m], shifts) for r in range(m))
     assert np.array_equal(counts, np.searchsorted(values, shifts))
 
 
-def test_level_spectrum_chain_above_dense_cap():
-    # mode 2 at q = 4: dimension 8418 in two chains of 4209
-    with pytest.raises(CapacityError, match=r"\b4209\b.*\b4096\b"):
-        level_spectrum(ANISO, 1.0, 4, 0.2, 0.5)
+def test_level_spectrum_four_chains_hold_identities_and_counts():
+    # mode 4 at q = 2: dimension 4676 in four chains of 1169
+    mode4 = PotentialModel.anisotropic(0.5, 0.3, 4)
+    values, k_max, _, _, summary = level_spectrum(mode4, 1.0, 2, 0.2, 0.5)
+    assert summary["dimension"] == len(values) == 4676
+    _assert_chains_hold(mode4, 2, values, k_max)
+
+
+def test_level_spectrum_chains_above_4096_rows():
+    # mode 2 at q = 4: dimension 8418 in two chains of 4209, solved in full;
+    # inside the window of phi = (0.5, 0.3) it is the windowed solve
+    values, k_max, _, residual, summary = level_spectrum(ANISO, 1.0, 4, 0.2, 0.5)
+    assert summary["dimension"] == len(values) == 8418
+    assert residual <= 1e-12
+    _assert_chains_hold(ANISO, 4, values, k_max)
+    lo, hi = (s * landau_level(1.0, 4) ** -0.25 for s in PHI.support)
+    windowed = level_spectrum(ANISO, 1.0, 4, 0.2, 0.5, (lo, hi))[0]
+    want = values[(values >= lo) & (values < hi)]
+    assert len(windowed) == len(want) > 1000
+    assert np.max(np.abs(windowed - want)) <= 1e-12 * np.max(np.abs(values))
 
 
 def test_rows_to_csv_format(tmp_path):
