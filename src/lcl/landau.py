@@ -89,7 +89,7 @@ __all__ = [
     "truncation_bound",
 ]
 
-K_HARD_CAP = 200_000
+K_HARD_CAP = 1_000_000
 _QUAD_BASE = 80
 _PAD_AIRY = 8.0
 _NODES_PER_N = 2.8
@@ -568,7 +568,7 @@ def truncation_bound(model: PotentialModel, B: float, q: int, delta: float,
     lo, hi = 0, 1
     while _row_bound(model, B, q, hi) >= thr:
         _check_cap(hi, q)
-        lo, hi = hi, min(2 * hi, K_HARD_CAP + 1)
+        lo, hi = hi, 2 * hi
     while lo < hi - 1:
         mid = (lo + hi) // 2
         if _row_bound(model, B, q, mid) >= thr:

@@ -94,11 +94,8 @@ def laguerre_smoothing(model: PotentialModel, B: float, q: int, z) -> float:
 
     The circle average of V_B at radius t equals the circle average of V
     centered at the swap-negate image of z, radius t/sqrt(B), so the smooth
-    circle-average engine applies directly.  Cost grows with q; the contract
-    caps q at 64.
+    circle-average engine applies directly.  Cost grows with q.
     """
-    if not 0 <= q <= 64:
-        raise ValueError(f"q must lie in [0, 64] for laguerre_smoothing, got {q!r}")
     landau_level(B, q)
     t, wt, kern = _psi_q_radial_rule(q)
     cx, cy = _swap_negate(z)
@@ -132,7 +129,6 @@ def i_rho(k: float, rho: float) -> float:
 # Hilbert-Schmidt distance between the smoothed and circle symbols
 # ---------------------------------------------------------------------------
 
-_HS_MAX_Q = 32
 _HS_TAIL_FRACTION = 0.10
 _HS_TAIL_TARGET = 1e-7
 
@@ -154,8 +150,6 @@ def hs_distance(model: PotentialModel, B: float, q: int, *, detail: bool = False
     """
     if not (model.long_range and model.radial):
         raise MethodError("hs_distance implements the radial long-range fast path only")
-    if not 0 <= q <= _HS_MAX_Q:
-        raise ValueError(f"q must lie in [0, {_HS_MAX_Q}] for hs_distance, got {q!r}")
     landau_level(B, q)
     rho = model.rho
     k = math.sqrt(2.0 * q + 1.0)
@@ -223,7 +217,7 @@ def hs_distance_fourier(model: PotentialModel, B: float, q: int) -> float:
     hs^2 = int_0^inf (L_q(z^2/2) e^{-z^2/4} - J_0(k z))^2 |vhat_B(z)|^2 z dz,
 
     with vhat_B the radial transform of the rescaled potential.  Serves as
-    the independent cross check of :func:`hs_distance` at small q.
+    the independent cross check of :func:`hs_distance`.
     """
     if not (model.long_range and model.radial):
         raise MethodError("hs_distance_fourier implements radial long-range models only")

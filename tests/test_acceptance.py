@@ -5,6 +5,7 @@ complete; tolerances are pinned here, not configurable.
 """
 import json
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -198,7 +199,7 @@ def test_09_anisotropic_cross_validation():
     _report("09 anisotropic cross-validation", ok,
             f"rel gap q=8: {gaps[8]:.2e} -> q=48: {gaps[48]:.2e} (<= 0.25); "
             f"grid-2d vs monte-carlo rel diff {mc_rel:.2e} (<= 1e-2); "
-            f"max dense dimension {max(dims.values())} (<= 4096)")
+            f"max sweep dimension {max(dims.values())} (<= 4096)")
 
 
 def test_10_infrastructure_oracles(tmp_path):
@@ -276,18 +277,48 @@ def test_10_infrastructure_oracles(tmp_path):
 
 def test_11_anisotropic_paper_delta():
     # criterion 09's model at the paper's delta = 0.19: two residue chains per
-    # level, from about 9,700 and 18,900 rows at q = 8 to about 74,000 each at
-    # q = 64, above the dense cap, of which only the eigenvalues inside phi's
-    # support are found; gated like criterion 09
+    # level, of about 9,700 rows each at q = 8 and about 147,000 each at
+    # q = 128, above the dense cap, of which only the eigenvalues inside phi's
+    # support are found; gated like criterion 09, at q = 64 and at the
+    # deepest level, q = 128, whose time is reported
     phi = TestFunction(0.65, 0.15)
-    qs = [8, 16, 32, 64]
-    rows = convergence_study(ANISO, 1.0, 0.5, phi, qs, 0.19, rhs_method="grid-2d")
+    qs = [8, 16, 32, 64, 128]
+    rows = convergence_study(ANISO, 1.0, 0.5, phi, qs[:-1], 0.19, rhs_method="grid-2d")
+    t0 = time.perf_counter()
+    rows += convergence_study(ANISO, 1.0, 0.5, phi, qs[-1:], 0.19, rhs_method="grid-2d")
+    deepest_s = time.perf_counter() - t0
     gaps = {r.q: r.relative_gap for r in rows}
     dims = {r.q: r.k_max + r.q + 1 for r in rows}
-    ok = gaps[64] <= 0.25 and gaps[64] <= gaps[8] and min(dims.values()) > 2 * 4096
+    ok = (all(gaps[q] <= 0.25 and gaps[q] <= gaps[8] for q in (64, 128))
+          and min(dims.values()) > 2 * 4096)
     # reported, not gated: each doubling of q about halves the gap
     ratios = ", ".join(f"{gaps[b] / gaps[a]:.3f}" for a, b in zip(qs, qs[1:]))
     _report("11 anisotropic trace at the paper's delta", ok,
-            f"rel gap q=8: {gaps[8]:.2e} -> q=64: {gaps[64]:.2e} (<= 0.25); "
-            f"gap ratio per doubling {ratios}; "
-            f"dimensions {dims[8]} to {dims[64]} (> 2 x 4096)")
+            f"rel gap q=8: {gaps[8]:.2e} -> q=64: {gaps[64]:.2e} -> q=128: {gaps[128]:.2e} "
+            f"(<= 0.25); gap ratio per doubling {ratios}; "
+            f"dimensions {dims[8]} to {dims[128]} (> 2 x 4096); q=128 in {deepest_s:.2f} s")
+
+
+def test_12_symbol_side_at_depth():
+    # criteria 04 and 05 at depth: the Hilbert-Schmidt rate on q = 128..1024
+    # from the Fourier side, the physical side against it at q = 128, and the
+    # normalized Laguerre-Bessel gap on a log grid to q = 4096
+    qs = [128, 256, 512, 1024]
+    lams = np.array([landau_level(1.0, q) for q in qs])
+    report = []
+    ok = True
+    for rho in (0.2, 0.5, 0.9):
+        model = PotentialModel.isotropic(rho)
+        hs = np.array([hs_distance_fourier(model, 1.0, q) for q in qs])
+        slope = float(np.polyfit(np.log(lams), np.log(hs), 1)[0])
+        rel = abs(hs_distance(model, 1.0, 128) / hs[0] - 1.0)
+        ok = ok and abs(slope + 0.75) <= 0.005 and rel <= 5e-8
+        # reported, not gated: the paper gives no constant
+        report.append(f"rho={rho}: slope {slope:+.5f}, q=128 physical vs Fourier {rel:.1e}, "
+                      f"hs lambda^(3/4) at q=1024 {hs[-1] * lams[-1] ** 0.75:.6f}")
+    grid = np.geomspace(1e-4, 50.0, 2000)
+    sup = max(float(np.nanmax(laguerre_bessel_gap(q, grid)[1])) for q in (64, 256, 1024, 4096))
+    ok = ok and sup < 0.05
+    report.append(f"Laguerre-Bessel sup at q=64..4096 {sup:.5f} (< 0.05)")
+    _report("12 symbol side at depth", ok,
+            "slope target -0.75 +/- 0.005, sides within 5e-8; " + "; ".join(report))

@@ -525,11 +525,11 @@ def test_truncation_bound_capacity_error():
 
 
 def test_truncation_bound_reaches_the_hard_cap():
-    # K between 2^17 and K_HARD_CAP: the doubling search stops at the cap
-    # instead of jumping to 2^18 and refusing the level
-    thr = 0.0427
+    # K between 2^19 and K_HARD_CAP: the doubling search passes 2^20, above
+    # the cap, and refuses only a row whose bound still reaches thr
+    thr = 0.03
     K = truncation_bound(ISO, 1.0, 0, thr)
-    assert 2 ** 17 < K <= landau.K_HARD_CAP
+    assert 2 ** 19 < K <= landau.K_HARD_CAP
     assert landau._row_bound(ISO, 1.0, 0, K) < thr <= landau._row_bound(ISO, 1.0, 0, K - 1)
 
 
